@@ -3,7 +3,7 @@
 Exact normal-form computations in a q-deformed coordinate *-algebra
 with a central unitary, the integer grading of its weighted circle
 coactions, generators and relations of the degree-zero subalgebras,
-truncated shift-operator representations, and the K-theory of the
+weighted-shift representations, and the K-theory of the
 associated C*-algebras via coisometry index maps and Smith normal
 forms.
 """
@@ -48,7 +48,7 @@ from .qwrp import (
 from .fockrep import (
     RepInstance,
     RepReport,
-    TruncatedOperator,
+    WeightedShift,
     faithfulness_probe,
     intertwiner_check,
     rep_generator,
@@ -87,7 +87,7 @@ __all__ = [
     "generators", "relations_for", "verify_relations",
     "factorize", "factorize_with_conjugates", "word_element",
     "degree_zero_monomials", "enumerate_word_monomials",
-    "RepInstance", "RepReport", "TruncatedOperator",
+    "RepInstance", "RepReport", "WeightedShift",
     "rep_generator", "rep_scalar", "rep_sigma", "rep_sigma_element",
     "intertwiner_check", "faithfulness_probe", "rep_report",
     "GroupDescriptor", "IndexMap", "KGroups",

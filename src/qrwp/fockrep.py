@@ -18,6 +18,10 @@ representation
 is compressed to span{e_0, ..., e_{N-1}}; all displayed operators lower
 the index, so compression is exact except in the top band, and checks
 are evaluated on the interior window of N - 2l columns.
+
+Every operator here is a weighted shift and is stored as one
+(WeightedShift: an offset and a weight vector).  Products and adjoints
+stay weighted shifts, so a relation side costs O(N) per factor.
 """
 
 from __future__ import annotations
@@ -34,36 +38,80 @@ from .grading import Weights
 from .sigma3 import AlgebraElement, NormalMonomial
 
 
+def _shifted(d: np.ndarray, k: int) -> np.ndarray:
+    """out[i] = d[i + k], zero where i + k leaves 0..len(d)-1."""
+    if k == 0:
+        return d
+    n = d.size
+    out = np.zeros(n, dtype=d.dtype)
+    if k >= 0:
+        out[:max(0, n - k)] = d[k:]
+    else:
+        out[-k:] = d[:max(0, n + k)]
+    return out
+
+
 @dataclass(frozen=True, eq=False, slots=True)
-class TruncatedOperator:
-    """An N x N compression of an l^2(N) operator.
+class WeightedShift:
+    """The operator M[i, i + offset] = weights[i] on span{e_0, ..., e_{N-1}}.
 
-    interior_window counts the leading columns that are free of
-    truncation artifacts in operator-identity checks."""
+    a is diagonal (offset 0), b and c+ lower the index by one, c- by two,
+    and adjoints raise it.  Weights whose column i + offset lies outside
+    0..N-1 are zero.  exponents is set only for a diagonal of q-powers
+    built by q_power."""
 
-    matrix: np.ndarray
-    interior_window: int
+    offset: int
+    weights: np.ndarray
+    exponents: np.ndarray | None = None
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("truncated operators are square matrices")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        w = np.array(self.weights)
+        if w.ndim != 1:
+            raise ValueError("weights of a weighted shift form a vector")
+        if self.offset > 0:
+            w[max(0, w.size - self.offset):] = 0
+        elif self.offset < 0:
+            w[:-self.offset] = 0
+        w.setflags(write=False)
+        object.__setattr__(self, "weights", w)
+
+    @classmethod
+    def q_power(cls, q: float, exponents) -> "WeightedShift":
+        """The diagonal e_n -> q^{exponents[n]} e_n.  It keeps the integer
+        exponents so that 1 - q^{2e} M is evaluated as 1 - q^{2e + exponents},
+        whose exact zeros stay exact."""
+        exps = np.asarray(exponents)
+        return cls(0, q ** exps, exps)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.weights.size
 
-    def adjoint(self) -> "TruncatedOperator":
-        return TruncatedOperator(self.matrix.conj().T, self.interior_window)
+    def __matmul__(self, other: "WeightedShift") -> "WeightedShift":
+        """(AB)[i, i + kA + kB] = dA[i] * dB[i + kA]."""
+        return WeightedShift(self.offset + other.offset, self.weights * _shifted(other.weights, self.offset))
+
+    def adjoint(self) -> "WeightedShift":
+        return WeightedShift(-self.offset, _shifted(self.weights.conj(), -self.offset))
+
+    def column_max(self, cols: int) -> float:
+        """Largest |entry| in the first cols columns (0 when there is none)."""
+        rows = max(0, min(self.dim, cols - self.offset))
+        return float(np.max(np.abs(self.weights[:rows]))) if rows else 0.0
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense N x N matrix, built on demand (for the faithfulness
+        probe and for tests)."""
+        rows = np.arange(self.dim)
+        keep = (rows + self.offset >= 0) & (rows + self.offset < self.dim)
+        mat = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        mat[rows[keep], rows[keep] + self.offset] = self.weights[keep]
+        return mat
 
     def bandwidth(self) -> int:
-        """Largest |i - j| over nonzero entries (0 for the zero matrix)."""
-        idx = np.nonzero(self.matrix)
-        if idx[0].size == 0:
-            return 0
-        return int(np.max(np.abs(idx[0] - idx[1])))
+        """Largest |i - j| over nonzero entries (0 for the zero operator)."""
+        return abs(self.offset) if np.any(self.weights) else 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,15 +139,17 @@ class RepInstance:
             raise ValueError("dim must be positive")
 
 
-def _sqrt_weight(q: float, exponents: Iterable[int]) -> float:
-    """prod_e (1 - q^{2e})^{1/2}; a negative radicand signals a formula
-    transcription bug and is a hard error."""
+def _sqrt_weight(q: float, exponents: Iterable) -> np.ndarray:
+    """prod_e (1 - q^{2e})^{1/2} entrywise, one integer array e per factor;
+    a negative radicand signals a formula transcription bug and is a hard
+    error."""
     acc = 1.0
     for e in exponents:
+        e = np.asarray(e)
         radicand = 1.0 - q ** (2 * e)
-        if radicand < 0.0:
-            raise ArithmeticError(f"negative radicand 1 - q^{2 * e} in shift weight")
-        acc *= math.sqrt(radicand)
+        if np.any(radicand < 0.0):
+            raise ArithmeticError(f"negative radicand 1 - q^{2 * int(np.min(e))} in shift weight")
+        acc = acc * np.sqrt(radicand)
     return acc
 
 
@@ -112,32 +162,26 @@ def shift_kernel_size(parity: str, gen: str) -> int:
     return 2  # c- lowers by two steps
 
 
-def rep_generator(inst: RepInstance, gen: str) -> TruncatedOperator:
-    """Truncated matrix of one generator in the representation inst.
+def rep_generator(inst: RepInstance, gen: str) -> WeightedShift:
+    """One generator in the representation inst, as a weighted shift.
 
-    Out-of-range components are dropped; the displayed kernel conditions
-    (c+ e_0 = 0, b e_0 = 0, c- e_0 = c- e_1 = 0) give exactly zero
-    columns, not approximations."""
+    Components that leave the truncation are dropped; the displayed
+    kernel conditions (c+ e_0 = 0, b e_0 = 0, c- e_0 = c- e_1 = 0) hold
+    exactly because the shift has no entry in those columns."""
     n_dim, l, r, q = inst.dim, inst.l, inst.r, inst.q
-    mat = np.zeros((n_dim, n_dim), dtype=np.complex128)
     if gen == "a":
-        for n in range(n_dim):
-            mat[n, n] = q ** (2 * (l * n + r))
-    elif gen == "b":
-        if inst.parity != "odd":
-            raise ValueError("generator b exists only in the odd family")
-        for n in range(1, n_dim):
-            mat[n - 1, n] = q ** (l * n + r) * _sqrt_weight(q, (l * n + r - m for m in range(1, l + 1)))
-    elif gen == "c":
-        if inst.parity == "even":
-            for n in range(1, n_dim):
-                mat[n - 1, n] = _sqrt_weight(q, (l * n + r - m for m in range(1, l + 1)))
-        else:
-            for n in range(2, n_dim):
-                mat[n - 2, n] = _sqrt_weight(q, (l * n + r - m for m in range(1, 2 * l + 1)))
-    else:
+        return WeightedShift.q_power(q, 2 * (l * np.arange(n_dim) + r))
+    if gen == "b" and inst.parity != "odd":
+        raise ValueError("generator b exists only in the odd family")
+    if gen not in ("b", "c"):
         raise ValueError(f"unknown generator {gen!r}")
-    return TruncatedOperator(mat, max(0, n_dim - 2 * l))
+    step = shift_kernel_size(inst.parity, gen)
+    nfactors = l * step  # l factors for b and c+, 2l for c-
+    n = np.arange(n_dim) + step  # the column of each row; the top step rows fall outside
+    weights = _sqrt_weight(q, (l * n + r - m for m in range(1, nfactors + 1)))
+    if gen == "b":
+        weights = q ** (l * n + r) * weights
+    return WeightedShift(step, weights)
 
 
 def rep_scalar(theta: float, parity: str) -> dict[str, complex]:
@@ -153,64 +197,62 @@ def rep_scalar(theta: float, parity: str) -> dict[str, complex]:
     return values
 
 
-def rep_sigma(mono: NormalMonomial, q: float, dim: int) -> TruncatedOperator:
-    """Truncated matrix of the ambient-algebra representation on one
-    basis word (z0 family only); zero whenever the z0 power exceeds n."""
+def rep_sigma(mono: NormalMonomial, q: float, dim: int) -> WeightedShift:
+    """The ambient-algebra representation of one basis word (z0 family
+    only), a shift by the z0 power m; it annihilates e_n for n < m."""
     if mono.m < 0:
         raise ValueError("the ambient representation is tabulated for the z0 family (m >= 0)")
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
-    mat = np.zeros((dim, dim), dtype=np.complex128)
     m, p = mono.m, mono.p
-    for n in range(m, dim):
-        mat[n - m, n] = q ** (p * (n + 1)) * _sqrt_weight(q, (n - t for t in range(m)))
-    return TruncatedOperator(mat, dim)
+    n = np.arange(dim) + m  # the column of each row
+    return WeightedShift(m, q ** (p * (n + 1)) * _sqrt_weight(q, (n - t for t in range(m))))
 
 
-def rep_sigma_element(x: AlgebraElement, q: float, dim: int) -> TruncatedOperator:
-    """Linear extension of rep_sigma to elements with z0-family terms."""
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    interior = dim
+def rep_sigma_element(x: AlgebraElement, q: float, dim: int) -> WeightedShift:
+    """Linear extension of rep_sigma to elements whose z0-family terms
+    share one z0 power (so that the image is one weighted shift)."""
+    offsets = {mono.m for mono, _ in x.terms()}
+    if len(offsets) > 1:
+        raise ValueError("terms with different z0 powers do not form one weighted shift")
+    weights = np.zeros(dim, dtype=np.complex128)
     for mono, coef in x.terms():
-        op = rep_sigma(mono, q, dim)
-        mat = mat + coef.evaluate(q) * op.matrix
-        interior = min(interior, op.interior_window)
-    return TruncatedOperator(mat, interior)
+        weights = weights + coef.evaluate(q) * rep_sigma(mono, q, dim).weights
+    return WeightedShift(offsets.pop() if offsets else 0, weights)
 
 
 # -- relation residuals ----------------------------------------------
 
 
-def eval_side_matrix(side: RelationSide, ops: Mapping[str, np.ndarray], q: float) -> np.ndarray:
-    """Evaluate one relation side on concrete operator matrices."""
-    some = next(iter(ops.values()))
-    dim = some.shape[0]
-    eye = np.eye(dim, dtype=np.complex128)
-    out = (q ** side.q_exponent) * eye
+def eval_side_matrix(side: RelationSide, ops: Mapping[str, WeightedShift], q: float) -> WeightedShift:
+    """Evaluate one relation side on weighted-shift operators.
+
+    A factor (1 - q^{2e} a) acts on e_n as 1 - q^{2e + x_n}, with x_n the
+    integer exponent of a's diagonal, so it is exactly zero where
+    2e + x_n = 0 instead of a rounding residue that the other factors
+    (up to q^{-4l}) would amplify."""
+    a = ops["a"]
+    out = WeightedShift(0, np.full(a.dim, q ** side.q_exponent))
     for f in side.factors:
         if f[0] == "gen":
-            mat = ops[f[1]]
-            if f[2]:
-                mat = mat.conj().T
-            out = out @ mat
+            op = ops[f[1]]
+            out = out @ (op.adjoint() if f[2] else op)
         else:
             for e in f[1]:
-                out = out @ (eye - (q ** (2 * e)) * ops["a"])
+                out = out @ WeightedShift(0, 1.0 - q ** (2 * e + a.exponents))
     return out
 
 
-def _interior_max(diff: np.ndarray, interior_cols: int) -> float:
-    cols = max(0, min(interior_cols, diff.shape[1]))
-    if cols == 0:
-        return 0.0
-    return float(np.max(np.abs(diff[:, :cols])))
+def _interior_max(lhs: WeightedShift, rhs: WeightedShift, interior_cols: int) -> float:
+    """Max |lhs - rhs| over the first interior_cols columns."""
+    if lhs.offset == rhs.offset:
+        return WeightedShift(lhs.offset, lhs.weights - rhs.weights).column_max(interior_cols)
+    return max(lhs.column_max(interior_cols), rhs.column_max(interior_cols))
 
 
-def _instance_ops(inst: RepInstance) -> dict[str, np.ndarray]:
-    ops = {"a": rep_generator(inst, "a").matrix, "c": rep_generator(inst, "c").matrix}
-    if inst.parity == "odd":
-        ops["b"] = rep_generator(inst, "b").matrix
-    return ops
+def _instance_ops(inst: RepInstance) -> dict[str, WeightedShift]:
+    names = ("a", "c") if inst.parity == "even" else ("a", "b", "c")
+    return {name: rep_generator(inst, name) for name in names}
 
 
 @dataclass(frozen=True, slots=True)
@@ -232,22 +274,18 @@ def relation_residuals(parity: str, l: int, q: float = 0.5, dim: int = 256,
         for rel in rels:
             lhs = eval_side_matrix(rel.lhs, ops, q)
             rhs = eval_side_matrix(rel.rhs, ops, q)
-            res = _interior_max(lhs - rhs, interior)
+            res = _interior_max(lhs, rhs, interior)
             entries.append(ResidualEntry(r=r, rid=rel.rid, residual=res, passed=res < tol))
     return entries
 
 
 def kernel_conditions_exact(parity: str, l: int, q: float = 0.5, dim: int = 256) -> bool:
     """The displayed kernel columns must be exactly zero, not merely small."""
+    names = ("c",) if parity == "even" else ("b", "c")
     for r in range(1, l + 1):
         inst = RepInstance(parity, l, r, q, dim)
-        c = rep_generator(inst, "c").matrix
-        if parity == "even":
-            if np.any(c[:, 0] != 0):
-                return False
-        else:
-            b = rep_generator(inst, "b").matrix
-            if np.any(b[:, 0] != 0) or np.any(c[:, 0] != 0) or np.any(c[:, 1] != 0):
+        for name in names:
+            if rep_generator(inst, name).column_max(shift_kernel_size(parity, name)) != 0.0:
                 return False
     return True
 
@@ -255,13 +293,15 @@ def kernel_conditions_exact(parity: str, l: int, q: float = 0.5, dim: int = 256)
 def scalar_relation_residual(parity: str, l: int, theta: float, q: float = 0.5) -> float:
     """Max residual of the relation set in the one-dimensional
     representation (a = 0 makes every product factor equal 1)."""
-    values = rep_scalar(theta, parity)
-    ops = {name: np.array([[v]], dtype=np.complex128) for name, v in values.items()}
+    # Python complex arithmetic: numpy's vectorised complex product may be
+    # fused and leave an imaginary residue of ~1e-18 in c c* = 1.
+    ops = {name: WeightedShift(0, np.array([v], dtype=object)) for name, v in rep_scalar(theta, parity).items()}
+    ops["a"] = WeightedShift.q_power(q, [np.inf])
     worst = 0.0
     for rel in relations_for(parity, l):
         lhs = eval_side_matrix(rel.lhs, ops, q)
         rhs = eval_side_matrix(rel.rhs, ops, q)
-        worst = max(worst, float(abs((lhs - rhs)[0, 0])))
+        worst = max(worst, _interior_max(lhs, rhs, 1))
     return worst
 
 
@@ -279,13 +319,32 @@ def subspace_dim(l: int, r: int, dim: int) -> int:
     return (dim - r) // l + 1
 
 
+def _relabeled_residual(small: WeightedShift, big: WeightedShift, l: int, r: int,
+                        interior: int) -> float:
+    """Max |Phi small - big Phi| over the small-side columns n whose image
+    ln+r-1 lies in the interior window; Phi e_n = e_{ln+r-1}.
+
+    Column n of Phi small holds small's column-n weight at row
+    l(n - k) + r - 1; column n of big Phi holds big's weight from column
+    ln + r - 1 at row ln + r - 1 - K (k, K the offsets).  The rows agree
+    when K = lk."""
+    cols = np.arange(small.dim)
+    cols = cols[l * cols + r - 1 < interior]
+    here = _shifted(small.weights, -small.offset)[cols]
+    there = _shifted(big.weights, -big.offset)[l * cols + r - 1]
+    if big.offset == l * small.offset:
+        return float(np.max(np.abs(here - there), initial=0.0))
+    return float(max(np.max(np.abs(here), initial=0.0), np.max(np.abs(there), initial=0.0)))
+
+
 def intertwiner_check(parity: str, l: int, q: float = 0.5, dim: int = 256) -> dict:
     """Compare the relabeled family representations with the ambient
     representation of the substituted generator words.
 
     For each generator g and label r the columns of
     Phi_r pi_r(g) - pi(j(g)) Phi_r are measured on the interior window;
-    Phi_r places e_n^r at position ln+r-1."""
+    Phi_r places e_n^r at position ln+r-1, so each column compares the
+    family weight w_r[n] with the ambient weight at row ln+r-1."""
     w = Weights.canonical(parity, l)
     gens = generators(w)
     names = ["a", "c"] if parity == "even" else ["a", "b", "c"]
@@ -293,19 +352,11 @@ def intertwiner_check(parity: str, l: int, q: float = 0.5, dim: int = 256) -> di
     per_pair: list[dict] = []
     interior = max(0, dim - 2 * l)
     for name in names:
-        big = rep_sigma(coinvariant_monomial(gens, name), q, dim).matrix
+        big = rep_sigma(coinvariant_monomial(gens, name), q, dim)
         worst = 0.0
         for r in range(1, l + 1):
-            n_r = subspace_dim(l, r, dim)
-            small = rep_generator(RepInstance(parity, l, r, q, n_r), name).matrix
-            phi = np.zeros((dim, n_r), dtype=np.complex128)
-            rows = l * np.arange(n_r) + r - 1
-            phi[rows, np.arange(n_r)] = 1.0
-            diff = phi @ small - big @ phi
-            # interior columns of the small side are those whose image row stays
-            # inside the big interior window
-            cols = int(np.sum(rows < interior))
-            res = _interior_max(diff, cols)
+            small = rep_generator(RepInstance(parity, l, r, q, subspace_dim(l, r, dim)), name)
+            res = _relabeled_residual(small, big, l, r, interior)
             per_pair.append({"generator": name, "r": r, "residual": res})
             worst = max(worst, res)
         per_generator[name] = worst

@@ -15,13 +15,12 @@ matrix, read off from its Smith normal form, assemble the K-groups:
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .fockrep import RepInstance, TruncatedOperator, rep_generator, shift_kernel_size
+from .fockrep import RepInstance, WeightedShift, rep_generator, shift_kernel_size
 
 
 # -- exact integer linear algebra --------------------------------------
@@ -182,16 +181,9 @@ class IndexMap:
 @dataclass(frozen=True, slots=True)
 class CoisometryLift:
     r: int
-    shift: TruncatedOperator
-    formula: TruncatedOperator
+    shift: WeightedShift
+    formula: WeightedShift
     max_interior_deviation: float
-
-
-def _bare_shift(dim: int, step: int, interior: int) -> TruncatedOperator:
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    for n in range(step, dim):
-        mat[n - step, n] = 1.0
-    return TruncatedOperator(mat, interior)
 
 
 def coisometry_pair(parity: str, l: int, r: int, q: float, dim: int) -> CoisometryLift:
@@ -207,59 +199,48 @@ def coisometry_pair(parity: str, l: int, r: int, q: float, dim: int) -> Coisomet
     if dim < 4 * l:
         raise ValueError("truncation too small: need dim >= 4l")
     step = shift_kernel_size(parity, "c")
-    inst = RepInstance(parity, l, r, q, dim)
-    c_mat = rep_generator(inst, "c").matrix
+    c = rep_generator(RepInstance(parity, l, r, q, dim), "c")
     nfactors = l if parity == "even" else 2 * l
-    formula = np.zeros_like(c_mat)
-    for n in range(dim):
-        diag = 1.0
-        for m in range(1, nfactors + 1):
-            diag *= 1.0 - q ** (2 * (l * n + r - m))
-        if n < step:
-            if diag != 0.0:
-                raise ArithmeticError(f"kernel column {n} has nonvanishing modulus factor {diag}")
-            continue
-        if diag <= 0.0:
-            raise ArithmeticError(f"singular modulus factor {diag} at non-kernel column {n}")
-        formula[:, n] = c_mat[:, n] / math.sqrt(diag)
+    n = np.arange(dim)
+    diag = 1.0
+    for m in range(1, nfactors + 1):
+        diag = diag * (1.0 - q ** (2 * (l * n + r - m)))
+    bad = np.flatnonzero(diag[:step] != 0.0)
+    if bad.size:
+        raise ArithmeticError(f"kernel column {bad[0]} has nonvanishing modulus factor {diag[bad[0]]}")
+    bad = np.flatnonzero(diag[step:] <= 0.0) + step
+    if bad.size:
+        raise ArithmeticError(f"singular modulus factor {diag[bad[0]]} at non-kernel column {bad[0]}")
+    formula = np.zeros(dim)
+    formula[:dim - step] = c.weights[:dim - step] / np.sqrt(diag[step:])
     interior = max(0, dim - 2 * l)
-    shift = _bare_shift(dim, step, interior)
-    formula_op = TruncatedOperator(formula, interior)
-    deviation = float(np.max(np.abs((formula - shift.matrix)[:, :interior]))) if interior else 0.0
-    return CoisometryLift(r=r, shift=shift, formula=formula_op, max_interior_deviation=deviation)
+    shift = WeightedShift(step, np.ones(dim))
+    deviation = WeightedShift(step, formula - shift.weights).column_max(interior)
+    return CoisometryLift(r=r, shift=shift, formula=WeightedShift(step, formula),
+                          max_interior_deviation=deviation)
 
 
 def coisometry_lift(parity: str, l: int, q: float = 0.5, dim: int = 128) -> list[CoisometryLift]:
     return [coisometry_pair(parity, l, r, q, dim) for r in range(1, l + 1)]
 
 
-def _defect_rank(shift: np.ndarray, tol: float) -> int:
-    dim = shift.shape[0]
-    defect = np.eye(dim) - shift.conj().T @ shift
-    svals = np.linalg.svd(defect, compute_uv=False)
-    return int(np.sum(svals > tol))
-
-
 def index_map(parity: str, l: int, q: float = 0.5, dim: int = 128,
               tol: float = 1e-8) -> IndexMap:
     """Defect ranks of the lifted coisometries, one entry per label.
 
-    The rank is computed numerically and checked against the exact
-    kernel projection 1 - U*U (a 0/1 diagonal by construction); any
-    disagreement is raised as a truncation artifact."""
-    entries = []
+    The defect 1 - U*U of a weighted shift U is the diagonal 1 - |w|^2.
+    It must equal the kernel projection onto e_0..e_{step-1} exactly
+    (any disagreement is raised as a truncation artifact); its rank is
+    the number of entries above tol, since a diagonal's singular values
+    are its absolute entries."""
     step = shift_kernel_size(parity, "c")
+    expected = (np.arange(dim) < step).astype(float)
+    entries = []
     for lift in coisometry_lift(parity, l, q, dim):
-        shift = lift.shift.matrix
-        defect = np.eye(dim) - shift.conj().T @ shift
-        expected = np.zeros((dim, dim))
-        expected[:step, :step] = np.eye(step)
+        defect = 1.0 - (lift.shift.adjoint() @ lift.shift).weights
         if not np.array_equal(defect, expected):
             raise ArithmeticError("defect operator deviates from the exact kernel projection")
-        numeric = _defect_rank(shift, tol)
-        if numeric != step:
-            raise ArithmeticError(f"numeric defect rank {numeric} disagrees with exact rank {step}")
-        entries.append(numeric)
+        entries.append(int(np.sum(np.abs(defect) > tol)))
     return IndexMap(parity=parity, l=l, entries=tuple(entries))
 
 
@@ -366,9 +347,8 @@ def pullback_check(parity: str, l: int, q: float = 0.5, dim: int = 256,
     n0_max = step
     ok = True
     for r in range(1, l + 1):
-        inst = RepInstance(parity, l, r, q, dim)
-        c_mat = rep_generator(inst, "c").matrix
-        w = np.array([c_mat[n - step, n].real for n in range(step, dim)])
+        c = rep_generator(RepInstance(parity, l, r, q, dim), "c")
+        w = c.weights[:dim - step]
         weights[r] = w
         defect = np.abs(w - 1.0)
         monotone = bool(np.all(np.diff(defect) <= 0.0))

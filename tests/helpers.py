@@ -1,9 +1,11 @@
-"""Shared randomized-input generators for the test suite.
+"""Shared randomized-input generators and dense oracles for the test suite.
 
 All randomized suites use SEED so failures reproduce exactly.
 """
 
 import random
+
+import numpy as np
 
 from qrwp import AlgebraElement, LaurentPoly, NormalMonomial
 
@@ -46,3 +48,34 @@ def random_element(rng: random.Random, max_terms: int = 4) -> AlgebraElement:
         mono = random_monomial(rng)
         out = out + AlgebraElement({mono: random_nonzero_laurent(rng, max_exp=4)})
     return out
+
+
+# -- dense oracle for the weighted-shift operators ---------------------------
+
+
+def dense_side(side, mats, q: float) -> np.ndarray:
+    """One relation side evaluated on dense matrices with np.eye and @,
+    independently of the banded evaluation in qrwp.fockrep."""
+    dim = mats["a"].shape[0]
+    eye = np.eye(dim, dtype=np.complex128)
+    out = (q ** side.q_exponent) * eye
+    for f in side.factors:
+        if f[0] == "gen":
+            mat = mats[f[1]]
+            out = out @ (mat.conj().T if f[2] else mat)
+        else:
+            for e in f[1]:
+                out = out @ (eye - (q ** (2 * e)) * mats["a"])
+    return out
+
+
+def dense_interior_max(diff: np.ndarray, cols: int) -> float:
+    """Max |entry| of a dense matrix over its first cols columns."""
+    cols = max(0, min(cols, diff.shape[1]))
+    return float(np.max(np.abs(diff[:, :cols]))) if cols else 0.0
+
+
+def dense_defect_rank(shift: np.ndarray, tol: float) -> int:
+    """Numeric rank of 1 - U*U by singular values."""
+    defect = np.eye(shift.shape[0]) - shift.conj().T @ shift
+    return int(np.sum(np.linalg.svd(defect, compute_uv=False) > tol))

@@ -89,6 +89,11 @@ def test_rep_check(capsys):
     code, out, _ = run(capsys, "rep-check", "--parity", "even", "--l", "1", "--N", "64")
     assert code == EXIT_OK
     assert "all pass: yes" in out
+    # small q (exact zeros in the product factors) and a large truncation
+    for extra in (("--q", "0.02"), ("--N", "4096")):
+        code, out, _ = run(capsys, "rep-check", "--parity", "odd", "--l", "3", *extra)
+        assert code == EXIT_OK, extra
+        assert "all pass: yes" in out
 
 
 def test_parse_error_exit_code(capsys):

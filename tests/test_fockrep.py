@@ -1,4 +1,6 @@
-"""Truncated shift representations: matrices, residuals, intertwiner."""
+"""Weighted-shift representations: generators, residuals, intertwiner."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +8,9 @@ import pytest
 from qrwp import (
     NormalMonomial,
     RepInstance,
+    WeightedShift,
+    ktheory_report,
+    relations_for,
     basis_monomial,
     faithfulness_probe,
     intertwiner_check,
@@ -17,13 +22,14 @@ from qrwp import (
 )
 from qrwp.fockrep import (
     _sqrt_weight,
+    eval_side_matrix,
     kernel_conditions_exact,
     relation_residuals,
     scalar_relation_residual,
     subspace_dim,
 )
 
-from helpers import make_rng
+from helpers import SEED, dense_interior_max, dense_side, make_rng
 
 Q = 0.5
 
@@ -172,3 +178,63 @@ def test_rep_report_aggregates():
     assert payload["kernel_conditions_exact"] is True
     assert payload["all_pass"] is True
     assert len(payload["relation_residuals"]) == 11 * 2
+
+
+def test_weighted_shift_algebra_matches_dense():
+    rng = np.random.default_rng(SEED + 31)
+    dim = 9
+    for _ in range(40):
+        ka, kb = (int(k) for k in rng.integers(-4, 5, size=2))
+        a = WeightedShift(ka, rng.normal(size=dim) + 1j * rng.normal(size=dim))
+        b = WeightedShift(kb, rng.normal(size=dim))
+        assert np.array_equal((a @ b).matrix, a.matrix @ b.matrix)
+        assert np.array_equal(a.adjoint().matrix, a.matrix.conj().T)
+        assert a.bandwidth() == abs(ka)
+    assert WeightedShift(dim + 2, np.ones(dim)).bandwidth() == 0   # shifts everything out
+
+
+def test_banded_relations_match_dense_oracle():
+    # q = 0.5: every q-power is exact, so banded and dense agree bit for bit
+    for dim in (16, 48):
+        for parity, ls in (("even", (1, 3, 5)), ("odd", (1, 2, 3, 4, 5))):
+            for l in ls:
+                entries = iter(relation_residuals(parity, l, Q, dim))
+                for r in range(1, l + 1):
+                    inst = RepInstance(parity, l, r, Q, dim)
+                    ops = {name: rep_generator(inst, name)
+                           for name in (("a", "c") if parity == "even" else ("a", "b", "c"))}
+                    mats = {name: op.matrix for name, op in ops.items()}
+                    for rel in relations_for(parity, l):
+                        lhs = dense_side(rel.lhs, mats, Q)
+                        rhs = dense_side(rel.rhs, mats, Q)
+                        assert np.array_equal(eval_side_matrix(rel.lhs, ops, Q).matrix, lhs), (parity, l, r, rel.rid)
+                        assert np.array_equal(eval_side_matrix(rel.rhs, ops, Q).matrix, rhs), (parity, l, r, rel.rid)
+                        entry = next(entries)
+                        assert (entry.r, entry.rid) == (r, rel.rid)
+                        assert entry.residual == dense_interior_max(lhs - rhs, dim - 2 * l)
+
+
+@pytest.mark.parametrize("q", (0.02, 0.05, 0.1, 0.5, 0.9, 0.97, 0.995))
+def test_q_sweep_residuals(q):
+    rng = make_rng(32)
+    for parity, ls in (("even", (1, 3, 5)), ("odd", (1, 2, 3, 4, 5))):
+        for l in ls:
+            entries = relation_residuals(parity, l, q, 256, tol=1e-10)
+            assert all(e.passed for e in entries), (parity, l, [e for e in entries if not e.passed])
+            assert intertwiner_check(parity, l, q, 256)["max_residual"] < 1e-10, (parity, l)
+            theta = rng.random()
+            assert scalar_relation_residual(parity, l, theta, q) < 1e-10, (parity, l, theta)
+
+
+def test_large_truncations_stay_banded():
+    # a dense N x N float64 matrix would exceed either bound on its own
+    for run, dim in ((lambda: rep_report("odd", 3, Q, 4096), 4096),
+                     (lambda: ktheory_report("odd", 3, Q, 1024), 1024)):
+        tracemalloc.start()
+        try:
+            report = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.all_pass
+        assert peak < 8 * dim * dim / 4

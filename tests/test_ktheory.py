@@ -20,7 +20,7 @@ from qrwp import (
 )
 from qrwp.ktheory import coisometry_pair
 
-from helpers import make_rng
+from helpers import dense_defect_rank, make_rng
 
 Q = 0.5
 
@@ -113,6 +113,15 @@ def test_index_map_values():
     assert index_map("even", 3, Q, 64).entries == (1, 1, 1)
     assert index_map("odd", 2, Q, 64).entries == (2, 2)
     assert index_map("even", 1, Q, 64).entries == (1,)   # the Toeplitz index
+
+
+def test_index_map_matches_dense_svd_rank():
+    for dim in (16, 48):
+        for parity, ls in (("even", (1, 3, 5)), ("odd", (1, 2, 3, 4, 5))):
+            for l in (l for l in ls if dim >= 4 * l):
+                ranks = tuple(dense_defect_rank(lift.shift.matrix, 1e-8)
+                              for lift in coisometry_lift(parity, l, Q, dim))
+                assert index_map(parity, l, Q, dim).entries == ranks, (parity, l, dim)
 
 
 def test_index_map_stability():
