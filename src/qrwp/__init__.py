@@ -20,7 +20,6 @@ from .sigma3 import (
     AlgebraElement,
     NormalMonomial,
     basis_monomial,
-    mul,
     powers_oracle,
     star,
 )
@@ -29,7 +28,6 @@ from .grading import (
     coinvariant_part,
     degree,
     element_degrees,
-    homogeneous_degree,
     is_coinvariant,
 )
 from .qwrp import (
@@ -55,7 +53,6 @@ from .fockrep import (
     rep_report,
     rep_scalar,
     rep_sigma,
-    rep_sigma_element,
 )
 from .ktheory import (
     GroupDescriptor,
@@ -67,7 +64,6 @@ from .ktheory import (
     expected_kgroups,
     index_map,
     index_map_stable,
-    integer_det,
     ktheory_report,
     pullback_check,
     smith_normal_form,
@@ -80,18 +76,18 @@ __all__ = [
     "LaurentPoly", "qpow", "ZERO", "ONE",
     "NormalMonomial", "AlgebraElement", "IDENTITY_MONOMIAL",
     "Z0", "Z0S", "Z1", "Z1S", "XI", "XIS",
-    "basis_monomial", "mul", "star", "powers_oracle",
-    "Weights", "degree", "element_degrees", "homogeneous_degree",
+    "basis_monomial", "star", "powers_oracle",
+    "Weights", "degree", "element_degrees",
     "coinvariant_part", "is_coinvariant",
     "GeneratorSet", "GeneratorWord", "RelationReport",
     "generators", "relations_for", "verify_relations",
     "factorize", "factorize_with_conjugates", "word_element",
     "degree_zero_monomials", "enumerate_word_monomials",
     "RepInstance", "RepReport", "WeightedShift",
-    "rep_generator", "rep_scalar", "rep_sigma", "rep_sigma_element",
+    "rep_generator", "rep_scalar", "rep_sigma",
     "intertwiner_check", "faithfulness_probe", "rep_report",
     "GroupDescriptor", "IndexMap", "KGroups",
-    "smith_normal_form", "integer_det", "coisometry_lift",
+    "smith_normal_form", "coisometry_lift",
     "index_map", "index_map_stable", "assemble_kgroups",
     "expected_kgroups", "cokernel_map_check", "pullback_check",
     "ktheory_report",

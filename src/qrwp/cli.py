@@ -26,10 +26,6 @@ EXIT_PRECONDITION = 3
 EXIT_CHECK_FAILED = 4
 
 
-class CheckFailure(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class RunConfig:
     q: float
@@ -71,14 +67,6 @@ def _emit(payload: dict, fmt: str, text_lines: list[str]) -> None:
             print(line)
 
 
-def _weights(args: argparse.Namespace) -> Weights:
-    return Weights(args.k, args.l)
-
-
-def _canonical_weights(parity: str, l: int) -> Weights:
-    return Weights.canonical(parity, l)
-
-
 # -- command handlers -----------------------------------------------------
 
 
@@ -103,7 +91,7 @@ def _cmd_star(args, cfg: RunConfig) -> int:
 
 
 def _cmd_degree(args, cfg: RunConfig) -> int:
-    w = _weights(args)
+    w = Weights(args.k, args.l)
     element = lower_text(args.expr)
     degrees = element_degrees(w, element)
     coinv = is_coinvariant(w, element)
@@ -130,7 +118,7 @@ def _cmd_degree(args, cfg: RunConfig) -> int:
 
 
 def _cmd_generators(args, cfg: RunConfig) -> int:
-    w = _weights(args)
+    w = Weights(args.k, args.l)
     gens = qwrp.generators(w)
     cname = "c+" if w.parity == "even" else "c-"
     entries = {"a": str(gens.a), cname: str(gens.c)}
@@ -154,7 +142,7 @@ def _cmd_generators(args, cfg: RunConfig) -> int:
 
 
 def _cmd_verify_relations(args, cfg: RunConfig) -> int:
-    w = _canonical_weights(args.parity, args.l)
+    w = Weights.canonical(args.parity, args.l)
     report = qwrp.verify_relations(w)
     payload = {"schema": SCHEMA, "command": "verify-relations", **report.as_dict()}
     lines = []
@@ -166,7 +154,7 @@ def _cmd_verify_relations(args, cfg: RunConfig) -> int:
 
 
 def _cmd_factorize(args, cfg: RunConfig) -> int:
-    w = _weights(args)
+    w = Weights(args.k, args.l)
     element = lower_text(args.monomial)
     try:
         mono = element.sole_monomial()

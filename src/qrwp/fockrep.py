@@ -9,15 +9,17 @@ on l^2(N) by weighted shifts:
            c- e_n = prod_{m=1}^{2l} (1 - q^{2(ln+r-m)})^{1/2} e_{n-2},  c- e_0 = c- e_1 = 0,
 
 with labels r = 1..l, plus the one-dimensional family a -> 0 (and
-b -> 0), c -> e^{2 pi i theta}.  The ambient algebra has the faithful
-representation
+b -> 0), c -> e^{2 pi i theta}.  The displayed kernels are read from
+the relations that state g* g as a product in a (even.4, odd.7,
+odd.11): on e_n that product vanishes exactly on the kernel columns
+(kernel_columns).  The ambient algebra has the faithful representation
 
     pi(z0^m z1^p xi^s) e_n = q^{p(n+1)} prod_{t=0}^{m-1} (1 - q^{2(n-t)})^{1/2} e_{n-m}
 
 (zero when m > n; the central unitary acts trivially).  Everything here
 is compressed to span{e_0, ..., e_{N-1}}; all displayed operators lower
 the index, so compression is exact except in the top band, and checks
-are evaluated on the interior window of N - 2l columns.
+are evaluated on the interior window of N - 2l columns (so N > 2l).
 
 Every operator here is a weighted shift and is stored as one
 (WeightedShift: an offset and a weight vector).  Products and adjoints
@@ -33,9 +35,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .qwrp import GeneratorSet, RelationSide, generators, relations_for
+from .qwrp import RelationSide, generators, relations_for
 from .grading import Weights
-from .sigma3 import AlgebraElement, NormalMonomial
+from .sigma3 import NormalMonomial
 
 
 def _shifted(d: np.ndarray, k: int) -> np.ndarray:
@@ -153,21 +155,11 @@ def _sqrt_weight(q: float, exponents: Iterable) -> np.ndarray:
     return acc
 
 
-def shift_kernel_size(parity: str, gen: str) -> int:
-    """Number of leading basis vectors annihilated by the shift generator."""
-    if gen == "a":
-        return 0
-    if parity == "even" or gen == "b":
-        return 1
-    return 2  # c- lowers by two steps
-
-
 def rep_generator(inst: RepInstance, gen: str) -> WeightedShift:
     """One generator in the representation inst, as a weighted shift.
 
-    Components that leave the truncation are dropped; the displayed
-    kernel conditions (c+ e_0 = 0, b e_0 = 0, c- e_0 = c- e_1 = 0) hold
-    exactly because the shift has no entry in those columns."""
+    b and c+ lower the index by one, c- by two (its word has z0^{2l});
+    components that leave the truncation are dropped."""
     n_dim, l, r, q = inst.dim, inst.l, inst.r, inst.q
     if gen == "a":
         return WeightedShift.q_power(q, 2 * (l * np.arange(n_dim) + r))
@@ -175,7 +167,7 @@ def rep_generator(inst: RepInstance, gen: str) -> WeightedShift:
         raise ValueError("generator b exists only in the odd family")
     if gen not in ("b", "c"):
         raise ValueError(f"unknown generator {gen!r}")
-    step = shift_kernel_size(inst.parity, gen)
+    step = 2 if gen == "c" and inst.parity == "odd" else 1
     nfactors = l * step  # l factors for b and c+, 2l for c-
     n = np.arange(n_dim) + step  # the column of each row; the top step rows fall outside
     weights = _sqrt_weight(q, (l * n + r - m for m in range(1, nfactors + 1)))
@@ -209,18 +201,6 @@ def rep_sigma(mono: NormalMonomial, q: float, dim: int) -> WeightedShift:
     return WeightedShift(m, q ** (p * (n + 1)) * _sqrt_weight(q, (n - t for t in range(m))))
 
 
-def rep_sigma_element(x: AlgebraElement, q: float, dim: int) -> WeightedShift:
-    """Linear extension of rep_sigma to elements whose z0-family terms
-    share one z0 power (so that the image is one weighted shift)."""
-    offsets = {mono.m for mono, _ in x.terms()}
-    if len(offsets) > 1:
-        raise ValueError("terms with different z0 powers do not form one weighted shift")
-    weights = np.zeros(dim, dtype=np.complex128)
-    for mono, coef in x.terms():
-        weights = weights + coef.evaluate(q) * rep_sigma(mono, q, dim).weights
-    return WeightedShift(offsets.pop() if offsets else 0, weights)
-
-
 # -- relation residuals ----------------------------------------------
 
 
@@ -241,6 +221,27 @@ def eval_side_matrix(side: RelationSide, ops: Mapping[str, WeightedShift], q: fl
             for e in f[1]:
                 out = out @ WeightedShift(0, 1.0 - q ** (2 * e + a.exponents))
     return out
+
+
+# The relation whose right side states g* g as a product in a.
+_MODULUS_RELATION = {("even", "c"): "even.4", ("odd", "b"): "odd.7", ("odd", "c"): "odd.11"}
+
+
+def kernel_columns(inst: RepInstance, gen: str) -> tuple[np.ndarray, int]:
+    """The diagonal of g* g on e_0..e_{N-1}, and the kernel size of g.
+
+    The diagonal is the right side of the relation that states g* g
+    (even.4 for c+, odd.7 for b, odd.11 for c-), evaluated on a's
+    integer exponents so that its zeros are exact.  The kernel of g is
+    the number of leading exact zeros; later zeros do not count (the
+    factor a in odd.7 underflows to 0.0 deep in the tail)."""
+    rid = _MODULUS_RELATION.get((inst.parity, gen))
+    if rid is None:
+        raise ValueError(f"no relation states g* g for generator {gen!r} in the {inst.parity} family")
+    rel = next(rel for rel in relations_for(inst.parity, inst.l) if rel.rid == rid)
+    diag = eval_side_matrix(rel.rhs, {"a": rep_generator(inst, "a")}, inst.q).weights
+    nonzero = np.flatnonzero(diag)
+    return diag, int(nonzero[0]) if nonzero.size else diag.size
 
 
 def _interior_max(lhs: WeightedShift, rhs: WeightedShift, interior_cols: int) -> float:
@@ -280,12 +281,15 @@ def relation_residuals(parity: str, l: int, q: float = 0.5, dim: int = 256,
 
 
 def kernel_conditions_exact(parity: str, l: int, q: float = 0.5, dim: int = 256) -> bool:
-    """The displayed kernel columns must be exactly zero, not merely small."""
+    """The displayed kernels c+ e_0 = 0, b e_0 = 0, c- e_0 = c- e_1 = 0:
+    for every label, the exact zeros that the relations place at the
+    start of g* g must be exactly the columns that g's shift lowers out
+    of the space (as far as the truncation holds them)."""
     names = ("c",) if parity == "even" else ("b", "c")
     for r in range(1, l + 1):
         inst = RepInstance(parity, l, r, q, dim)
         for name in names:
-            if rep_generator(inst, name).column_max(shift_kernel_size(parity, name)) != 0.0:
+            if kernel_columns(inst, name)[1] != min(rep_generator(inst, name).offset, dim):
                 return False
     return True
 
@@ -306,11 +310,6 @@ def scalar_relation_residual(parity: str, l: int, theta: float, q: float = 0.5) 
 
 
 # -- intertwiner and faithfulness ------------------------------------
-
-
-def coinvariant_monomial(gens: GeneratorSet, name: str) -> NormalMonomial:
-    """The basis word underlying one coinvariant generator."""
-    return gens.named(name).sole_monomial()
 
 
 def subspace_dim(l: int, r: int, dim: int) -> int:
@@ -352,7 +351,7 @@ def intertwiner_check(parity: str, l: int, q: float = 0.5, dim: int = 256) -> di
     per_pair: list[dict] = []
     interior = max(0, dim - 2 * l)
     for name in names:
-        big = rep_sigma(coinvariant_monomial(gens, name), q, dim)
+        big = rep_sigma(gens.named(name).sole_monomial(), q, dim)
         worst = 0.0
         for r in range(1, l + 1):
             small = rep_generator(RepInstance(parity, l, r, q, subspace_dim(l, r, dim)), name)
@@ -441,6 +440,9 @@ class RepReport:
 
 def rep_report(parity: str, l: int, q: float = 0.5, dim: int = 256,
                tol: float = 1e-10) -> RepReport:
+    if dim <= 2 * l:
+        raise ValueError(f"truncation too small: l={l} needs N >= {2 * l + 1} "
+                         f"(the checks read the N - 2l interior columns)")
     residuals = tuple(relation_residuals(parity, l, q, dim, tol))
     kernel = kernel_conditions_exact(parity, l, q, dim)
     scalar = max(scalar_relation_residual(parity, l, theta, q) for theta in (0.0, 0.25, 0.5, 0.8))

@@ -57,17 +57,6 @@ def element_degrees(w: Weights, x: AlgebraElement) -> list[int]:
     return sorted({degree(w, mono) for mono, _ in x.terms()})
 
 
-def homogeneous_degree(w: Weights, x: AlgebraElement) -> int | None:
-    """The common degree of all terms, or None if x is inhomogeneous.
-    The zero element is homogeneous of degree 0 by convention."""
-    degs = element_degrees(w, x)
-    if not degs:
-        return 0
-    if len(degs) == 1:
-        return degs[0]
-    return None
-
-
 def coinvariant_part(w: Weights, x: AlgebraElement) -> AlgebraElement:
     """Projection of x onto its degree-zero terms."""
     return AlgebraElement({mono: coef for mono, coef in x.terms() if degree(w, mono) == 0})

@@ -3,11 +3,14 @@
 The quotient algebra of either family sits in a short exact sequence
 with a sum of l compact ideals and circle functions as quotient.  The
 connecting index map sends the quotient unitary's class to the defect
-class of a lifted coisometry: per label r the lift is the bare
-unilateral shift (step one in the even family, step two in the odd),
-which also arises from the generator c by dividing out its modulus.
-Defect ranks fill an l x 1 integer matrix; kernel and cokernel of that
-matrix, read off from its Smith normal form, assemble the K-groups:
+class of a lifted coisometry: per label r the lift is the generator c
+divided by the square root of its modulus c* c = prod_m (1 - q^{-2m} a),
+a bare shift past the kernel of c.  That kernel is the run of exact
+zeros at the start of the modulus (fockrep.kernel_columns): one column
+in the even family, two in the odd.  The defect 1 - U*U of the lift
+projects onto those columns, so its rank is the lift's step.  The ranks
+fill an l x 1 integer matrix; kernel and cokernel of that matrix, read
+off from its Smith normal form, assemble the K-groups:
 
     K_1 = ker(delta),    K_0 = coker(delta) (+) Z.
 """
@@ -15,41 +18,16 @@ matrix, read off from its Smith normal form, assemble the K-groups:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .fockrep import RepInstance, WeightedShift, rep_generator, shift_kernel_size
+from .fockrep import RepInstance, WeightedShift, kernel_columns, rep_generator
 
 
 # -- exact integer linear algebra --------------------------------------
-
-
-def integer_det(matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination."""
-    a = [[int(x) for x in row] for row in matrix]
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]):
@@ -187,27 +165,20 @@ class CoisometryLift:
 
 
 def coisometry_pair(parity: str, l: int, r: int, q: float, dim: int) -> CoisometryLift:
-    """The lifted coisometry for one label, built two ways: directly as
-    the bare shift, and from the generator c divided by the square root
-    of the diagonal modulus
+    """The lifted coisometry for one label, built two ways: as the bare
+    shift past the kernel of c, and as c divided by the square root of
+    its modulus
 
-        prod_{m=1}^{L} (1 - q^{-2m} a),   L = l (even) or 2l (odd).
+        c* c = prod_{m=1}^{L} (1 - q^{-2m} a),   L = l (even) or 2l (odd).
 
-    The diagonal factor vanishes exactly on the displayed kernel
-    columns, where the reconstruction is zero by the kernel condition;
-    a vanishing or negative factor anywhere else is a hard error."""
+    Both the modulus and the kernel (its leading exact zeros) come from
+    fockrep.kernel_columns; a vanishing or negative modulus past the
+    kernel is a hard error."""
     if dim < 4 * l:
         raise ValueError("truncation too small: need dim >= 4l")
-    step = shift_kernel_size(parity, "c")
-    c = rep_generator(RepInstance(parity, l, r, q, dim), "c")
-    nfactors = l if parity == "even" else 2 * l
-    n = np.arange(dim)
-    diag = 1.0
-    for m in range(1, nfactors + 1):
-        diag = diag * (1.0 - q ** (2 * (l * n + r - m)))
-    bad = np.flatnonzero(diag[:step] != 0.0)
-    if bad.size:
-        raise ArithmeticError(f"kernel column {bad[0]} has nonvanishing modulus factor {diag[bad[0]]}")
+    inst = RepInstance(parity, l, r, q, dim)
+    c = rep_generator(inst, "c")
+    diag, step = kernel_columns(inst, "c")
     bad = np.flatnonzero(diag[step:] <= 0.0) + step
     if bad.size:
         raise ArithmeticError(f"singular modulus factor {diag[bad[0]]} at non-kernel column {bad[0]}")
@@ -224,30 +195,20 @@ def coisometry_lift(parity: str, l: int, q: float = 0.5, dim: int = 128) -> list
     return [coisometry_pair(parity, l, r, q, dim) for r in range(1, l + 1)]
 
 
-def index_map(parity: str, l: int, q: float = 0.5, dim: int = 128,
-              tol: float = 1e-8) -> IndexMap:
-    """Defect ranks of the lifted coisometries, one entry per label.
-
-    The defect 1 - U*U of a weighted shift U is the diagonal 1 - |w|^2.
-    It must equal the kernel projection onto e_0..e_{step-1} exactly
-    (any disagreement is raised as a truncation artifact); its rank is
-    the number of entries above tol, since a diagonal's singular values
-    are its absolute entries."""
-    step = shift_kernel_size(parity, "c")
-    expected = (np.arange(dim) < step).astype(float)
-    entries = []
-    for lift in coisometry_lift(parity, l, q, dim):
-        defect = 1.0 - (lift.shift.adjoint() @ lift.shift).weights
-        if not np.array_equal(defect, expected):
-            raise ArithmeticError("defect operator deviates from the exact kernel projection")
-        entries.append(int(np.sum(np.abs(defect) > tol)))
-    return IndexMap(parity=parity, l=l, entries=tuple(entries))
+def _defect_ranks(parity: str, l: int, lifts: Sequence[CoisometryLift]) -> IndexMap:
+    """The defect 1 - U*U of a bare shift by k projects onto e_0..e_{k-1},
+    so its rank is the shift's offset, the kernel size of c."""
+    return IndexMap(parity=parity, l=l, entries=tuple(lift.shift.offset for lift in lifts))
 
 
-def index_map_stable(parity: str, l: int, q: float = 0.5, dim: int = 128,
-                     tol: float = 1e-8) -> bool:
+def index_map(parity: str, l: int, q: float = 0.5, dim: int = 128) -> IndexMap:
+    """Defect ranks of the lifted coisometries, one entry per label."""
+    return _defect_ranks(parity, l, coisometry_lift(parity, l, q, dim))
+
+
+def index_map_stable(parity: str, l: int, q: float = 0.5, dim: int = 128) -> bool:
     """Rank stability under doubling the truncation."""
-    return index_map(parity, l, q, dim, tol).entries == index_map(parity, l, q, 2 * dim, tol).entries
+    return index_map(parity, l, q, dim) == index_map(parity, l, q, 2 * dim)
 
 
 # -- K-group assembly ----------------------------------------------------
@@ -341,13 +302,13 @@ def pullback_check(parity: str, l: int, q: float = 0.5, dim: int = 256,
     first index n0 past which they stay below eps.  All labels share the
     bare shift as symbol, so pairwise weight differences must be equally
     small beyond the largest n0."""
-    step = shift_kernel_size(parity, "c")
+    cs = [rep_generator(RepInstance(parity, l, r, q, dim), "c") for r in range(1, l + 1)]
+    step = cs[0].offset
     weights: dict[int, np.ndarray] = {}
     per_r = []
     n0_max = step
     ok = True
-    for r in range(1, l + 1):
-        c = rep_generator(RepInstance(parity, l, r, q, dim), "c")
+    for r, c in enumerate(cs, start=1):
         w = c.weights[:dim - step]
         weights[r] = w
         defect = np.abs(w - 1.0)
@@ -383,6 +344,26 @@ def pullback_check(parity: str, l: int, q: float = 0.5, dim: int = 256,
         "pairwise": pairwise,
         "all_pass": ok,
     }
+
+
+# Largest truncation the pullback proxy may size itself to.
+PULLBACK_MAX_DIM = 2 ** 20
+
+
+def _pullback_dim(parity: str, l: int, q: float, dim: int, eps: float) -> int:
+    """Truncation for pullback_check: max(dim, 256) or, nearer q = 1, one
+    past the column n where c's weight defect is certainly below eps/2.
+
+    1 - w_n <= sum_{m=1}^{L} q^{2(ln+r-m)} <= q^{2(ln-L+1)} T with
+    T = sum_{i<L} q^{2i} (r >= 1), so ln >= log(eps / 2T) / (2 log q) + L - 1
+    suffices.  Past PULLBACK_MAX_DIM this is a ValueError naming the N."""
+    nfactors = l if parity == "even" else 2 * l
+    total = sum(q ** (2 * i) for i in range(nfactors))
+    n = max(0, math.ceil((math.log(eps / (2 * total)) / (2 * math.log(q)) + nfactors - 1) / l))
+    if n + 1 > PULLBACK_MAX_DIM:
+        raise ValueError(f"the pullback proxy needs N >= {n + 1} at q={q}, l={l}, tol={eps}, "
+                         f"above the limit {PULLBACK_MAX_DIM}")
+    return max(dim, 256, n + 1)
 
 
 # -- assembled report -------------------------------------------------------
@@ -438,9 +419,10 @@ class KReport:
 
 def ktheory_report(parity: str, l: int, q: float = 0.5, dim: int = 128,
                    tol: float = 1e-10) -> KReport:
+    pullback_dim = _pullback_dim(parity, l, q, dim, tol)
     lifts = coisometry_lift(parity, l, q, dim)
-    delta = index_map(parity, l, q, dim)
-    stable = index_map_stable(parity, l, q, dim)
+    delta = _defect_ranks(parity, l, lifts)
+    stable = index_map(parity, l, q, 2 * dim) == delta
     deviation = max(lift.max_interior_deviation for lift in lifts)
     _, d, _ = smith_normal_form(delta.matrix())
     diag = tuple(d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)))
@@ -458,5 +440,5 @@ def ktheory_report(parity: str, l: int, q: float = 0.5, dim: int = 128,
         kgroups=groups,
         expected=expected_kgroups(parity, l),
         cokernel_map_ok=cokernel_map_check(parity, l),
-        pullback=pullback_check(parity, l, q, max(dim, 256), eps=tol),
+        pullback=pullback_check(parity, l, q, pullback_dim, eps=tol),
     )

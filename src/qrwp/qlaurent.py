@@ -30,12 +30,6 @@ class LaurentPoly:
                     data[int(e)] = c
         self._coeffs = data
 
-    # -- constructors ------------------------------------------------
-
-    @classmethod
-    def from_int(cls, value: int) -> "LaurentPoly":
-        return cls({0: value})
-
     # -- inspection --------------------------------------------------
 
     def items_sorted(self) -> list[tuple[int, int]]:

@@ -236,19 +236,6 @@ class GeneratorWord:
     scalar: LaurentPoly
     starred: bool = False
 
-    def __str__(self) -> str:
-        body = " ".join(
-            (name + ("*" if self.starred else "")) + (f"^{e}" if e != 1 else "")
-            for name, e in self.letters
-            if e != 0
-        )
-        if not body:
-            body = "1"
-        e = self.scalar.as_q_power()
-        if e == 0:
-            return body
-        return f"{self.scalar} * {body}" if e is None else (f"q^{e} * {body}" if e != 1 else f"q * {body}")
-
 
 def word_text(word: GeneratorWord, parity: str) -> str:
     """Render a generator word with the family name of c (c+ or c-)."""

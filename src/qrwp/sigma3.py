@@ -315,10 +315,6 @@ def basis_monomial(m: int, p: int, r: int) -> AlgebraElement:
     return AlgebraElement.monomial(m, p, r)
 
 
-def mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return x * y
-
-
 def star(x: AlgebraElement) -> AlgebraElement:
     return x.star()
 

@@ -1,6 +1,8 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +96,38 @@ def test_rep_check(capsys):
         code, out, _ = run(capsys, "rep-check", "--parity", "odd", "--l", "3", *extra)
         assert code == EXIT_OK, extra
         assert "all pass: yes" in out
+
+
+def test_rep_check_rejects_an_empty_interior(capsys):
+    # the checks read the N - 2l interior columns; with none every residual is 0.0
+    for n in ("4", "10"):
+        code, out, err = run(capsys, "rep-check", "--parity", "odd", "--l", "5", "--N", n)
+        assert code == EXIT_PRECONDITION, n
+        assert "N >= 11" in err and not out
+    code, out, _ = run(capsys, "rep-check", "--parity", "odd", "--l", "5", "--N", "11")
+    assert code == EXIT_OK
+    assert "all pass: yes" in out
+
+
+def _readme_commands():
+    """(argv, note) for every qrwp line of README's "Command line" block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    for line in block.splitlines():
+        if line.startswith("qrwp "):
+            cmd, _, note = line.partition("#")
+            argv = shlex.split(cmd)[1:]
+            yield pytest.param(argv, note.strip(), id=" ".join(argv))
+
+
+@pytest.mark.parametrize("argv, note", list(_readme_commands()))
+def test_readme_command_line(capsys, monkeypatch, argv, note):
+    for name in ("QRWP_Q", "QRWP_N", "QRWP_TOL"):
+        monkeypatch.delenv(name, raising=False)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_OK, err
+    if note.startswith("-> "):
+        assert ", ".join(out.splitlines()) == note[3:]
 
 
 def test_parse_error_exit_code(capsys):

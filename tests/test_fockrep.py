@@ -18,11 +18,11 @@ from qrwp import (
     rep_report,
     rep_scalar,
     rep_sigma,
-    rep_sigma_element,
 )
 from qrwp.fockrep import (
     _sqrt_weight,
     eval_side_matrix,
+    kernel_columns,
     kernel_conditions_exact,
     relation_residuals,
     scalar_relation_residual,
@@ -63,6 +63,23 @@ def test_kernel_columns_are_exact_zeros():
     assert np.all(b[:, 0] == 0)
     assert kernel_conditions_exact("odd", 5, Q, 64)
     assert kernel_conditions_exact("even", 5, Q, 64)
+
+
+def test_kernel_columns_read_the_modulus_relation():
+    # c*c vanishes on e_0 (even) or e_0, e_1 (odd) and nowhere after
+    for parity, l, kernel in (("even", 3, 1), ("odd", 2, 2)):
+        for r in range(1, l + 1):
+            inst = RepInstance(parity, l, r, Q, 32)
+            diag, k = kernel_columns(inst, "c")
+            assert k == kernel and np.all(diag[k:] > 0), (parity, r)
+            c = rep_generator(inst, "c")
+            assert np.max(np.abs((c.adjoint() @ c).weights - diag)) < 1e-14
+    # b*b = a prod(1 - q^{-2m} a): a underflows to 0.0 deep in the tail,
+    # and only the leading zeros count
+    diag, k = kernel_columns(RepInstance("odd", 5, 1, Q, 256), "b")
+    assert k == 1 and diag[1] > 0 and diag[200] == 0.0
+    with pytest.raises(ValueError):
+        kernel_columns(RepInstance("even", 3, 1, Q, 8), "b")
 
 
 def test_generators_are_banded():
@@ -115,8 +132,10 @@ def test_ambient_rep_is_multiplicative_on_interior():
     for _ in range(25):
         x = basis_monomial(rng.randint(0, 3), rng.randint(0, 3), rng.randint(-2, 2))
         y = basis_monomial(rng.randint(0, 3), rng.randint(0, 3), rng.randint(-2, 2))
-        lhs = rep_sigma_element(x * y, Q, dim).matrix
-        rhs = rep_sigma_element(x, Q, dim).matrix @ rep_sigma_element(y, Q, dim).matrix
+        # z0-family words multiply to one word times a q-power
+        mono, coef = (x * y).sole_term()
+        lhs = coef.evaluate(Q) * rep_sigma(mono, Q, dim).matrix
+        rhs = rep_sigma(x.sole_monomial(), Q, dim).matrix @ rep_sigma(y.sole_monomial(), Q, dim).matrix
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 

@@ -1,5 +1,8 @@
 """Smith normal form, coisometry index maps, K-group assembly, pullbacks."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,12 +16,14 @@ from qrwp import (
     expected_kgroups,
     index_map,
     index_map_stable,
-    integer_det,
     ktheory_report,
     pullback_check,
     smith_normal_form,
 )
+from qrwp import fockrep
+from qrwp.fockrep import kernel_conditions_exact
 from qrwp.ktheory import coisometry_pair
+from qrwp.qwrp import RelationSide
 
 from helpers import dense_defect_rank, make_rng
 
@@ -28,25 +33,13 @@ Q = 0.5
 # -- exact integer linear algebra -------------------------------------
 
 
-def test_integer_det():
-    assert integer_det([[1, 2], [3, 4]]) == -2
-    assert integer_det([[2]]) == 2
-    assert integer_det([]) == 1
-    assert integer_det([[0, 1], [1, 0]]) == -1
-    rng = make_rng(40)
-    for _ in range(50):
-        n = rng.randint(1, 5)
-        mat = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        assert integer_det(mat) == round(np.linalg.det(np.array(mat, dtype=float)))
-
-
 def _check_snf(matrix):
     u, d, v = smith_normal_form(matrix)
     m, n = len(matrix), len(matrix[0]) if matrix else 0
     prod = np.array(u, dtype=object) @ np.array(matrix, dtype=object) @ np.array(v, dtype=object)
     assert np.array_equal(prod, np.array(d, dtype=object))
-    assert abs(integer_det(u)) == 1
-    assert abs(integer_det(v)) == 1
+    assert abs(round(np.linalg.det(np.array(u, dtype=float)))) == 1
+    assert abs(round(np.linalg.det(np.array(v, dtype=float)))) == 1
     diag = [d[i][i] for i in range(min(m, n))]
     for i in range(m):
         for j in range(n):
@@ -129,6 +122,24 @@ def test_index_map_stability():
         assert index_map_stable(parity, l, Q, 64)
 
 
+def test_kernel_checks_follow_the_modulus_relation(monkeypatch):
+    # c-* c- = prod(1 - q^{-2m} a) with its factors moved to m = 0..2l-1:
+    # the zeros on e_n move with them, and every check that reads the
+    # kernel must notice
+    relations_for = fockrep.relations_for
+
+    def mutated(parity, l):
+        shifted = RelationSide(0, (("prod", tuple(range(0, -2 * l, -1))),))
+        return tuple(dataclasses.replace(rel, rhs=shifted) if rel.rid == "odd.11" else rel
+                     for rel in relations_for(parity, l))
+
+    assert index_map("odd", 2, Q, 64).entries == (2, 2)
+    monkeypatch.setattr(fockrep, "relations_for", mutated)
+    assert not kernel_conditions_exact("odd", 2, Q, 64)
+    assert index_map("odd", 2, Q, 64).entries == (2, 1)
+    assert not ktheory_report("odd", 2, Q, 64).all_pass
+
+
 # -- K-group assembly -------------------------------------------------------
 
 
@@ -203,6 +214,27 @@ def test_pullback_decay_even_l3():
 def test_pullback_decay_odd():
     report = pullback_check("odd", 2, Q, 256, 1e-10)
     assert report["all_pass"]
+
+
+@pytest.mark.parametrize("q", (0.9, 0.97, 0.995))
+def test_ktheory_near_q_one_sizes_the_pullback(q):
+    # the weight defects decay like q^{2ln}: at q = 0.995, odd l = 1 the
+    # proxy needs about 2300 columns, far past the truncation given
+    for parity, ls in (("even", (1, 3, 5)), ("odd", (1, 2, 3, 4, 5))):
+        for l in ls:
+            report = ktheory_report(parity, l, q, 128)
+            assert report.all_pass, (parity, l, report.pullback["N"])
+
+
+def test_pullback_size_limit_raises_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="needs N >= "):
+            ktheory_report("odd", 1, 1 - 1e-9, 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # -- assembled report --------------------------------------------------------
