@@ -63,12 +63,11 @@ from .ktheory import (
     cokernel_map_check,
     expected_kgroups,
     index_map,
-    index_map_stable,
     ktheory_report,
     pullback_check,
     smith_normal_form,
 )
-from .parser import ParseError, format_expr, lower, lower_text, parse, render
+from .parser import ParseError, lower, lower_text, parse, render
 
 __version__ = "0.1.0"
 
@@ -88,8 +87,8 @@ __all__ = [
     "intertwiner_check", "faithfulness_probe", "rep_report",
     "GroupDescriptor", "IndexMap", "KGroups",
     "smith_normal_form", "coisometry_lift",
-    "index_map", "index_map_stable", "assemble_kgroups",
+    "index_map", "assemble_kgroups",
     "expected_kgroups", "cokernel_map_check", "pullback_check",
     "ktheory_report",
-    "parse", "lower", "lower_text", "render", "format_expr", "ParseError",
+    "parse", "lower", "lower_text", "render", "ParseError",
 ]

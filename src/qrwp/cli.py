@@ -70,24 +70,18 @@ def _emit(payload: dict, fmt: str, text_lines: list[str]) -> None:
 # -- command handlers -----------------------------------------------------
 
 
-def _cmd_normalize(args, cfg: RunConfig) -> int:
-    element = lower_text(args.expr)
-    _emit(
-        {"schema": SCHEMA, "command": "normalize", "input": args.expr, "normal_form": render(element)},
-        cfg.fmt,
-        [render(element)],
-    )
+def _emit_normal_form(args, cfg: RunConfig, element) -> int:
+    text = render(element)
+    _emit({"schema": SCHEMA, "command": args.command, "input": args.expr, "normal_form": text}, cfg.fmt, [text])
     return EXIT_OK
+
+
+def _cmd_normalize(args, cfg: RunConfig) -> int:
+    return _emit_normal_form(args, cfg, lower_text(args.expr))
 
 
 def _cmd_star(args, cfg: RunConfig) -> int:
-    element = lower_text(args.expr).star()
-    _emit(
-        {"schema": SCHEMA, "command": "star", "input": args.expr, "normal_form": render(element)},
-        cfg.fmt,
-        [render(element)],
-    )
-    return EXIT_OK
+    return _emit_normal_form(args, cfg, lower_text(args.expr).star())
 
 
 def _cmd_degree(args, cfg: RunConfig) -> int:
@@ -120,7 +114,8 @@ def _cmd_degree(args, cfg: RunConfig) -> int:
 def _cmd_generators(args, cfg: RunConfig) -> int:
     w = Weights(args.k, args.l)
     gens = qwrp.generators(w)
-    cname = "c+" if w.parity == "even" else "c-"
+    cname = qwrp.c_name(w.parity)
+    family = f"(l={w.l}; {cname[-1]})"  # (l; +) has c+, (l; -) has c-
     entries = {"a": str(gens.a), cname: str(gens.c)}
     if gens.b is not None:
         entries["b"] = str(gens.b)
@@ -130,10 +125,10 @@ def _cmd_generators(args, cfg: RunConfig) -> int:
         "k": w.k,
         "l": w.l,
         "parity": w.parity,
-        "family": f"(l={w.l}; {'+' if w.parity == 'even' else '-'})",
+        "family": family,
         "generators": entries,
     }
-    lines = [f"parity: {w.parity} (family (l={w.l}; {'+' if w.parity == 'even' else '-'}))"]
+    lines = [f"parity: {w.parity} (family {family})"]
     for name in ("a", "b", cname):
         if name in entries:
             lines.append(f"{name} = {entries[name]}")

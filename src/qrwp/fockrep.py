@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -90,8 +91,12 @@ class WeightedShift:
         return self.weights.size
 
     def __matmul__(self, other: "WeightedShift") -> "WeightedShift":
-        """(AB)[i, i + kA + kB] = dA[i] * dB[i + kA]."""
-        return WeightedShift(self.offset + other.offset, self.weights * _shifted(other.weights, self.offset))
+        """(AB)[i, i + kA + kB] = dA[i] * dB[i + kA].  An exact zero factor
+        gives an exact zero, also against a factor that overflowed to inf."""
+        d_a, d_b = self.weights, _shifted(other.weights, self.offset)
+        out = np.zeros(d_a.size, dtype=np.result_type(d_a, d_b))
+        np.multiply(d_a, d_b, out=out, where=(d_a != 0) & (d_b != 0))
+        return WeightedShift(self.offset + other.offset, out)
 
     def adjoint(self) -> "WeightedShift":
         return WeightedShift(-self.offset, _shifted(self.weights.conj(), -self.offset))
@@ -110,10 +115,6 @@ class WeightedShift:
         mat = np.zeros((self.dim, self.dim), dtype=np.complex128)
         mat[rows[keep], rows[keep] + self.offset] = self.weights[keep]
         return mat
-
-    def bandwidth(self) -> int:
-        """Largest |i - j| over nonzero entries (0 for the zero operator)."""
-        return abs(self.offset) if np.any(self.weights) else 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,7 +220,11 @@ def eval_side_matrix(side: RelationSide, ops: Mapping[str, WeightedShift], q: fl
             out = out @ (op.adjoint() if f[2] else op)
         else:
             for e in f[1]:
-                out = out @ WeightedShift(0, 1.0 - q ** (2 * e + a.exponents))
+                # at tiny q a kernel column's factor overflows to -inf; the
+                # exact zero factor of that column absorbs it in the product
+                with np.errstate(over="ignore"):
+                    factor = 1.0 - q ** (2 * e + a.exponents)
+                out = out @ WeightedShift(0, factor)
     return out
 
 
@@ -296,17 +301,20 @@ def kernel_conditions_exact(parity: str, l: int, q: float = 0.5, dim: int = 256)
 
 def scalar_relation_residual(parity: str, l: int, theta: float, q: float = 0.5) -> float:
     """Max residual of the relation set in the one-dimensional
-    representation (a = 0 makes every product factor equal 1)."""
+    representation: a = 0 makes every product factor equal 1, so a side
+    is its q-power times the generator values, conjugated where starred."""
     # Python complex arithmetic: numpy's vectorised complex product may be
     # fused and leave an imaginary residue of ~1e-18 in c c* = 1.
-    ops = {name: WeightedShift(0, np.array([v], dtype=object)) for name, v in rep_scalar(theta, parity).items()}
-    ops["a"] = WeightedShift.q_power(q, [np.inf])
-    worst = 0.0
-    for rel in relations_for(parity, l):
-        lhs = eval_side_matrix(rel.lhs, ops, q)
-        rhs = eval_side_matrix(rel.rhs, ops, q)
-        worst = max(worst, _interior_max(lhs, rhs, 1))
-    return worst
+    values = rep_scalar(theta, parity)
+
+    def value(side: RelationSide) -> complex:
+        out = q ** side.q_exponent
+        for f in side.factors:
+            if f[0] == "gen":
+                out *= values[f[1]].conjugate() if f[2] else values[f[1]]
+        return out
+
+    return max(abs(value(rel.lhs) - value(rel.rhs)) for rel in relations_for(parity, l))
 
 
 # -- intertwiner and faithfulness ------------------------------------
@@ -348,16 +356,13 @@ def intertwiner_check(parity: str, l: int, q: float = 0.5, dim: int = 256) -> di
     gens = generators(w)
     names = ["a", "c"] if parity == "even" else ["a", "b", "c"]
     per_generator: dict[str, float] = {}
-    per_pair: list[dict] = []
     interior = max(0, dim - 2 * l)
     for name in names:
         big = rep_sigma(gens.named(name).sole_monomial(), q, dim)
         worst = 0.0
         for r in range(1, l + 1):
             small = rep_generator(RepInstance(parity, l, r, q, subspace_dim(l, r, dim)), name)
-            res = _relabeled_residual(small, big, l, r, interior)
-            per_pair.append({"generator": name, "r": r, "residual": res})
-            worst = max(worst, res)
+            worst = max(worst, _relabeled_residual(small, big, l, r, interior))
         per_generator[name] = worst
     return {
         "parity": parity,
@@ -365,7 +370,6 @@ def intertwiner_check(parity: str, l: int, q: float = 0.5, dim: int = 256) -> di
         "q": q,
         "N": dim,
         "per_generator": per_generator,
-        "per_pair": per_pair,
         "max_residual": max(per_generator.values()),
     }
 
@@ -443,6 +447,15 @@ def rep_report(parity: str, l: int, q: float = 0.5, dim: int = 256,
     if dim <= 2 * l:
         raise ValueError(f"truncation too small: l={l} needs N >= {2 * l + 1} "
                          f"(the checks read the N - 2l interior columns)")
+    # the smallest q at which every relation scalar q^e fits in a double,
+    # rounded up to the three digits that the message prints
+    lowest = min(side.q_exponent for rel in relations_for(parity, l) for side in (rel.lhs, rel.rhs))
+    bound = math.exp(math.log(sys.float_info.max) / lowest)
+    scale = 10.0 ** (math.floor(math.log10(bound)) - 2)
+    q_min = float(f"{math.ceil(bound / scale) * scale:.3g}")
+    if q < q_min:
+        raise ValueError(f"q too small: l={l} needs q >= {q_min:g} "
+                         f"(the relation scalar q^{lowest} must fit in a double)")
     residuals = tuple(relation_residuals(parity, l, q, dim, tol))
     kernel = kernel_conditions_exact(parity, l, q, dim)
     scalar = max(scalar_relation_residual(parity, l, theta, q) for theta in (0.0, 0.25, 0.5, 0.8))

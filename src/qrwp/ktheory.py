@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .fockrep import RepInstance, WeightedShift, kernel_columns, rep_generator
+from .qlaurent import power_text
 
 
 # -- exact integer linear algebra --------------------------------------
@@ -124,12 +125,8 @@ class GroupDescriptor:
     torsion: tuple[int, ...] = ()
 
     def __str__(self) -> str:
-        parts = [f"Z{t}" for t in self.torsion]
-        if self.free_rank == 1:
-            parts.append("Z")
-        elif self.free_rank > 1:
-            parts.append(f"Z^{self.free_rank}")
-        return " (+) ".join(parts) if parts else "0"
+        parts = [f"Z{t}" for t in self.torsion] + [power_text("Z", self.free_rank)]
+        return " (+) ".join(filter(None, parts)) or "0"
 
     def as_dict(self) -> dict:
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
@@ -160,7 +157,6 @@ class IndexMap:
 class CoisometryLift:
     r: int
     shift: WeightedShift
-    formula: WeightedShift
     max_interior_deviation: float
 
 
@@ -175,7 +171,7 @@ def coisometry_pair(parity: str, l: int, r: int, q: float, dim: int) -> Coisomet
     fockrep.kernel_columns; a vanishing or negative modulus past the
     kernel is a hard error."""
     if dim < 4 * l:
-        raise ValueError("truncation too small: need dim >= 4l")
+        raise ValueError(f"truncation too small: l={l} needs N >= {4 * l}")
     inst = RepInstance(parity, l, r, q, dim)
     c = rep_generator(inst, "c")
     diag, step = kernel_columns(inst, "c")
@@ -187,8 +183,7 @@ def coisometry_pair(parity: str, l: int, r: int, q: float, dim: int) -> Coisomet
     interior = max(0, dim - 2 * l)
     shift = WeightedShift(step, np.ones(dim))
     deviation = WeightedShift(step, formula - shift.weights).column_max(interior)
-    return CoisometryLift(r=r, shift=shift, formula=WeightedShift(step, formula),
-                          max_interior_deviation=deviation)
+    return CoisometryLift(r=r, shift=shift, max_interior_deviation=deviation)
 
 
 def coisometry_lift(parity: str, l: int, q: float = 0.5, dim: int = 128) -> list[CoisometryLift]:
@@ -204,11 +199,6 @@ def _defect_ranks(parity: str, l: int, lifts: Sequence[CoisometryLift]) -> Index
 def index_map(parity: str, l: int, q: float = 0.5, dim: int = 128) -> IndexMap:
     """Defect ranks of the lifted coisometries, one entry per label."""
     return _defect_ranks(parity, l, coisometry_lift(parity, l, q, dim))
-
-
-def index_map_stable(parity: str, l: int, q: float = 0.5, dim: int = 128) -> bool:
-    """Rank stability under doubling the truncation."""
-    return index_map(parity, l, q, dim) == index_map(parity, l, q, 2 * dim)
 
 
 # -- K-group assembly ----------------------------------------------------

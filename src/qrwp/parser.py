@@ -253,51 +253,3 @@ def render(element: AlgebraElement) -> str:
     ascending q-exponent order.  parse(render(x)) lowers back to x."""
     return str(element)
 
-
-# -- syntax-tree rendering -------------------------------------------------
-
-_PREC = {"add": 0, "mul": 1, "pow": 2, "atom": 3}
-
-
-def _fmt(expr: Expr) -> tuple[str, int]:
-    if isinstance(expr, Sym):
-        return expr.name, _PREC["atom"]
-    if isinstance(expr, IntLit):
-        return str(expr.value), _PREC["atom"]
-    if isinstance(expr, Pow):
-        base, prec = _fmt(expr.base)
-        if prec < _PREC["pow"]:
-            base = f"({base})"
-        return f"{base}^{expr.exponent}", _PREC["pow"]
-    if isinstance(expr, Neg):
-        inner, prec = _fmt(expr.operand)
-        if prec < _PREC["mul"]:
-            inner = f"({inner})"
-        return f"-{inner}", _PREC["add"]
-    if isinstance(expr, Mul):
-        # nested products and sums are parenthesized so the tree reparses identically
-        parts = []
-        for f in expr.factors:
-            text, prec = _fmt(f)
-            parts.append(f"({text})" if prec <= _PREC["mul"] else text)
-        return " * ".join(parts), _PREC["mul"]
-    if isinstance(expr, Add):
-        parts = []
-        for i, t in enumerate(expr.terms):
-            if isinstance(t, Neg):
-                inner, prec = _fmt(t.operand)
-                if prec < _PREC["mul"]:
-                    inner = f"({inner})"
-                parts.append(f"- {inner}" if i else f"-{inner}")
-            else:
-                text, prec = _fmt(t)
-                if prec < _PREC["mul"]:
-                    text = f"({text})"
-                parts.append(f"+ {text}" if i else text)
-        return " ".join(parts), _PREC["add"]
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
-def format_expr(expr: Expr) -> str:
-    """Render a syntax tree; parse(format_expr(t)) == t."""
-    return _fmt(expr)[0]

@@ -8,7 +8,7 @@ are produced only at the very end, by evaluating at a chosen q in (0,1).
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterable, Mapping
 
 
 class LaurentPoly:
@@ -158,21 +158,7 @@ class LaurentPoly:
     # -- rendering ---------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        pieces: list[str] = []
-        for i, (e, c) in enumerate(self.items_sorted()):
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                qpart = "q" if e == 1 else f"q^{e}"
-                body = qpart if mag == 1 else f"{mag}{qpart}"
-            if i == 0:
-                pieces.append(f"-{body}" if c < 0 else body)
-            else:
-                pieces.append(f"- {body}" if c < 0 else f"+ {body}")
-        return " ".join(pieces)
+        return signed_sum([(c < 0, coefficient_text(abs(c), e)) for e, c in self.items_sorted()])
 
     def __repr__(self) -> str:
         return f"LaurentPoly({dict(self.items_sorted())!r})"
@@ -185,3 +171,30 @@ ONE = LaurentPoly({0: 1})
 def qpow(e: int) -> LaurentPoly:
     """The monomial q^e."""
     return LaurentPoly({int(e): 1})
+
+
+# -- rendering shared by every text form of the package ------------------
+
+
+def power_text(name: str, e: int) -> str:
+    """name^e as text: "" for e = 0, name for e = 1."""
+    if e == 0:
+        return ""
+    return name if e == 1 else f"{name}^{e}"
+
+
+def coefficient_text(mag: int, e: int) -> str:
+    """The positive coefficient mag * q^e as text: "3", "q^-2", "2q"."""
+    qpart = power_text("q", e)
+    return qpart if mag == 1 and qpart else f"{mag}{qpart}"
+
+
+def signed_sum(terms: Iterable[tuple[bool, str]]) -> str:
+    """Join (negative, text) pairs as "a - b + c" or "-a + ..."; "0" when empty."""
+    pieces: list[str] = []
+    for neg, text in terms:
+        if pieces:
+            pieces.append(f"- {text}" if neg else f"+ {text}")
+        else:
+            pieces.append(f"-{text}" if neg else text)
+    return " ".join(pieces) or "0"

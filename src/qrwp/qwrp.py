@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 
 from .grading import Weights, degree
-from .qlaurent import LaurentPoly, qpow
+from .qlaurent import LaurentPoly, power_text, qpow
 from .sigma3 import AlgebraElement, NormalMonomial
 
 # Relation sides are small data: a scalar q-power and a factor list.
@@ -89,24 +89,24 @@ def relations_for(parity: str, l: int) -> tuple[Relation, ...]:
     raise ValueError(f"unknown parity {parity!r}")
 
 
+def c_name(parity: str) -> str:
+    """The family name of the generator c: c+ (even) or c- (odd)."""
+    return "c+" if parity == "even" else "c-"
+
+
+def _letter(name: str, parity: str, starred: bool) -> str:
+    return (c_name(parity) if name == "c" else name) + ("*" if starred else "")
+
+
 def _side_text(side: RelationSide, parity: str) -> str:
-    cname = "c+" if parity == "even" else "c-"
-    parts: list[str] = []
-    if side.q_exponent:
-        parts.append("q" if side.q_exponent == 1 else f"q^{side.q_exponent}")
+    parts = [power_text("q", side.q_exponent)]
     for f in side.factors:
         if f[0] == "gen":
-            name = cname if f[1] == "c" else f[1]
-            parts.append(name + ("*" if f[2] else ""))
+            parts.append(_letter(f[1], parity, f[2]))
         else:
-            body = []
-            for e in f[1]:
-                if e == 0:
-                    body.append("(1 - a)")
-                else:
-                    body.append(f"(1 - q^{2 * e} a)")
-            parts.append("".join(body))
-    return " ".join(parts) if parts else "1"
+            terms = (" ".join(filter(None, (power_text("q", 2 * e), "a"))) for e in f[1])
+            parts.append("".join(f"(1 - {term})" for term in terms))
+    return " ".join(filter(None, parts)) or "1"
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,14 +117,6 @@ class GeneratorSet:
     a: AlgebraElement
     c: AlgebraElement
     b: AlgebraElement | None = None
-
-    @property
-    def parity(self) -> str:
-        return self.weights.parity
-
-    @property
-    def l(self) -> int:
-        return self.weights.l
 
     def named(self, name: str) -> AlgebraElement:
         if name == "a":
@@ -239,16 +231,12 @@ class GeneratorWord:
 
 def word_text(word: GeneratorWord, parity: str) -> str:
     """Render a generator word with the family name of c (c+ or c-)."""
-    cname = "c+" if parity == "even" else "c-"
-    body = " ".join(
-        (cname if name == "c" else name) + ("*" if word.starred else "") + (f"^{e}" if e != 1 else "")
-        for name, e in word.letters
-        if e != 0
-    ) or "1"
+    letters = (power_text(_letter(name, parity, word.starred), e) for name, e in word.letters)
+    body = " ".join(filter(None, letters)) or "1"
     e = word.scalar.as_q_power()
     if e == 0:
         return body
-    scalar_txt = f"q^{e}" if e not in (None, 1) else ("q" if e == 1 else f"({word.scalar})")
+    scalar_txt = f"({word.scalar})" if e is None else power_text("q", e)
     return f"{scalar_txt} * {body}"
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .qlaurent import ONE, ZERO, LaurentPoly, qpow
+from .qlaurent import ONE, ZERO, LaurentPoly, coefficient_text, power_text, qpow, signed_sum
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -44,16 +44,9 @@ class NormalMonomial:
         return self.m == 0 and self.p == 0 and self.r == 0
 
     def __str__(self) -> str:
-        parts: list[str] = []
-        if self.m > 0:
-            parts.append("z0" if self.m == 1 else f"z0^{self.m}")
-        elif self.m < 0:
-            parts.append("z0s" if self.m == -1 else f"z0s^{-self.m}")
-        if self.p:
-            parts.append("z1" if self.p == 1 else f"z1^{self.p}")
-        if self.r:
-            parts.append("xi" if self.r == 1 else f"xi^{self.r}")
-        return " ".join(parts) if parts else "1"
+        parts = (power_text("z0" if self.m > 0 else "z0s", abs(self.m)),
+                 power_text("z1", self.p), power_text("xi", self.r))
+        return " ".join(filter(None, parts)) or "1"
 
 
 IDENTITY_MONOMIAL = NormalMonomial(0, 0, 0)
@@ -259,16 +252,7 @@ class AlgebraElement:
         return hash(frozenset(self._terms.items()))
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces: list[str] = []
-        for i, (mono, coef) in enumerate(self.terms()):
-            neg, text = _term_text(mono, coef)
-            if i == 0:
-                pieces.append(f"-{text}" if neg else text)
-            else:
-                pieces.append(f"- {text}" if neg else f"+ {text}")
-        return " ".join(pieces)
+        return signed_sum([_term_text(mono, coef) for mono, coef in self.terms()])
 
     def __repr__(self) -> str:
         return f"<AlgebraElement {self}>"
@@ -281,12 +265,9 @@ def _term_text(mono: NormalMonomial, coef: LaurentPoly) -> tuple[bool, str]:
     else:
         (e, c), = items
         neg = c < 0
-        mag = abs(c)
-        if e == 0:
-            coef_txt = "" if (mag == 1 and not mono.is_identity()) else str(mag)
-        else:
-            qpart = "q" if e == 1 else f"q^{e}"
-            coef_txt = qpart if mag == 1 else f"{mag}{qpart}"
+        # a coefficient of 1 stays implicit before a word, not on its own
+        bare = abs(c) == 1 and e == 0 and not mono.is_identity()
+        coef_txt = "" if bare else coefficient_text(abs(c), e)
     mono_txt = "" if mono.is_identity() else str(mono)
     if coef_txt and mono_txt:
         return neg, f"{coef_txt} {mono_txt}"
@@ -308,7 +289,6 @@ Z1 = AlgebraElement.monomial(0, 1, 0)
 Z1S = AlgebraElement.monomial(0, 1, 1)   # z1* = z1 xi
 XI = AlgebraElement.monomial(0, 0, 1)
 XIS = AlgebraElement.monomial(0, 0, -1)
-ONE_ELEMENT = AlgebraElement.one()
 
 
 def basis_monomial(m: int, p: int, r: int) -> AlgebraElement:

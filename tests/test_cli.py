@@ -109,6 +109,24 @@ def test_rep_check_rejects_an_empty_interior(capsys):
     assert "all pass: yes" in out
 
 
+def test_rep_check_names_the_smallest_q(capsys):
+    # the relation scalar q^-4l of odd.3 must fit in a double: q^-16 overflows
+    # below q = 5.4247e-20, q^-20 below q = 3.87e-16
+    for l, q_min in (("4", "5.43e-20"), ("5", "3.87e-16")):
+        code, out, err = run(capsys, "rep-check", "--parity", "odd", "--l", l, "--q", "1e-20", "--N", "64")
+        assert code == EXIT_PRECONDITION, l
+        assert f"l={l} needs q >= {q_min}" in err and not out
+        code, out, _ = run(capsys, "rep-check", "--parity", "odd", "--l", l, "--q", q_min, "--N", "64")
+        assert code == EXIT_OK, l
+        assert "all pass: yes" in out
+
+
+def test_ktheory_names_the_truncation_it_needs(capsys):
+    code, out, err = run(capsys, "ktheory", "--parity", "odd", "--l", "5", "--N", "8")
+    assert code == EXIT_PRECONDITION
+    assert "l=5 needs N >= 20" in err and not out
+
+
 def _readme_commands():
     """(argv, note) for every qrwp line of README's "Command line" block."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -87,7 +87,9 @@ def test_generators_are_banded():
         inst = RepInstance(parity, l, 1, Q, 32)
         names = ["a", "c"] if parity == "even" else ["a", "b", "c"]
         for name in names:
-            assert rep_generator(inst, name).bandwidth() <= 2
+            op = rep_generator(inst, name)
+            rows, cols = np.nonzero(op.matrix)
+            assert abs(op.offset) <= 2 and np.all(cols - rows == op.offset)
 
 
 def test_b_rejected_in_even_family():
@@ -208,8 +210,12 @@ def test_weighted_shift_algebra_matches_dense():
         b = WeightedShift(kb, rng.normal(size=dim))
         assert np.array_equal((a @ b).matrix, a.matrix @ b.matrix)
         assert np.array_equal(a.adjoint().matrix, a.matrix.conj().T)
-        assert a.bandwidth() == abs(ka)
-    assert WeightedShift(dim + 2, np.ones(dim)).bandwidth() == 0   # shifts everything out
+        rows, cols = np.nonzero(a.matrix)
+        assert rows.size == dim - abs(ka) and np.all(cols - rows == ka)
+    assert not np.any(WeightedShift(dim + 2, np.ones(dim)).matrix)   # shifts everything out
+    # an exact zero factor wins over an overflowed one
+    product = WeightedShift(0, np.array([0.0, -np.inf, 2.0])) @ WeightedShift(0, np.array([-np.inf, 0.0, 3.0]))
+    assert product.weights.tolist() == [0.0, 0.0, 6.0]
 
 
 def test_banded_relations_match_dense_oracle():

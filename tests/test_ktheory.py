@@ -15,7 +15,6 @@ from qrwp import (
     cokernel_map_check,
     expected_kgroups,
     index_map,
-    index_map_stable,
     ktheory_report,
     pullback_check,
     smith_normal_form,
@@ -119,7 +118,7 @@ def test_index_map_matches_dense_svd_rank():
 
 def test_index_map_stability():
     for parity, l in (("even", 3), ("odd", 2)):
-        assert index_map_stable(parity, l, Q, 64)
+        assert ktheory_report(parity, l, Q, 64).stable
 
 
 def test_kernel_checks_follow_the_modulus_relation(monkeypatch):
@@ -224,6 +223,17 @@ def test_ktheory_near_q_one_sizes_the_pullback(q):
         for l in ls:
             report = ktheory_report(parity, l, q, 128)
             assert report.all_pass, (parity, l, report.pullback["N"])
+
+
+@pytest.mark.parametrize("q", (1e-20, 1e-12, 1e-8))
+def test_ktheory_at_tiny_q(q):
+    # in a kernel column a factor 1 - q^{2(ln+r-m)} overflows to -inf; the
+    # column's exact zero factor must still make c* c exactly zero there
+    for parity, ls in (("even", (1, 3, 5)), ("odd", (1, 2, 3, 4, 5))):
+        for l in ls:
+            report = ktheory_report(parity, l, q, 128)
+            assert report.all_pass, (parity, l)
+            assert report.delta.entries == (1 if parity == "even" else 2,) * l
 
 
 def test_pullback_size_limit_raises_before_allocating():

@@ -106,3 +106,7 @@ def test_rendering():
     assert str(-qpow(2) + 1) == "1 - q^2"
     assert str(LaurentPoly({-2: -1, 0: 1})) == "-q^-2 + 1"
     assert str(LaurentPoly({-1: 3, 2: 2})) == "3q^-1 + 2q^2"
+    assert str(-ONE) == "-1"
+    assert str(-qpow(1)) == "-q"
+    assert str(LaurentPoly({1: -2, 3: 1})) == "-2q + q^3"
+    assert str(LaurentPoly({-1: 1, 0: -1, 1: 4})) == "q^-1 - 1 + 4q"

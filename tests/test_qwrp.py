@@ -18,7 +18,7 @@ from qrwp import (
     verify_relations,
     word_element,
 )
-from qrwp.qwrp import word_text
+from qrwp.qwrp import GeneratorWord, word_text
 
 
 def test_generator_examples():
@@ -163,6 +163,13 @@ def test_word_text():
     assert word_text(word, "odd") == "q * b^2"
     word = factorize(Weights(2, 3), NormalMonomial(3, 0, 1))
     assert word_text(word, "even") == "c+"
+    starred = GeneratorWord(letters=(("c", 2), ("a", 1), ("b", 0)), scalar=qpow(-3), starred=True)
+    assert word_text(starred, "odd") == "q^-3 * c-*^2 a*"
+    starred = GeneratorWord(letters=(("c", 1), ("a", 3)), scalar=qpow(1), starred=True)
+    assert word_text(starred, "even") == "q * c+* a*^3"
+    assert word_text(GeneratorWord(letters=(("b", 0),), scalar=qpow(0)), "odd") == "1"
+    assert word_text(GeneratorWord(letters=(("a", 2),), scalar=qpow(1) - 2), "odd") == "(-2 + q) * a^2"
+    assert word_text(GeneratorWord(letters=(("a", 2),), scalar=-qpow(0)), "odd") == "(-1) * a^2"
 
 
 def test_relation_statements_render():
@@ -170,3 +177,25 @@ def test_relation_statements_render():
     statements = [r.statement for r in report.results]
     assert "a* = a" in statements
     assert any("c+ c+*" in s for s in statements)
+
+
+def test_relation_statements_full_text():
+    assert [rel.statement("even") for rel in relations_for("even", 3)] == [
+        "a* = a",
+        "a c+ = q^-6 c+ a",
+        "c+ c+* = (1 - a)(1 - q^2 a)(1 - q^4 a)",
+        "c+* c+ = (1 - q^-2 a)(1 - q^-4 a)(1 - q^-6 a)",
+    ]
+    assert [rel.statement("odd") for rel in relations_for("odd", 2)] == [
+        "a* = a",
+        "a b = q^-4 b a",
+        "a c- = q^-8 c- a",
+        "b b = q^6 a c-",
+        "b c- = q^-4 c- b",
+        "b b* = q^4 a (1 - a)(1 - q^2 a)",
+        "b* b = a (1 - q^-2 a)(1 - q^-4 a)",
+        "b* c- = q^-2 (1 - q^-2 a)(1 - q^-4 a) b",
+        "c- b* = q^2 b (1 - a)(1 - q^2 a)",
+        "c- c-* = (1 - a)(1 - q^2 a)(1 - q^4 a)(1 - q^6 a)",
+        "c-* c- = (1 - q^-2 a)(1 - q^-4 a)(1 - q^-6 a)(1 - q^-8 a)",
+    ]

@@ -174,6 +174,21 @@ def test_rendering_examples():
     assert str(AlgebraElement.monomial(0, 2, 1, qpow(-2) - 1)) == "(q^-2 - 1) z1^2 xi"
 
 
+def test_rendering_coefficient_corner_cases():
+    assert str(ONE_EL) == "1"
+    assert str(-ONE_EL) == "-1"
+    assert str(AlgebraElement.scalar(qpow(1))) == "q"
+    assert str(AlgebraElement.scalar(-qpow(1))) == "-q"
+    assert str(AlgebraElement.scalar(qpow(2) - qpow(-1))) == "(-q^-1 + q^2)"
+    assert str(-Z0) == "-z0"
+    assert str(AlgebraElement.monomial(1, 0, 0, qpow(1))) == "q z0"
+    assert str(AlgebraElement.monomial(1, 0, 0, -qpow(-1))) == "-q^-1 z0"
+    assert str(AlgebraElement.monomial(1, 0, 0, -3)) == "-3 z0"
+    assert str(AlgebraElement.monomial(2, 1, 0, 1 - qpow(1)) - Z0) == "-z0 + (1 - q) z0^2 z1"
+    assert str(AlgebraElement.monomial(-1, 0, 0, -2 * qpow(1)) + 5) == "-2q z0s + 5"
+    assert str(AlgebraElement.monomial(-3, 2, -1)) == "z0s^3 z1^2 xi^-1"
+
+
 def test_power_operator():
     assert Z1 ** 3 == Z1 * Z1 * Z1
     assert (Z0 * Z0S) ** 2 == (ONE_EL - A) * (ONE_EL - A)
