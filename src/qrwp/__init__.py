@@ -67,7 +67,7 @@ from .ktheory import (
     pullback_check,
     smith_normal_form,
 )
-from .parser import ParseError, lower, lower_text, parse, render
+from .parser import ParseError, lower_text, render
 
 __version__ = "0.1.0"
 
@@ -90,5 +90,5 @@ __all__ = [
     "index_map", "assemble_kgroups",
     "expected_kgroups", "cokernel_map_check", "pullback_check",
     "ktheory_report",
-    "parse", "lower", "lower_text", "render", "ParseError",
+    "lower_text", "render", "ParseError",
 ]

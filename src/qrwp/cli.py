@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -38,8 +39,8 @@ class RunConfig:
             raise ValueError("q must lie in (0, 1)")
         if self.dim < 4:
             raise ValueError("N must be at least 4")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be finite and positive")
 
 
 def _env_default(name: str, cast, fallback):
@@ -219,16 +220,29 @@ def _factorize_section(w: Weights) -> dict:
             "complete": complete, "pass": sound and complete}
 
 
+# The 12 words below have pairwise distinct (m, p), so they are independent
+# for every q; but within one z0 block, words whose z1 powers differ by one
+# differ only at order q.  For q <= 1e-3 the probe's smallest singular-value
+# ratio is 0.496 q, so the rank tolerance 1e-8 resolves the words only for
+# q > 1e-8 / 0.496 = 2.016e-8, rounded up here to the three digits printed.
+FAITHFULNESS_Q_MIN = 2.02e-8
+
+
 def _faithfulness_section(q: float) -> dict:
     """Fixed 12-word linear-independence probe of the ambient representation."""
     from .sigma3 import NormalMonomial
 
+    if q < FAITHFULNESS_Q_MIN:
+        raise ValueError(f"q too small: the faithfulness probe needs q >= {FAITHFULNESS_Q_MIN:g} "
+                         f"(its words separate at order q, below the rank tolerance 1e-8)")
     words = [NormalMonomial(m, p, (m - p) % 3 - 1) for m in range(4) for p in range(3)]
     ok = fockrep.faithfulness_probe(words, q, 128, tol=1e-8)
     return {"N": 128, "words": [str(w) for w in words], "independent": ok, "pass": ok}
 
 
 def _cmd_report_all(args, cfg: RunConfig) -> int:
+    if args.lmax < 1:
+        raise ValueError("lmax must be at least 1")
     sections = []
     lines = []
     faithfulness = _faithfulness_section(cfg.q)

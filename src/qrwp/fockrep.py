@@ -444,6 +444,8 @@ class RepReport:
 
 def rep_report(parity: str, l: int, q: float = 0.5, dim: int = 256,
                tol: float = 1e-10) -> RepReport:
+    if l < 1:
+        raise ValueError("l must be a positive integer")
     if dim <= 2 * l:
         raise ValueError(f"truncation too small: l={l} needs N >= {2 * l + 1} "
                          f"(the checks read the N - 2l interior columns)")

@@ -239,7 +239,9 @@ def cokernel_map_check(parity: str, l: int, box: int = 3) -> bool:
         even: (n_1,..,n_l) -> (n_2 - n_1, ..., n_l - n_1)
         odd:  (n_1,..,n_l) -> (n_1 mod 2, n_2 - n_1, ..., n_l - n_1)
 
-    must be constant on each coset and distinct across cosets."""
+    must be constant on each coset and distinct across cosets.  This is
+    the test oracle for _cokernel_map_ok, which ktheory_report reads off
+    the computed index map instead."""
     step = 1 if parity == "even" else 2
     vectors = list(itertools.product(range(-box, box + 1), repeat=l))
     index = {v: i for i, v in enumerate(vectors)}
@@ -278,6 +280,20 @@ def cokernel_map_check(parity: str, l: int, box: int = 3) -> bool:
             class_image[root] = img
     # injectivity across cosets
     return len(set(class_image.values())) == len(class_image)
+
+
+def _cokernel_map_ok(delta: IndexMap) -> bool:
+    """Whether the candidate map of cokernel_map_check induces coker(delta)
+    = Z^l / Z delta  ~=  Z^{l-1} (even) or Z2 (+) Z^{l-1} (odd).
+
+    The candidate map phi is onto: (0, d_2, .., d_l) hits (d_2, .., d_l),
+    and in the odd family (e, e + d_2, .., e + d_l) hits (e, d_2, .., d_l).
+    Its kernel is Z (s, .., s) with s = 1 (even) or s = 2 (odd): all
+    differences vanish, and odd also needs n_1 even.  So phi induces an
+    isomorphism on coker(delta) exactly when Z delta = ker(phi), that is
+    when delta = +-(s, .., s), and that takes O(l) to check."""
+    s = 1 if delta.parity == "even" else 2
+    return delta.entries in ((s,) * delta.l, (-s,) * delta.l)
 
 
 # -- pullback consistency -------------------------------------------------
@@ -409,6 +425,8 @@ class KReport:
 
 def ktheory_report(parity: str, l: int, q: float = 0.5, dim: int = 128,
                    tol: float = 1e-10) -> KReport:
+    if l < 1:
+        raise ValueError("l must be a positive integer")
     pullback_dim = _pullback_dim(parity, l, q, dim, tol)
     lifts = coisometry_lift(parity, l, q, dim)
     delta = _defect_ranks(parity, l, lifts)
@@ -429,6 +447,6 @@ def ktheory_report(parity: str, l: int, q: float = 0.5, dim: int = 128,
         smith_diagonal=diag,
         kgroups=groups,
         expected=expected_kgroups(parity, l),
-        cokernel_map_ok=cokernel_map_check(parity, l),
+        cokernel_map_ok=_cokernel_map_ok(delta),
         pullback=pullback_check(parity, l, q, pullback_dim, eps=tol),
     )

@@ -12,12 +12,16 @@ Grammar (whitespace-insensitive, ASCII only):
 "^" binds tighter than juxtaposition, which binds tighter than "+"/"-";
 "*" between factors is optional.  The starred names are sugar and are
 eliminated on lowering: z1s becomes z1 xi and xis becomes xi^-1.
+
+lower_text parses and evaluates in one pass; no syntax tree is built.
+Errors come in reading order: the tokenizer rejects unknown names and
+characters first, then a non-invertible base under a negative power
+raises LoweringError where it is read, ahead of any later ParseError
+("z1^-1 )" reports the power).  A costly sub-expression in front of a
+trailing syntax error is evaluated before that error is raised.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Union
 
 from .qlaurent import qpow
 from .sigma3 import XI, XIS, Z0, Z0S, Z1, Z1S, AlgebraElement
@@ -38,40 +42,6 @@ class ParseError(ExpressionError):
 
 class LoweringError(ExpressionError):
     pass
-
-
-@dataclass(frozen=True, slots=True)
-class Sym:
-    name: str
-
-
-@dataclass(frozen=True, slots=True)
-class IntLit:
-    value: int
-
-
-@dataclass(frozen=True, slots=True)
-class Pow:
-    base: "Expr"
-    exponent: int
-
-
-@dataclass(frozen=True, slots=True)
-class Neg:
-    operand: "Expr"
-
-
-@dataclass(frozen=True, slots=True)
-class Mul:
-    factors: tuple["Expr", ...]
-
-
-@dataclass(frozen=True, slots=True)
-class Add:
-    terms: tuple["Expr", ...]
-
-
-Expr = Union[Sym, IntLit, Pow, Neg, Mul, Add]
 
 
 # -- tokenizer ----------------------------------------------------------
@@ -113,7 +83,20 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+_GENERATORS = {
+    "z0": Z0,
+    "z0s": Z0S,
+    "z1": Z1,
+    "z1s": Z1S,   # z1* = z1 xi
+    "xi": XI,
+    "xis": XIS,   # xi^-1
+}
+
+
 class _Parser:
+    """Recursive descent that evaluates while it reads: each rule
+    returns the normal-form element of the text it consumed."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
@@ -132,55 +115,59 @@ class _Parser:
             raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
         return self.advance()
 
-    def parse_expr(self) -> Expr:
-        terms = [self.parse_term()]
+    def parse_expr(self) -> AlgebraElement:
+        value = self.parse_term()
         while self.peek()[0] in ("PLUS", "MINUS"):
             op = self.advance()
             term = self.parse_term()
-            terms.append(Neg(term) if op[0] == "MINUS" else term)
-        return terms[0] if len(terms) == 1 else Add(tuple(terms))
+            value = value - term if op[0] == "MINUS" else value + term
+        return value
 
-    def parse_term(self) -> Expr:
+    def parse_term(self) -> AlgebraElement:
         negate = False
         while self.peek()[0] in ("PLUS", "MINUS"):
             if self.advance()[0] == "MINUS":
                 negate = not negate
-        factors = [self.parse_primary()]
+        value = self.parse_primary()
         while True:
             kind = self.peek()[0]
             if kind == "STAR":
                 self.advance()
-                factors.append(self.parse_primary())
-            elif kind in ("INT", "NAME", "LPAREN"):
-                factors.append(self.parse_primary())
-            else:
+            elif kind not in ("INT", "NAME", "LPAREN"):
                 break
-        node: Expr = factors[0] if len(factors) == 1 else Mul(tuple(factors))
-        return Neg(node) if negate else node
+            value = value * self.parse_primary()
+        return -value if negate else value
 
-    def parse_primary(self) -> Expr:
-        atom = self.parse_atom()
-        if self.peek()[0] == "CARET":
-            self.advance()
-            sign = 1
-            if self.peek()[0] in ("PLUS", "MINUS"):
-                if self.advance()[0] == "MINUS":
-                    sign = -1
-            tok = self.expect("INT")
-            exponent = sign * int(tok[1])
-            if abs(exponent) > MAX_EXPONENT:
-                raise ParseError(f"exponent {exponent} exceeds the supported range", tok[2])
-            return Pow(atom, exponent)
-        return atom
+    def parse_primary(self) -> AlgebraElement:
+        base = self.parse_atom()
+        if self.peek()[0] != "CARET":
+            return base
+        self.advance()
+        sign = 1
+        if self.peek()[0] in ("PLUS", "MINUS"):
+            if self.advance()[0] == "MINUS":
+                sign = -1
+        tok = self.expect("INT")
+        exponent = sign * int(tok[1])
+        if abs(exponent) > MAX_EXPONENT:
+            raise ParseError(f"exponent {exponent} exceeds the supported range", tok[2])
+        if exponent >= 0:
+            return base ** exponent
+        try:
+            inv = base.try_inverse()
+        except ValueError as exc:
+            raise LoweringError(f"cannot raise a non-invertible element to the power {exponent}") from exc
+        return inv ** -exponent
 
-    def parse_atom(self) -> Expr:
+    def parse_atom(self) -> AlgebraElement:
         tok = self.peek()
         if tok[0] == "INT":
             self.advance()
-            return IntLit(int(tok[1]))
+            return AlgebraElement.scalar(int(tok[1]))
         if tok[0] == "NAME":
             self.advance()
-            return Sym(tok[1])
+            # q is built when read, so a replaced qpow takes effect
+            return AlgebraElement.scalar(qpow(1)) if tok[1] == "q" else _GENERATORS[tok[1]]
         if tok[0] == "LPAREN":
             self.advance()
             inner = self.parse_expr()
@@ -189,67 +176,18 @@ class _Parser:
         raise ParseError(f"expected a value, found {tok[1]!r}" if tok[1] else "unexpected end of input", tok[2])
 
 
-def parse(text: str) -> Expr:
+def lower_text(text: str) -> AlgebraElement:
+    """Parse text and evaluate it to a normal-form element in one pass."""
     parser = _Parser(text)
-    expr = parser.parse_expr()
+    value = parser.parse_expr()
     tok = parser.peek()
     if tok[0] != "END":
         raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-    return expr
-
-
-# -- lowering -------------------------------------------------------------
-
-_GENERATORS = {
-    "z0": Z0,
-    "z0s": Z0S,
-    "z1": Z1,
-    "z1s": Z1S,   # z1* = z1 xi
-    "xi": XI,
-    "xis": XIS,   # xi^-1
-}
-
-
-def lower(expr: Expr) -> AlgebraElement:
-    """Evaluate the syntax tree to a normal-form element."""
-    if isinstance(expr, Sym):
-        if expr.name == "q":
-            return AlgebraElement.scalar(qpow(1))
-        return _GENERATORS[expr.name]
-    if isinstance(expr, IntLit):
-        return AlgebraElement.scalar(expr.value)
-    if isinstance(expr, Neg):
-        return -lower(expr.operand)
-    if isinstance(expr, Add):
-        out = AlgebraElement.zero()
-        for term in expr.terms:
-            out = out + lower(term)
-        return out
-    if isinstance(expr, Mul):
-        out = AlgebraElement.one()
-        for factor in expr.factors:
-            out = out * lower(factor)
-        return out
-    if isinstance(expr, Pow):
-        if isinstance(expr.base, Sym) and expr.base.name == "q":
-            return AlgebraElement.scalar(qpow(expr.exponent))
-        base = lower(expr.base)
-        if expr.exponent >= 0:
-            return base ** expr.exponent
-        try:
-            inv = base.try_inverse()
-        except ValueError as exc:
-            raise LoweringError(f"cannot raise a non-invertible element to the power {expr.exponent}") from exc
-        return inv ** (-expr.exponent)
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
-def lower_text(text: str) -> AlgebraElement:
-    return lower(parse(text))
+    return value
 
 
 def render(element: AlgebraElement) -> str:
     """Canonical text form: terms in (m, p, r) order, coefficients in
-    ascending q-exponent order.  parse(render(x)) lowers back to x."""
+    ascending q-exponent order.  lower_text(render(x)) == x."""
     return str(element)
 

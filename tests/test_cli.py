@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from qrwp.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, main
+from qrwp.fockrep import faithfulness_probe
+from qrwp.sigma3 import NormalMonomial
 
 
 def run(capsys, *argv):
@@ -125,6 +127,40 @@ def test_ktheory_names_the_truncation_it_needs(capsys):
     code, out, err = run(capsys, "ktheory", "--parity", "odd", "--l", "5", "--N", "8")
     assert code == EXIT_PRECONDITION
     assert "l=5 needs N >= 20" in err and not out
+
+
+def test_report_all_names_the_smallest_q(capsys):
+    # the faithfulness probe's words separate at order q, and its rank
+    # tolerance 1e-8 resolves them only above q = 2.016e-8
+    code, out, err = run(capsys, "report-all", "--lmax", "1", "--N", "64", "--q", "2.01e-8")
+    assert code == EXIT_PRECONDITION
+    assert "needs q >= 2.02e-08" in err and not out
+    code, out, _ = run(capsys, "report-all", "--lmax", "1", "--N", "64", "--q", "2.02e-8")
+    assert code == EXIT_OK
+    assert "overall: PASS" in out
+    # at the bound a repeated (m, p) profile is still reported as dependent
+    words = [NormalMonomial(m, p, (m - p) % 3 - 1) for m in range(4) for p in range(3)]
+    assert not faithfulness_probe(words + [NormalMonomial(1, 1, 1)], 2.02e-8, 128, tol=1e-8)
+
+
+@pytest.mark.parametrize("command, tol", [("rep-check", "nan"), ("ktheory", "nan"), ("rep-check", "inf")])
+def test_tolerance_must_be_finite_and_positive(capsys, command, tol):
+    code, out, err = run(capsys, command, "--parity", "odd", "--l", "2", "--tol", tol)
+    assert code == EXIT_PRECONDITION
+    assert "tolerance must be finite and positive" in err and not out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("report-all", "--lmax", "0"), "lmax must be at least 1"),
+    (("report-all", "--lmax", "-3"), "lmax must be at least 1"),
+    (("rep-check", "--parity", "odd", "--l", "0"), "l must be a positive integer"),
+    (("ktheory", "--parity", "odd", "--l", "0"), "l must be a positive integer"),
+    (("ktheory", "--parity", "odd", "--l", "-2"), "l must be a positive integer"),
+])
+def test_family_sizes_must_be_positive(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_PRECONDITION
+    assert message in err and not out
 
 
 def _readme_commands():

@@ -136,7 +136,9 @@ def test_kernel_checks_follow_the_modulus_relation(monkeypatch):
     monkeypatch.setattr(fockrep, "relations_for", mutated)
     assert not kernel_conditions_exact("odd", 2, Q, 64)
     assert index_map("odd", 2, Q, 64).entries == (2, 1)
-    assert not ktheory_report("odd", 2, Q, 64).all_pass
+    report = ktheory_report("odd", 2, Q, 64)
+    assert not report.all_pass
+    assert not report.cokernel_map_ok
 
 
 # -- K-group assembly -------------------------------------------------------

@@ -9,9 +9,7 @@ from qrwp import (
     AlgebraElement,
     ParseError,
     basis_monomial,
-    lower,
     lower_text,
-    parse,
     qpow,
     render,
 )
@@ -24,6 +22,7 @@ def test_lowering_examples():
     assert lower_text("z0*z0s") == AlgebraElement.one() - basis_monomial(0, 2, 1)
     assert lower_text("xi*xis") == AlgebraElement.one()
     assert lower_text("q^-2 * z1^2 * xi") == AlgebraElement.monomial(0, 2, 1, qpow(-2))
+    assert lower_text("z0^2") == Z0 * Z0
 
 
 def test_sugar_elimination():
@@ -59,21 +58,21 @@ def test_integer_atoms_and_powers():
 
 def test_syntax_errors_carry_positions():
     with pytest.raises(ParseError) as err:
-        parse("z0 + @")
+        lower_text("z0 + @")
     assert err.value.position == 5
     with pytest.raises(ParseError) as err:
-        parse("z9")
+        lower_text("z9")
     assert err.value.position == 0
     for bad in ("z0^", "(z0", "z0 +", "", "z0 ^ z1"):
         with pytest.raises(ParseError):
-            parse(bad)
+            lower_text(bad)
 
 
 def test_exponent_overflow_rejected():
     with pytest.raises(ParseError):
-        parse("z0^10000000")
+        lower_text("z0^10000000")
     with pytest.raises(ParseError):
-        parse("q^-99999999")
+        lower_text("q^-99999999")
 
 
 def test_lowering_errors():
@@ -104,6 +103,17 @@ def test_round_trip_corner_cases():
         assert lower_text(render(x)) == x, render(x)
 
 
-def test_lower_of_manual_tree():
-    tree = parse("z0^2")
-    assert lower(tree) == Z0 * Z0
+
+def test_errors_reported_in_reading_order():
+    # evaluation happens while reading, so a non-invertible power raises
+    # before a syntax error that follows it
+    for text in ("z1^-1 )", "2^-3-z0-"):
+        with pytest.raises(LoweringError):
+            lower_text(text)
+    # a syntax error in front of the power is still the one reported
+    with pytest.raises(ParseError) as err:
+        lower_text(") z1^-1")
+    assert err.value.position == 0
+    # the tokenizer reads the whole text first
+    with pytest.raises(ParseError):
+        lower_text("z1^-1 @")
