@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from . import fockrep, ktheory, qwrp
 from .grading import Weights, coinvariant_part, element_degrees, is_coinvariant
 from .parser import ExpressionError, lower_text, render
+from .sigma3 import AlgebraElement, NormalMonomial
 
 SCHEMA = "qrwp-report/1"
 
@@ -71,18 +72,11 @@ def _emit(payload: dict, fmt: str, text_lines: list[str]) -> None:
 # -- command handlers -----------------------------------------------------
 
 
-def _emit_normal_form(args, cfg: RunConfig, element) -> int:
-    text = render(element)
+def _cmd_normal_form(args, cfg: RunConfig) -> int:
+    element = lower_text(args.expr)
+    text = render(element.star() if args.command == "star" else element)
     _emit({"schema": SCHEMA, "command": args.command, "input": args.expr, "normal_form": text}, cfg.fmt, [text])
     return EXIT_OK
-
-
-def _cmd_normalize(args, cfg: RunConfig) -> int:
-    return _emit_normal_form(args, cfg, lower_text(args.expr))
-
-
-def _cmd_star(args, cfg: RunConfig) -> int:
-    return _emit_normal_form(args, cfg, lower_text(args.expr).star())
 
 
 def _cmd_degree(args, cfg: RunConfig) -> int:
@@ -204,8 +198,6 @@ def _cmd_ktheory(args, cfg: RunConfig) -> int:
 
 def _factorize_section(w: Weights) -> dict:
     """Compact factorization sweep for the assembled report."""
-    from .sigma3 import AlgebraElement
-
     m_max, p_max, r_max = 2 * w.l, 4, 4
     monos = qwrp.degree_zero_monomials(w, m_max, p_max, r_max)
     gens = qwrp.generators(w)
@@ -220,23 +212,10 @@ def _factorize_section(w: Weights) -> dict:
             "complete": complete, "pass": sound and complete}
 
 
-# The 12 words below have pairwise distinct (m, p), so they are independent
-# for every q; but within one z0 block, words whose z1 powers differ by one
-# differ only at order q.  For q <= 1e-3 the probe's smallest singular-value
-# ratio is 0.496 q, so the rank tolerance 1e-8 resolves the words only for
-# q > 1e-8 / 0.496 = 2.016e-8, rounded up here to the three digits printed.
-FAITHFULNESS_Q_MIN = 2.02e-8
-
-
-def _faithfulness_section(q: float) -> dict:
-    """Fixed 12-word linear-independence probe of the ambient representation."""
-    from .sigma3 import NormalMonomial
-
-    if q < FAITHFULNESS_Q_MIN:
-        raise ValueError(f"q too small: the faithfulness probe needs q >= {FAITHFULNESS_Q_MIN:g} "
-                         f"(its words separate at order q, below the rank tolerance 1e-8)")
+def _faithfulness_section() -> dict:
+    """Fixed 12-word linear-independence check of the ambient representation."""
     words = [NormalMonomial(m, p, (m - p) % 3 - 1) for m in range(4) for p in range(3)]
-    ok = fockrep.faithfulness_probe(words, q, 128, tol=1e-8)
+    ok = fockrep.words_independent(words, 128)
     return {"N": 128, "words": [str(w) for w in words], "independent": ok, "pass": ok}
 
 
@@ -245,7 +224,7 @@ def _cmd_report_all(args, cfg: RunConfig) -> int:
         raise ValueError("lmax must be at least 1")
     sections = []
     lines = []
-    faithfulness = _faithfulness_section(cfg.q)
+    faithfulness = _faithfulness_section()
     ok = faithfulness["pass"]
     combos = [("even", l) for l in range(1, args.lmax + 1) if l % 2 == 1]
     combos += [("odd", l) for l in range(1, args.lmax + 1)]
@@ -276,8 +255,8 @@ def _cmd_report_all(args, cfg: RunConfig) -> int:
             f"factorization {fact['monomials']} words"
         )
     lines.append(
-        f"{'PASS' if faithfulness['pass'] else 'FAIL'} ambient faithfulness probe: "
-        f"{len(faithfulness['words'])} words independent at N={faithfulness['N']}"
+        f"{'PASS' if faithfulness['pass'] else 'FAIL'} ambient faithfulness probe: {len(faithfulness['words'])} "
+        f"words {'' if faithfulness['pass'] else 'not '}independent at N={faithfulness['N']}"
     )
     lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
     payload = {
@@ -309,12 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normalize", help="normal form of an expression")
     p.add_argument("expr")
     _add_common(p)
-    p.set_defaults(handler=_cmd_normalize)
+    p.set_defaults(handler=_cmd_normal_form)
 
     p = sub.add_parser("star", help="involution of an expression")
     p.add_argument("expr")
     _add_common(p)
-    p.set_defaults(handler=_cmd_star)
+    p.set_defaults(handler=_cmd_normal_form)
 
     p = sub.add_parser("degree", help="grading degree and coinvariance")
     p.add_argument("--k", type=int, required=True)

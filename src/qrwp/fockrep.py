@@ -1,29 +1,27 @@
 """Finite truncations of the bounded irreducible *-representations.
 
-The infinite-dimensional representations of the even/odd families act
-on l^2(N) by weighted shifts:
+The representations of the even/odd families (labels r = 1..l) and the
+faithful representation of the ambient algebra act on l^2(N) by
+weighted shifts of one form (WeightForm): the row of a shift by
+`offset` that reads column n has the weight
 
-    even:  a e_n = q^{2(ln+r)} e_n,
-           c+ e_n = prod_{m=1}^{l} (1 - q^{2(ln+r-m)})^{1/2} e_{n-1},  c+ e_0 = 0,
-    odd:   b  e_n = q^{ln+r} prod_{m=1}^{l} (1 - q^{2(ln+r-m)})^{1/2} e_{n-1},  b e_0 = 0,
-           c- e_n = prod_{m=1}^{2l} (1 - q^{2(ln+r-m)})^{1/2} e_{n-2},  c- e_0 = c- e_1 = 0,
+    w_n = q^{h x_n / 2} prod_{s in S} (1 - q^{2s + x_n})^{1/2},
 
-with labels r = 1..l, plus the one-dimensional family a -> 0 (and
-b -> 0), c -> e^{2 pi i theta}.  The displayed kernels are read from
-the relations that state g* g as a product in a (even.4, odd.7,
-odd.11): on e_n that product vanishes exactly on the kernel columns
-(kernel_columns).  The ambient algebra has the faithful representation
+where q^{x_n} is a's eigenvalue on e_n: x_n = 2(ln + r) for label r and
+x_n = 2(n + 1) in the ambient representation (l = r = 1, a = z1^2 xi).
+The table of (offset, h, S), in which the central unitary acts trivially:
 
-    pi(z0^m z1^p xi^s) e_n = q^{p(n+1)} prod_{t=0}^{m-1} (1 - q^{2(n-t)})^{1/2} e_{n-m}
+    a: (0, 2, {})    c+ (even): (1, 0, {-1..-l})    b (odd): (1, 1, {-1..-l})
+    c- (odd): (2, 0, {-1..-2l})    z0^m z1^p xi^s: (m, p, {-1..-m})
 
-(zero when m > n; the central unitary acts trivially).  Everything here
-is compressed to span{e_0, ..., e_{N-1}}; all displayed operators lower
-the index, so compression is exact except in the top band, and checks
-are evaluated on the interior window of N - 2l columns (so N > 2l).
-
-Every operator here is a weighted shift and is stored as one
-(WeightedShift: an offset and a weight vector).  Products and adjoints
-stay weighted shifts, so a relation side costs O(N) per factor.
+The kernels c+ e_0 = b e_0 = 0, c- e_0 = c- e_1 = 0 are read from the
+relations that state g* g as a product in a (even.4, odd.7, odd.11): on
+e_n that product vanishes exactly on the kernel columns (kernel_columns).
+Everything is compressed to span{e_0, ..., e_{N-1}}; all displayed
+operators lower the index, so compression is exact except in the top
+band, and checks read the interior window of N - 2l columns (so N > 2l).
+Every operator is stored as a WeightedShift; products and adjoints stay
+weighted shifts, so a relation side costs O(N) per factor.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,12 +54,10 @@ def _shifted(d: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class WeightedShift:
-    """The operator M[i, i + offset] = weights[i] on span{e_0, ..., e_{N-1}}.
-
-    a is diagonal (offset 0), b and c+ lower the index by one, c- by two,
-    and adjoints raise it.  Weights whose column i + offset lies outside
-    0..N-1 are zero.  exponents is set only for a diagonal of q-powers
-    built by q_power."""
+    """The operator M[i, i + offset] = weights[i] on span{e_0, ..., e_{N-1}};
+    weights whose column i + offset lies outside 0..N-1 are zero.  A shift
+    built from a weight form keeps in exponents the x of the column that
+    each row reads (see eval_side_matrix)."""
 
     offset: int
     weights: np.ndarray
@@ -77,14 +73,6 @@ class WeightedShift:
             w[:-self.offset] = 0
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def q_power(cls, q: float, exponents) -> "WeightedShift":
-        """The diagonal e_n -> q^{exponents[n]} e_n.  It keeps the integer
-        exponents so that 1 - q^{2e} M is evaluated as 1 - q^{2e + exponents},
-        whose exact zeros stay exact."""
-        exps = np.asarray(exponents)
-        return cls(0, q ** exps, exps)
 
     @property
     def dim(self) -> int:
@@ -142,39 +130,57 @@ class RepInstance:
             raise ValueError("dim must be positive")
 
 
-def _sqrt_weight(q: float, exponents: Iterable) -> np.ndarray:
-    """prod_e (1 - q^{2e})^{1/2} entrywise, one integer array e per factor;
-    a negative radicand signals a formula transcription bug and is a hard
-    error."""
+class WeightForm(NamedTuple):
+    """One entry (offset, h, S) of the table in the module docstring."""
+
+    offset: int
+    h: int
+    factors: tuple[int, ...]
+
+
+def _down(count: int) -> tuple[int, ...]:
+    return tuple(range(-1, -count - 1, -1))
+
+
+def generator_form(parity: str, l: int, gen: str) -> WeightForm:
+    """The weight form of one generator in the family representations."""
+    if gen == "b" and parity != "odd":
+        raise ValueError("generator b exists only in the odd family")
+    forms = {"a": WeightForm(0, 2, ()), "b": WeightForm(1, 1, _down(l)),
+             "c": WeightForm(1, 0, _down(l)) if parity == "even" else WeightForm(2, 0, _down(2 * l))}
+    if gen not in forms:
+        raise ValueError(f"unknown generator {gen!r}")
+    return forms[gen]
+
+
+def ambient_form(mono: NormalMonomial) -> WeightForm:
+    """The weight form of one basis word in the ambient representation."""
+    if mono.m < 0:
+        raise ValueError("the ambient representation is tabulated for the z0 family (m >= 0)")
+    return WeightForm(mono.m, mono.p, _down(mono.m))
+
+
+def _a_exponents(l: int, r: int, columns: np.ndarray) -> np.ndarray:
+    """x_n = 2(ln + r) on each column n (l = r = 1: the ambient one)."""
+    return 2 * (l * columns + r)
+
+
+def _weighted_shift(form: WeightForm, q: float, l: int, r: int, dim: int) -> WeightedShift:
+    """The weighted shift of a weight form on e_0..e_{N-1}.  A negative
+    radicand signals a mistyped form and is a hard error."""
+    x = _a_exponents(l, r, np.arange(dim) + form.offset)  # the column each row reads
     acc = 1.0
-    for e in exponents:
-        e = np.asarray(e)
-        radicand = 1.0 - q ** (2 * e)
+    for s in form.factors:
+        radicand = 1.0 - q ** (2 * s + x)
         if np.any(radicand < 0.0):
-            raise ArithmeticError(f"negative radicand 1 - q^{2 * int(np.min(e))} in shift weight")
+            raise ArithmeticError(f"negative radicand 1 - q^{int(np.min(2 * s + x))} in shift weight")
         acc = acc * np.sqrt(radicand)
-    return acc
+    return WeightedShift(form.offset, q ** (form.h * x // 2) * acc, x)
 
 
 def rep_generator(inst: RepInstance, gen: str) -> WeightedShift:
-    """One generator in the representation inst, as a weighted shift.
-
-    b and c+ lower the index by one, c- by two (its word has z0^{2l});
-    components that leave the truncation are dropped."""
-    n_dim, l, r, q = inst.dim, inst.l, inst.r, inst.q
-    if gen == "a":
-        return WeightedShift.q_power(q, 2 * (l * np.arange(n_dim) + r))
-    if gen == "b" and inst.parity != "odd":
-        raise ValueError("generator b exists only in the odd family")
-    if gen not in ("b", "c"):
-        raise ValueError(f"unknown generator {gen!r}")
-    step = 2 if gen == "c" and inst.parity == "odd" else 1
-    nfactors = l * step  # l factors for b and c+, 2l for c-
-    n = np.arange(n_dim) + step  # the column of each row; the top step rows fall outside
-    weights = _sqrt_weight(q, (l * n + r - m for m in range(1, nfactors + 1)))
-    if gen == "b":
-        weights = q ** (l * n + r) * weights
-    return WeightedShift(step, weights)
+    """One generator in the representation inst, as a weighted shift."""
+    return _weighted_shift(generator_form(inst.parity, inst.l, gen), inst.q, inst.l, inst.r, inst.dim)
 
 
 def rep_scalar(theta: float, parity: str) -> dict[str, complex]:
@@ -191,15 +197,11 @@ def rep_scalar(theta: float, parity: str) -> dict[str, complex]:
 
 
 def rep_sigma(mono: NormalMonomial, q: float, dim: int) -> WeightedShift:
-    """The ambient-algebra representation of one basis word (z0 family
-    only), a shift by the z0 power m; it annihilates e_n for n < m."""
-    if mono.m < 0:
-        raise ValueError("the ambient representation is tabulated for the z0 family (m >= 0)")
+    """The ambient representation of one basis word (z0 family only)."""
+    form = ambient_form(mono)
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
-    m, p = mono.m, mono.p
-    n = np.arange(dim) + m  # the column of each row
-    return WeightedShift(m, q ** (p * (n + 1)) * _sqrt_weight(q, (n - t for t in range(m))))
+    return _weighted_shift(form, q, 1, 1, dim)
 
 
 # -- relation residuals ----------------------------------------------
@@ -374,9 +376,27 @@ def intertwiner_check(parity: str, l: int, q: float = 0.5, dim: int = 256) -> di
     }
 
 
+def words_independent(monomials: Sequence[NormalMonomial], dim: int) -> bool:
+    """Exact linear independence of the truncated ambient images at every
+    q, read off the weight forms: offsets are distinct diagonals, and on
+    one offset the images q^{h(n+1)} f(n), on the columns n < N where no
+    factor of f vanishes, form a generalized Vandermonde system in q^h."""
+    blocks: dict[int, list[WeightForm]] = {}
+    for mono in monomials:
+        form = ambient_form(mono)
+        blocks.setdefault(form.offset, []).append(form)
+    for offset, forms in blocks.items():
+        x = _a_exponents(1, 1, np.arange(offset, dim))
+        columns = np.count_nonzero(~np.isin(x, [-2 * s for form in forms for s in form.factors]))
+        if len({form.h for form in forms}) < len(forms) or len(forms) > columns:
+            return False
+    return True
+
+
 def faithfulness_probe(monomials: Sequence[NormalMonomial], q: float = 0.5,
                        dim: int = 128, tol: float = 1e-8) -> bool:
-    """True when the truncated images are linearly independent.
+    """True when the truncated images are linearly independent; the
+    dense test oracle of words_independent.
 
     Images are normalized before the rank computation (independence is
     scale-invariant and the word norms vary over many orders of

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fockrep import RepInstance, WeightedShift, kernel_columns, rep_generator
+from .fockrep import RepInstance, WeightedShift, generator_form, kernel_columns, rep_generator
 from .qlaurent import power_text
 
 
@@ -363,7 +363,7 @@ def _pullback_dim(parity: str, l: int, q: float, dim: int, eps: float) -> int:
     1 - w_n <= sum_{m=1}^{L} q^{2(ln+r-m)} <= q^{2(ln-L+1)} T with
     T = sum_{i<L} q^{2i} (r >= 1), so ln >= log(eps / 2T) / (2 log q) + L - 1
     suffices.  Past PULLBACK_MAX_DIM this is a ValueError naming the N."""
-    nfactors = l if parity == "even" else 2 * l
+    nfactors = len(generator_form(parity, l, "c").factors)
     total = sum(q ** (2 * i) for i in range(nfactors))
     n = max(0, math.ceil((math.log(eps / (2 * total)) / (2 * math.log(q)) + nfactors - 1) / l))
     if n + 1 > PULLBACK_MAX_DIM:

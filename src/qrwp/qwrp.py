@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .grading import Weights, degree
 from .qlaurent import LaurentPoly, power_text, qpow
-from .sigma3 import AlgebraElement, NormalMonomial
+from .sigma3 import AlgebraElement, NormalMonomial, _one_minus_qa_product
 
 # Relation sides are small data: a scalar q-power and a factor list.
 # Factors:  ("gen", name, starred)  with name in {"a", "b", "c"}, or
@@ -149,9 +149,9 @@ def eval_side(side: RelationSide, gens: GeneratorSet) -> AlgebraElement:
         if f[0] == "gen":
             g = gens.named(f[1])
             out = out * (g.star() if f[2] else g)
-        else:
-            for e in f[1]:
-                out = out * (AlgebraElement.one() - gens.a * qpow(2 * e))
+        else:  # prod_e (1 - q^{2e} a), expanded once, with a^j = z1^{2j} xi^j
+            poly = _one_minus_qa_product(f[1])
+            out = out * AlgebraElement({NormalMonomial(0, 2 * j, j): c for j, c in poly.items()})
     return out
 
 

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from qrwp import fockrep
 from qrwp.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, main
-from qrwp.fockrep import faithfulness_probe
 from qrwp.sigma3 import NormalMonomial
 
 
@@ -129,18 +129,25 @@ def test_ktheory_names_the_truncation_it_needs(capsys):
     assert "l=5 needs N >= 20" in err and not out
 
 
-def test_report_all_names_the_smallest_q(capsys):
-    # the faithfulness probe's words separate at order q, and its rank
-    # tolerance 1e-8 resolves them only above q = 2.016e-8
-    code, out, err = run(capsys, "report-all", "--lmax", "1", "--N", "64", "--q", "2.01e-8")
-    assert code == EXIT_PRECONDITION
-    assert "needs q >= 2.02e-08" in err and not out
-    code, out, _ = run(capsys, "report-all", "--lmax", "1", "--N", "64", "--q", "2.02e-8")
-    assert code == EXIT_OK
-    assert "overall: PASS" in out
-    # at the bound a repeated (m, p) profile is still reported as dependent
+def test_report_all_accepts_every_q(capsys):
+    # faithfulness is read off the weight forms, so no rank tolerance sets a floor
+    for q in ("2.01e-8", "1e-12"):
+        code, out, _ = run(capsys, "report-all", "--lmax", "1", "--N", "64", "--q", q)
+        assert code == EXIT_OK, q
+        assert "overall: PASS" in out
+    # the numeric probe, kept as the test oracle, still reports a repeated
+    # (m, p) profile as dependent
     words = [NormalMonomial(m, p, (m - p) % 3 - 1) for m in range(4) for p in range(3)]
-    assert not faithfulness_probe(words + [NormalMonomial(1, 1, 1)], 2.02e-8, 128, tol=1e-8)
+    assert not fockrep.faithfulness_probe(words + [NormalMonomial(1, 1, 1)], 2.02e-8, 128, tol=1e-8)
+
+
+def test_report_all_fails_a_wrong_ambient_form(capsys, monkeypatch):
+    # dropping z1's weight q^{p(n+1)} merges the profiles within each z0 block
+    monkeypatch.setattr(fockrep, "ambient_form",
+                        lambda mono: fockrep.WeightForm(mono.m, 0, tuple(range(-1, -mono.m - 1, -1))))
+    code, out, _ = run(capsys, "report-all", "--lmax", "1", "--N", "64")
+    assert code == EXIT_CHECK_FAILED
+    assert "FAIL ambient faithfulness probe: 12 words not independent at N=128" in out
 
 
 @pytest.mark.parametrize("command, tol", [("rep-check", "nan"), ("ktheory", "nan"), ("rep-check", "inf")])

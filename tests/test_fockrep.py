@@ -20,13 +20,15 @@ from qrwp import (
     rep_sigma,
 )
 from qrwp.fockrep import (
-    _sqrt_weight,
+    WeightForm,
+    _weighted_shift,
     eval_side_matrix,
     kernel_columns,
     kernel_conditions_exact,
     relation_residuals,
     scalar_relation_residual,
     subspace_dim,
+    words_independent,
 )
 
 from helpers import SEED, dense_interior_max, dense_side, make_rng
@@ -142,8 +144,10 @@ def test_ambient_rep_is_multiplicative_on_interior():
 
 
 def test_negative_radicand_is_hard_error():
+    # a mistyped form: on column 0 of the ambient representation (x = 2)
+    # the factor s = -2 has the radicand 1 - q^-2
     with pytest.raises(ArithmeticError):
-        _sqrt_weight(Q, [-1])
+        _weighted_shift(WeightForm(0, 0, (-2,)), Q, 1, 1, 8)
 
 
 def test_relation_residuals_small_config():
@@ -184,6 +188,21 @@ def test_faithfulness_probe_examples():
     # the central unitary acts trivially, so words differing only in the
     # xi power have identical images
     assert not faithfulness_probe([NormalMonomial(0, 1, 0), NormalMonomial(0, 1, 2)], Q, 64)
+
+
+def test_words_independent_matches_the_probe():
+    # z0 powers near N leave a block fewer columns than words; r is ignored
+    rng = make_rng(33)
+    verdicts = {True: 0, False: 0}
+    overfull = 0
+    for _ in range(400):
+        words = [NormalMonomial(rng.choice((0, 1, 2, 62, 63, 64)), rng.randint(0, 4), rng.randint(-1, 1))
+                 for _ in range(rng.randint(1, 6))]
+        exact = words_independent(words, 64)
+        assert exact == faithfulness_probe(words, Q, 64), words
+        verdicts[exact] += 1
+        overfull += not exact and len({(w.m, w.p) for w in words}) == len(words)
+    assert min(verdicts.values()) >= 100 and overfull >= 20, (verdicts, overfull)
 
 
 def test_faithfulness_probe_precondition():
