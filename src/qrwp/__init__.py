@@ -4,8 +4,7 @@ Exact normal-form computations in a q-deformed coordinate *-algebra
 with a central unitary, the integer grading of its weighted circle
 coactions, generators and relations of the degree-zero subalgebras,
 weighted-shift representations, and the K-theory of the
-associated C*-algebras via coisometry index maps and Smith normal
-forms.
+associated C*-algebras via coisometry index maps.
 """
 
 from .qlaurent import ONE, ZERO, LaurentPoly, qpow
@@ -65,7 +64,6 @@ from .ktheory import (
     index_map,
     ktheory_report,
     pullback_check,
-    smith_normal_form,
 )
 from .parser import ParseError, lower_text, render
 
@@ -86,7 +84,7 @@ __all__ = [
     "rep_generator", "rep_scalar", "rep_sigma",
     "intertwiner_check", "faithfulness_probe", "rep_report",
     "GroupDescriptor", "IndexMap", "KGroups",
-    "smith_normal_form", "coisometry_lift",
+    "coisometry_lift",
     "index_map", "assemble_kgroups",
     "expected_kgroups", "cokernel_map_check", "pullback_check",
     "ktheory_report",

@@ -160,22 +160,28 @@ def ambient_form(mono: NormalMonomial) -> WeightForm:
     return WeightForm(mono.m, mono.p, _down(mono.m))
 
 
-def _a_exponents(l: int, r: int, columns: np.ndarray) -> np.ndarray:
+def a_exponents(l: int, r: int | np.ndarray, columns: np.ndarray) -> np.ndarray:
     """x_n = 2(ln + r) on each column n (l = r = 1: the ambient one)."""
     return 2 * (l * columns + r)
 
 
-def _weighted_shift(form: WeightForm, q: float, l: int, r: int, dim: int) -> WeightedShift:
-    """The weighted shift of a weight form on e_0..e_{N-1}.  A negative
-    radicand signals a mistyped form and is a hard error."""
-    x = _a_exponents(l, r, np.arange(dim) + form.offset)  # the column each row reads
+def form_weights(form: WeightForm, q: float, x: np.ndarray) -> np.ndarray:
+    """The weights q^{h x/2} prod_{s in S} (1 - q^{2s + x})^{1/2} of a form
+    on a's integer exponents x.  A negative radicand signals a mistyped
+    form (or a kernel column) and is a hard error."""
     acc = 1.0
     for s in form.factors:
         radicand = 1.0 - q ** (2 * s + x)
         if np.any(radicand < 0.0):
             raise ArithmeticError(f"negative radicand 1 - q^{int(np.min(2 * s + x))} in shift weight")
         acc = acc * np.sqrt(radicand)
-    return WeightedShift(form.offset, q ** (form.h * x // 2) * acc, x)
+    return q ** (form.h * x // 2) * acc
+
+
+def _weighted_shift(form: WeightForm, q: float, l: int, r: int, dim: int) -> WeightedShift:
+    """The weighted shift of a weight form on e_0..e_{N-1}."""
+    x = a_exponents(l, r, np.arange(dim) + form.offset)  # the column each row reads
+    return WeightedShift(form.offset, form_weights(form, q, x), x)
 
 
 def rep_generator(inst: RepInstance, gen: str) -> WeightedShift:
@@ -386,7 +392,7 @@ def words_independent(monomials: Sequence[NormalMonomial], dim: int) -> bool:
         form = ambient_form(mono)
         blocks.setdefault(form.offset, []).append(form)
     for offset, forms in blocks.items():
-        x = _a_exponents(1, 1, np.arange(offset, dim))
+        x = a_exponents(1, 1, np.arange(offset, dim))
         columns = np.count_nonzero(~np.isin(x, [-2 * s for form in forms for s in form.factors]))
         if len({form.h for form in forms}) < len(forms) or len(forms) > columns:
             return False

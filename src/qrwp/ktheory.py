@@ -9,8 +9,8 @@ a bare shift past the kernel of c.  That kernel is the run of exact
 zeros at the start of the modulus (fockrep.kernel_columns): one column
 in the even family, two in the odd.  The defect 1 - U*U of the lift
 projects onto those columns, so its rank is the lift's step.  The ranks
-fill an l x 1 integer matrix; kernel and cokernel of that matrix, read
-off from its Smith normal form, assemble the K-groups:
+fill an l x 1 integer column delta, whose Smith form is its gcd; kernel
+and cokernel of delta, read off gcd(delta), assemble the K-groups:
 
     K_1 = ker(delta),    K_0 = coker(delta) (+) Z.
 """
@@ -24,96 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .fockrep import RepInstance, WeightedShift, generator_form, kernel_columns, rep_generator
+from .fockrep import (RepInstance, WeightedShift, a_exponents, form_weights, generator_form, kernel_columns,
+                      rep_generator)
 from .qlaurent import power_text
-
-
-# -- exact integer linear algebra --------------------------------------
-
-
-def smith_normal_form(matrix: Sequence[Sequence[int]]):
-    """Smith normal form with transforms: returns (U, D, V) such that
-    D = U @ A @ V, U and V unimodular, D diagonal with each diagonal
-    entry nonnegative and dividing the next."""
-    d = [[int(x) for x in row] for row in matrix]
-    nrows = len(d)
-    ncols = len(d[0]) if nrows else 0
-    if any(len(row) != ncols for row in d):
-        raise ValueError("ragged matrix")
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, k):
-        # row_i += k * row_j
-        d[i] = [x + k * y for x, y in zip(d[i], d[j])]
-        u[i] = [x + k * y for x, y in zip(u[i], u[j])]
-
-    def add_col(i, j, k):
-        # col_i += k * col_j
-        for row in d:
-            row[i] += k * row[j]
-        for row in v:
-            row[i] += k * row[j]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
-    for t in range(min(nrows, ncols)):
-        while True:
-            pivot = None
-            best = None
-            for i in range(t, nrows):
-                for j in range(t, ncols):
-                    val = abs(d[i][j])
-                    if val and (best is None or val < best):
-                        best = val
-                        pivot = (i, j)
-            if pivot is None:
-                break
-            pi, pj = pivot
-            if pi != t:
-                swap_rows(t, pi)
-            if pj != t:
-                swap_cols(t, pj)
-            clean = True
-            for i in range(t + 1, nrows):
-                if d[i][t]:
-                    add_row(i, t, -(d[i][t] // d[t][t]))
-                    if d[i][t]:
-                        clean = False
-            for j in range(t + 1, ncols):
-                if d[t][j]:
-                    add_col(j, t, -(d[t][j] // d[t][t]))
-                    if d[t][j]:
-                        clean = False
-            if not clean:
-                continue
-            # enforce divisibility of the remaining block by the pivot
-            offender = None
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    if d[i][j] % d[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(t, offender, 1)
-        if t < min(nrows, ncols) and d[t][t] < 0:
-            negate_row(t)
-    return u, d, v
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,9 +58,6 @@ class IndexMap:
     parity: str
     l: int
     entries: tuple[int, ...]
-
-    def matrix(self) -> list[list[int]]:
-        return [[e] for e in self.entries]
 
 
 # -- coisometry lifts ---------------------------------------------------
@@ -205,17 +115,14 @@ def index_map(parity: str, l: int, q: float = 0.5, dim: int = 128) -> IndexMap:
 
 
 def assemble_kgroups(delta: IndexMap) -> KGroups:
-    """K_1 = ker(delta) and K_0 = coker(delta) (+) Z, via the Smith
-    normal form of the l x 1 matrix.  A zero map yields K_1 = Z; the
-    result is reported as computed, mismatches are the caller's check."""
-    column = delta.matrix()
-    _, d, _ = smith_normal_form(column)
-    diag = [d[i][i] for i in range(min(len(column), 1))]
-    pivot = diag[0] if diag else 0
-    k1 = GroupDescriptor(free_rank=0 if pivot else 1)
-    coker_free = delta.l - (1 if pivot else 0)
-    torsion = (pivot,) if pivot > 1 else ()
-    k0 = GroupDescriptor(free_rank=coker_free + 1, torsion=torsion)
+    """K_1 = ker(delta) and K_0 = coker(delta) (+) Z.  The Smith form of
+    the l x 1 column delta is its gcd g: ker(delta) = Z exactly when
+    g = 0, and coker(delta) = Z^{l - [g != 0]} (+) Z_g.  A zero map yields
+    K_1 = Z; the result is reported as computed, mismatches are the
+    caller's check."""
+    g = math.gcd(*delta.entries)
+    k1 = GroupDescriptor(free_rank=0 if g else 1)
+    k0 = GroupDescriptor(free_rank=delta.l - (1 if g else 0) + 1, torsion=(g,) if g > 1 else ())
     return KGroups(k0=k0, k1=k1)
 
 
@@ -299,77 +206,72 @@ def _cokernel_map_ok(delta: IndexMap) -> bool:
 # -- pullback consistency -------------------------------------------------
 
 
-def pullback_check(parity: str, l: int, q: float = 0.5, dim: int = 256,
-                   eps: float = 1e-10) -> dict:
-    """Compactness proxy for the symbol-map picture.
+def pullback_check(parity: str, l: int, q: float = 0.5, eps: float = 1e-10) -> dict:
+    """Compactness of c - shift in the symbol-map picture, read off c's
+    weight form (k, h, S) in fockrep.generator_form, with no truncation.
 
     Per label r the nonzero entries of c - shift are the weight defects
-    w_n - 1; they must decay monotonically, and the report locates the
-    first index n0 past which they stay below eps.  All labels share the
-    bare shift as symbol, so pairwise weight differences must be equally
-    small beyond the largest n0."""
-    cs = [rep_generator(RepInstance(parity, l, r, q, dim), "c") for r in range(1, l + 1)]
-    step = cs[0].offset
-    weights: dict[int, np.ndarray] = {}
-    per_r = []
-    n0_max = step
-    ok = True
-    for r, c in enumerate(cs, start=1):
-        w = c.weights[:dim - step]
-        weights[r] = w
-        defect = np.abs(w - 1.0)
-        monotone = bool(np.all(np.diff(defect) <= 0.0))
-        below = np.nonzero(defect < eps)[0]
-        n0 = int(below[0]) + step if below.size else None
-        tail_max = float(np.max(defect[n0 - step:])) if n0 is not None else float(defect.max())
-        entry_ok = monotone and n0 is not None and tail_max < eps
-        per_r.append({
-            "r": r,
-            "monotone_decay": monotone,
-            "n0": n0,
-            "tail_max": tail_max,
-            "pass": entry_ok,
-        })
-        ok = ok and entry_ok
-        if n0 is not None:
-            n0_max = max(n0_max, n0)
+    1 - w_n.  Past the kernel (n >= k) each factor 1 - q^{2s + x_n} lies
+    in (0, 1) and grows with n, so when h = 0 the defects decrease to 0
+    for every q < 1; otherwise w_n tends to 0 and no label passes.  n0 is
+    the first column n >= k whose defect is below eps, and tail_max is
+    the defect there.  For r < s, 0 <= w_s - w_r <= 1 - w_r, so past the
+    largest n0 every pairwise difference is below eps; the report gives
+    |w_r - w_s| at that column, and N = n0_max + 1, the truncation that a
+    dense proxy would need.
+
+    The search splits the integer bracket (lo, hi] 64 ways per round, all
+    labels in one call.  It starts from lo = k - 1, so it evaluates no
+    kernel column, and from hi at the closed-form bound (L = |S|)
+
+        1 - w_n <= sum_{s in S} q^{2s + x_n} <= q^{2(ln-L+1)} sum_{i<L} q^{2i}
+
+    taken at min(eps, 2^-54): there every factor is below 2^-55, each
+    radicand rounds to 1, and the computed defect is exactly 0."""
+    if not 0.0 < eps < math.inf:
+        raise ValueError("eps must be finite and positive")
+    RepInstance(parity, l, 1, q, 1)  # validates parity, l and q
+    form = generator_form(parity, l, "c")
+    k, nfactors, decays = form.offset, len(form.factors), form.h == 0
+    lo = np.full(l, k - 1, dtype=np.int64)
+    hi = np.full(l, k, dtype=np.int64)
+    if decays:
+        total = sum(q ** (2 * i) for i in range(nfactors))
+        bound = (math.log(min(eps, 2.0 ** -54)) - math.log(2 * total)) / (2 * math.log(q)) + nfactors - 1
+        top = max(k, math.ceil(bound / l))
+        if 2 * (l * top + l) >= 2 ** 63:
+            raise ValueError(f"the pullback tail reaches column {top}, whose exponent "
+                             f"2(ln + r) overflows a 64-bit integer")
+        hi[:] = top
+    labels, rows, split = np.arange(1, l + 1)[:, None], np.arange(l), np.arange(1, 65)
+    while np.any(hi - lo > 1):
+        span = (hi - lo)[:, None]
+        # 64 columns in (lo, hi], the last one hi, with no product that overflows
+        cols = lo[:, None] + span // 64 * split - (-(span % 64) * split // 64)
+        # the defects decrease, so the columns at or above eps come first
+        above = (1.0 - form_weights(form, q, a_exponents(l, labels, cols)) >= eps).sum(axis=1)
+        lo = np.where(above > 0, cols[rows, above - 1], lo)
+        hi = cols[rows, np.minimum(above, 63)]
+    n0_max = int(hi.max())
+    w = form_weights(form, q, a_exponents(l, labels, np.stack([hi, np.full(l, n0_max)], axis=1)))
+    tails = (1.0 - w[:, 0]).tolist() if decays else [1.0] * l
+    per_r = [{"r": r, "monotone_decay": decays, "n0": n0 if decays else None,
+              "tail_max": tail, "pass": decays and tail < eps}
+             for r, n0, tail in zip(range(1, l + 1), hi.tolist(), tails)]
     pairwise = []
     for r, s in itertools.combinations(range(1, l + 1), 2):
-        diff = np.abs(weights[r] - weights[s])
-        tail = float(np.max(diff[n0_max - step:])) if diff.size > n0_max - step else 0.0
-        pair_ok = tail < 2 * eps
-        pairwise.append({"r": r, "s": s, "tail_max": tail, "pass": pair_ok})
-        ok = ok and pair_ok
+        tail = abs(float(w[r - 1, 1]) - float(w[s - 1, 1]))
+        pairwise.append({"r": r, "s": s, "tail_max": tail, "pass": tail < 2 * eps})
     return {
         "parity": parity,
         "l": l,
         "q": q,
-        "N": dim,
+        "N": n0_max + 1,
         "epsilon": eps,
         "per_r": per_r,
         "pairwise": pairwise,
-        "all_pass": ok,
+        "all_pass": all(entry["pass"] for entry in per_r + pairwise),
     }
-
-
-# Largest truncation the pullback proxy may size itself to.
-PULLBACK_MAX_DIM = 2 ** 20
-
-
-def _pullback_dim(parity: str, l: int, q: float, dim: int, eps: float) -> int:
-    """Truncation for pullback_check: max(dim, 256) or, nearer q = 1, one
-    past the column n where c's weight defect is certainly below eps/2.
-
-    1 - w_n <= sum_{m=1}^{L} q^{2(ln+r-m)} <= q^{2(ln-L+1)} T with
-    T = sum_{i<L} q^{2i} (r >= 1), so ln >= log(eps / 2T) / (2 log q) + L - 1
-    suffices.  Past PULLBACK_MAX_DIM this is a ValueError naming the N."""
-    nfactors = len(generator_form(parity, l, "c").factors)
-    total = sum(q ** (2 * i) for i in range(nfactors))
-    n = max(0, math.ceil((math.log(eps / (2 * total)) / (2 * math.log(q)) + nfactors - 1) / l))
-    if n + 1 > PULLBACK_MAX_DIM:
-        raise ValueError(f"the pullback proxy needs N >= {n + 1} at q={q}, l={l}, tol={eps}, "
-                         f"above the limit {PULLBACK_MAX_DIM}")
-    return max(dim, 256, n + 1)
 
 
 # -- assembled report -------------------------------------------------------
@@ -427,13 +329,10 @@ def ktheory_report(parity: str, l: int, q: float = 0.5, dim: int = 128,
                    tol: float = 1e-10) -> KReport:
     if l < 1:
         raise ValueError("l must be a positive integer")
-    pullback_dim = _pullback_dim(parity, l, q, dim, tol)
     lifts = coisometry_lift(parity, l, q, dim)
     delta = _defect_ranks(parity, l, lifts)
     stable = index_map(parity, l, q, 2 * dim) == delta
     deviation = max(lift.max_interior_deviation for lift in lifts)
-    _, d, _ = smith_normal_form(delta.matrix())
-    diag = tuple(d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)))
     groups = assemble_kgroups(delta)
     return KReport(
         parity=parity,
@@ -444,9 +343,9 @@ def ktheory_report(parity: str, l: int, q: float = 0.5, dim: int = 128,
         delta=delta,
         stable=stable,
         coisometry_max_deviation=deviation,
-        smith_diagonal=diag,
+        smith_diagonal=(math.gcd(*delta.entries),),
         kgroups=groups,
         expected=expected_kgroups(parity, l),
         cokernel_map_ok=_cokernel_map_ok(delta),
-        pullback=pullback_check(parity, l, q, pullback_dim, eps=tol),
+        pullback=pullback_check(parity, l, q, eps=tol),
     )

@@ -1,4 +1,4 @@
-"""Smith normal form, coisometry index maps, K-group assembly, pullbacks."""
+"""Coisometry index maps, K-group assembly from gcd(delta), pullbacks."""
 
 import dataclasses
 import tracemalloc
@@ -17,57 +17,15 @@ from qrwp import (
     index_map,
     ktheory_report,
     pullback_check,
-    smith_normal_form,
 )
-from qrwp import fockrep
-from qrwp.fockrep import kernel_conditions_exact
+from qrwp import fockrep, ktheory
+from qrwp.fockrep import RepInstance, kernel_conditions_exact, rep_generator
 from qrwp.ktheory import coisometry_pair
 from qrwp.qwrp import RelationSide
 
-from helpers import dense_defect_rank, make_rng
+from helpers import dense_defect_rank
 
 Q = 0.5
-
-
-# -- exact integer linear algebra -------------------------------------
-
-
-def _check_snf(matrix):
-    u, d, v = smith_normal_form(matrix)
-    m, n = len(matrix), len(matrix[0]) if matrix else 0
-    prod = np.array(u, dtype=object) @ np.array(matrix, dtype=object) @ np.array(v, dtype=object)
-    assert np.array_equal(prod, np.array(d, dtype=object))
-    assert abs(round(np.linalg.det(np.array(u, dtype=float)))) == 1
-    assert abs(round(np.linalg.det(np.array(v, dtype=float)))) == 1
-    diag = [d[i][i] for i in range(min(m, n))]
-    for i in range(m):
-        for j in range(n):
-            if i != j:
-                assert d[i][j] == 0
-    for a, b in zip(diag, diag[1:]):
-        assert a >= 0
-        if a:
-            assert b % a == 0
-        else:
-            assert b == 0
-    return diag
-
-
-def test_smith_normal_form_known_cases():
-    assert _check_snf([[1], [1], [1]]) == [1]
-    assert _check_snf([[2], [2]]) == [2]
-    assert _check_snf([[2, 4], [6, 8]]) == [2, 4]
-    assert _check_snf([[0, 0], [0, 0]]) == [0, 0]
-    assert _check_snf([[6, 10], [15, 25]]) == [1, 0]
-
-
-def test_smith_normal_form_randomized():
-    rng = make_rng(41)
-    for _ in range(60):
-        m = rng.randint(1, 4)
-        n = rng.randint(1, 4)
-        mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        _check_snf(mat)
 
 
 # -- coisometry lifts ---------------------------------------------------
@@ -157,6 +115,14 @@ def test_assemble_kgroups_examples():
     assert groups.k0 == GroupDescriptor(1)
     assert groups.k1 == GroupDescriptor(0)
 
+    # the Smith form of a column is its gcd, whatever the signs
+    for delta, k0 in (((-2, 2), GroupDescriptor(2, (2,))),
+                      ((3, 6, 9), GroupDescriptor(3, (3,))),
+                      ((0, 5), GroupDescriptor(2, (5,)))):
+        groups = assemble_kgroups(IndexMap("odd", len(delta), delta))
+        assert groups.k0 == k0, delta
+        assert groups.k1 == GroupDescriptor(0), delta
+
 
 def test_zero_index_map_reported_honestly():
     groups = assemble_kgroups(IndexMap("even", 2, (0, 0)))
@@ -203,7 +169,7 @@ def test_cokernel_map_bijections():
 
 
 def test_pullback_decay_even_l3():
-    report = pullback_check("even", 3, Q, 256, 1e-10)
+    report = pullback_check("even", 3, Q, 1e-10)
     assert report["all_pass"]
     for entry in report["per_r"]:
         assert entry["monotone_decay"]
@@ -213,14 +179,14 @@ def test_pullback_decay_even_l3():
 
 
 def test_pullback_decay_odd():
-    report = pullback_check("odd", 2, Q, 256, 1e-10)
+    report = pullback_check("odd", 2, Q, 1e-10)
     assert report["all_pass"]
 
 
 @pytest.mark.parametrize("q", (0.9, 0.97, 0.995))
 def test_ktheory_near_q_one_sizes_the_pullback(q):
     # the weight defects decay like q^{2ln}: at q = 0.995, odd l = 1 the
-    # proxy needs about 2300 columns, far past the truncation given
+    # tail starts near column 2300, far past the truncation given
     for parity, ls in (("even", (1, 3, 5)), ("odd", (1, 2, 3, 4, 5))):
         for l in ls:
             report = ktheory_report(parity, l, q, 128)
@@ -238,15 +204,61 @@ def test_ktheory_at_tiny_q(q):
             assert report.delta.entries == (1 if parity == "even" else 2,) * l
 
 
-def test_pullback_size_limit_raises_before_allocating():
+def test_pullback_near_q_one_allocates_no_tail():
+    # at q = 1 - 1e-9 the tail starts past column 2^30; the search
+    # evaluates single columns, so nothing grows with it
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="needs N >= "):
-            ktheory_report("odd", 1, 1 - 1e-9, 128)
+        report = ktheory_report("odd", 1, 1 - 1e-9, 128)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert report.all_pass
+    assert report.pullback["N"] > 2 ** 30
     assert peak < 1 << 20
+
+
+def test_pullback_at_the_smallest_tolerance():
+    # at eps = 5e-324 the ratio eps / 2T underflows to 0, so the tail bound
+    # must take log(eps) - log(2T)
+    assert ktheory_report("odd", 1, 0.5, 128, 5e-324).pullback["all_pass"]
+    for eps in (0.0, -1e-10, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="eps must be finite and positive"):
+            pullback_check("odd", 1, Q, eps)
+
+
+def test_pullback_gate_reads_the_weight_form(monkeypatch):
+    # with a q-power h = 1 on c the weights tend to 0, not to 1
+    generator_form = ktheory.generator_form
+
+    def mutated(parity, l, gen):
+        form = generator_form(parity, l, gen)
+        return form._replace(h=1) if gen == "c" else form
+
+    monkeypatch.setattr(ktheory, "generator_form", mutated)
+    report = ktheory_report("odd", 2, Q, 64)
+    for entry in report.pullback["per_r"]:
+        assert entry == {"r": entry["r"], "monotone_decay": False, "n0": None,
+                         "tail_max": 1.0, "pass": False}
+    assert not report.pullback["all_pass"]
+    assert not report.all_pass
+
+
+@pytest.mark.parametrize("q", (0.02, 0.5, 0.97, 0.995))
+def test_pullback_matches_the_dense_weights(q):
+    # each n0 and tail_max is the first weight defect below eps in c's
+    # weight vector, built on a truncation that holds every n0
+    eps = 1e-10
+    for parity, ls in (("even", (1, 3, 5)), ("odd", (1, 2, 3, 4, 5))):
+        for l in ls:
+            report = pullback_check(parity, l, q, eps)
+            dim = report["N"] + 1
+            for entry in report["per_r"]:
+                c = rep_generator(RepInstance(parity, l, entry["r"], q, dim), "c")
+                defect = 1.0 - c.weights[:dim - c.offset]
+                first = int(np.flatnonzero(defect < eps)[0])
+                assert entry["n0"] == first + c.offset, (parity, l, entry)
+                assert entry["tail_max"] == defect[first], (parity, l, entry)
 
 
 # -- assembled report --------------------------------------------------------
