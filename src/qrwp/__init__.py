@@ -58,7 +58,6 @@ from .ktheory import (
     IndexMap,
     KGroups,
     assemble_kgroups,
-    coisometry_lift,
     cokernel_map_check,
     expected_kgroups,
     index_map,
@@ -84,7 +83,6 @@ __all__ = [
     "rep_generator", "rep_scalar", "rep_sigma",
     "intertwiner_check", "faithfulness_probe", "rep_report",
     "GroupDescriptor", "IndexMap", "KGroups",
-    "coisometry_lift",
     "index_map", "assemble_kgroups",
     "expected_kgroups", "cokernel_map_check", "pullback_check",
     "ktheory_report",

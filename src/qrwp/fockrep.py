@@ -15,8 +15,10 @@ The table of (offset, h, S), in which the central unitary acts trivially:
     c- (odd): (2, 0, {-1..-2l})    z0^m z1^p xi^s: (m, p, {-1..-m})
 
 The kernels c+ e_0 = b e_0 = 0, c- e_0 = c- e_1 = 0 are read from the
-relations that state g* g as a product in a (even.4, odd.7, odd.11): on
-e_n that product vanishes exactly on the kernel columns (kernel_columns).
+relations that state g* g as a product in a (even.4, odd.7, odd.11): a
+factor (1 - q^{2e} a) vanishes on e_n exactly where e + ln + r = 0, an
+integer condition that holds for every q (modulus_kernel).  The float
+scan of g* g's diagonal (kernel_columns) is kept as its test oracle.
 Everything is compressed to span{e_0, ..., e_{N-1}}; all displayed
 operators lower the index, so compression is exact except in the top
 band, and checks read the interior window of N - 2l columns (so N > 2l).
@@ -105,6 +107,17 @@ class WeightedShift:
         return mat
 
 
+def _check_label(parity: str, l: int, r: int) -> None:
+    if parity not in ("even", "odd"):
+        raise ValueError(f"unknown parity {parity!r}")
+    if l < 1:
+        raise ValueError("l must be a positive integer")
+    if parity == "even" and l % 2 == 0:
+        raise ValueError("the even family requires odd l")
+    if not 1 <= r <= l:
+        raise ValueError(f"label r must lie in 1..{l}")
+
+
 @dataclass(frozen=True, slots=True)
 class RepInstance:
     """One infinite-dimensional representation label, truncated to dim."""
@@ -116,14 +129,7 @@ class RepInstance:
     dim: int
 
     def __post_init__(self):
-        if self.parity not in ("even", "odd"):
-            raise ValueError(f"unknown parity {self.parity!r}")
-        if self.l < 1:
-            raise ValueError("l must be a positive integer")
-        if self.parity == "even" and self.l % 2 == 0:
-            raise ValueError("the even family requires odd l")
-        if not 1 <= self.r <= self.l:
-            raise ValueError(f"label r must lie in 1..{self.l}")
+        _check_label(self.parity, self.l, self.r)
         if not 0.0 < self.q < 1.0:
             raise ValueError("q must lie in (0, 1)")
         if self.dim < 1:
@@ -240,19 +246,42 @@ def eval_side_matrix(side: RelationSide, ops: Mapping[str, WeightedShift], q: fl
 _MODULUS_RELATION = {("even", "c"): "even.4", ("odd", "b"): "odd.7", ("odd", "c"): "odd.11"}
 
 
-def kernel_columns(inst: RepInstance, gen: str) -> tuple[np.ndarray, int]:
-    """The diagonal of g* g on e_0..e_{N-1}, and the kernel size of g.
-
-    The diagonal is the right side of the relation that states g* g
-    (even.4 for c+, odd.7 for b, odd.11 for c-), evaluated on a's
-    integer exponents so that its zeros are exact.  The kernel of g is
-    the number of leading exact zeros; later zeros do not count (the
-    factor a in odd.7 underflows to 0.0 deep in the tail)."""
-    rid = _MODULUS_RELATION.get((inst.parity, gen))
+def modulus_side(parity: str, l: int, gen: str) -> RelationSide:
+    """The right side of the relation that states g* g: even.4 for c+,
+    odd.7 for b, odd.11 for c-."""
+    rid = _MODULUS_RELATION.get((parity, gen))
     if rid is None:
-        raise ValueError(f"no relation states g* g for generator {gen!r} in the {inst.parity} family")
-    rel = next(rel for rel in relations_for(inst.parity, inst.l) if rel.rid == rid)
-    diag = eval_side_matrix(rel.rhs, {"a": rep_generator(inst, "a")}, inst.q).weights
+        raise ValueError(f"no relation states g* g for generator {gen!r} in the {parity} family")
+    return next(rel.rhs for rel in relations_for(parity, l) if rel.rid == rid)
+
+
+def modulus_kernel(parity: str, l: int, r: int, gen: str) -> tuple[int, ...]:
+    """The columns n >= 0 on which g* g vanishes for label r, read off
+    integers: a factor (1 - q^{2e} a) of modulus_side is zero on e_n
+    exactly where e + ln + r = 0, whatever q is.  A factor is negative
+    where e + ln + r < 0, which g* g >= 0 allows only on a kernel column;
+    anywhere else it is a hard error.  Past column (-min e - r) / l every
+    factor is positive, so only the columns below it are read."""
+    _check_label(parity, l, r)
+    exps = [e for f in modulus_side(parity, l, gen).factors if f[0] == "prod" for e in f[1]]
+    kernel = []
+    for n in range(max(0, (-min(exps, default=0) - r) // l + 1)):
+        heights = [e + l * n + r for e in exps]
+        if 0 in heights:
+            kernel.append(n)
+        elif min(heights) < 0:
+            raise ArithmeticError(f"negative modulus factor 1 - q^{2 * min(heights)} "
+                                  f"at non-kernel column {n} (label r={r})")
+    return tuple(kernel)
+
+
+def kernel_columns(inst: RepInstance, gen: str) -> tuple[np.ndarray, int]:
+    """The diagonal of g* g on e_0..e_{N-1}, and its run of leading exact
+    zeros: modulus_side evaluated in floats.  Only tests call it, as the
+    numeric cross-check of modulus_kernel (the factor a in odd.7
+    underflows to 0.0 deep in the tail, so later zeros do not count)."""
+    rhs = modulus_side(inst.parity, inst.l, gen)
+    diag = eval_side_matrix(rhs, {"a": rep_generator(inst, "a")}, inst.q).weights
     nonzero = np.flatnonzero(diag)
     return diag, int(nonzero[0]) if nonzero.size else diag.size
 
@@ -293,18 +322,13 @@ def relation_residuals(parity: str, l: int, q: float = 0.5, dim: int = 256,
     return entries
 
 
-def kernel_conditions_exact(parity: str, l: int, q: float = 0.5, dim: int = 256) -> bool:
+def kernel_conditions_exact(parity: str, l: int) -> bool:
     """The displayed kernels c+ e_0 = 0, b e_0 = 0, c- e_0 = c- e_1 = 0:
-    for every label, the exact zeros that the relations place at the
-    start of g* g must be exactly the columns that g's shift lowers out
-    of the space (as far as the truncation holds them)."""
+    for every label, the columns on which the relations make g* g vanish
+    must be exactly the columns that g's shift lowers out of the space."""
     names = ("c",) if parity == "even" else ("b", "c")
-    for r in range(1, l + 1):
-        inst = RepInstance(parity, l, r, q, dim)
-        for name in names:
-            if kernel_columns(inst, name)[1] != min(rep_generator(inst, name).offset, dim):
-                return False
-    return True
+    return all(modulus_kernel(parity, l, r, name) == tuple(range(generator_form(parity, l, name).offset))
+               for r in range(1, l + 1) for name in names)
 
 
 def scalar_relation_residual(parity: str, l: int, theta: float, q: float = 0.5) -> float:
@@ -485,7 +509,7 @@ def rep_report(parity: str, l: int, q: float = 0.5, dim: int = 256,
         raise ValueError(f"q too small: l={l} needs q >= {q_min:g} "
                          f"(the relation scalar q^{lowest} must fit in a double)")
     residuals = tuple(relation_residuals(parity, l, q, dim, tol))
-    kernel = kernel_conditions_exact(parity, l, q, dim)
+    kernel = kernel_conditions_exact(parity, l)
     scalar = max(scalar_relation_residual(parity, l, theta, q) for theta in (0.0, 0.25, 0.5, 0.8))
     inter = intertwiner_check(parity, l, q, dim)["max_residual"]
     return RepReport(

@@ -1,16 +1,18 @@
-"""K-theory of the quotient C*-algebras from truncated shift data.
+"""K-theory of the quotient C*-algebras from the relations' integers.
 
 The quotient algebra of either family sits in a short exact sequence
 with a sum of l compact ideals and circle functions as quotient.  The
 connecting index map sends the quotient unitary's class to the defect
 class of a lifted coisometry: per label r the lift is the generator c
-divided by the square root of its modulus c* c = prod_m (1 - q^{-2m} a),
-a bare shift past the kernel of c.  That kernel is the run of exact
-zeros at the start of the modulus (fockrep.kernel_columns): one column
-in the even family, two in the odd.  The defect 1 - U*U of the lift
-projects onto those columns, so its rank is the lift's step.  The ranks
-fill an l x 1 integer column delta, whose Smith form is its gcd; kernel
-and cokernel of delta, read off gcd(delta), assemble the K-groups:
+divided by the square root of its modulus c* c = prod_m (1 - q^{-2m} a)
+(even.4, odd.11).  When c's squared weight form is that product, the
+quotient is the bare shift past the kernel of c on every column and at
+every q.  That kernel is read off the product's integer exponents
+(fockrep.modulus_kernel): one column in the even family, two in the odd.
+The defect 1 - U*U of the lift projects onto those columns, so its rank
+is the kernel size, and no truncation enters.  The ranks fill an l x 1
+integer column delta, whose Smith form is its gcd; kernel and cokernel
+of delta, read off gcd(delta), assemble the K-groups:
 
     K_1 = ker(delta),    K_0 = coker(delta) (+) Z.
 """
@@ -20,12 +22,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .fockrep import (RepInstance, WeightedShift, a_exponents, form_weights, generator_form, kernel_columns,
-                      rep_generator)
+from .fockrep import RepInstance, a_exponents, form_weights, generator_form, modulus_kernel, modulus_side
+# not called here; perfbench/tests/test_perfbench.py checks that tracing patches this name too
+from .fockrep import rep_generator
 from .qlaurent import power_text
 
 
@@ -60,55 +62,28 @@ class IndexMap:
     entries: tuple[int, ...]
 
 
-# -- coisometry lifts ---------------------------------------------------
+# -- index map and lift --------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class CoisometryLift:
-    r: int
-    shift: WeightedShift
-    max_interior_deviation: float
+def index_map(parity: str, l: int) -> IndexMap:
+    """Defect ranks of the lifted coisometries, one entry per label: the
+    number of columns on which c* c vanishes."""
+    if l < 1:
+        raise ValueError("l must be a positive integer")
+    return IndexMap(parity=parity, l=l,
+                    entries=tuple(len(modulus_kernel(parity, l, r, "c")) for r in range(1, l + 1)))
 
 
-def coisometry_pair(parity: str, l: int, r: int, q: float, dim: int) -> CoisometryLift:
-    """The lifted coisometry for one label, built two ways: as the bare
-    shift past the kernel of c, and as c divided by the square root of
-    its modulus
-
-        c* c = prod_{m=1}^{L} (1 - q^{-2m} a),   L = l (even) or 2l (odd).
-
-    Both the modulus and the kernel (its leading exact zeros) come from
-    fockrep.kernel_columns; a vanishing or negative modulus past the
-    kernel is a hard error."""
-    if dim < 4 * l:
-        raise ValueError(f"truncation too small: l={l} needs N >= {4 * l}")
-    inst = RepInstance(parity, l, r, q, dim)
-    c = rep_generator(inst, "c")
-    diag, step = kernel_columns(inst, "c")
-    bad = np.flatnonzero(diag[step:] <= 0.0) + step
-    if bad.size:
-        raise ArithmeticError(f"singular modulus factor {diag[bad[0]]} at non-kernel column {bad[0]}")
-    formula = np.zeros(dim)
-    formula[:dim - step] = c.weights[:dim - step] / np.sqrt(diag[step:])
-    interior = max(0, dim - 2 * l)
-    shift = WeightedShift(step, np.ones(dim))
-    deviation = WeightedShift(step, formula - shift.weights).column_max(interior)
-    return CoisometryLift(r=r, shift=shift, max_interior_deviation=deviation)
-
-
-def coisometry_lift(parity: str, l: int, q: float = 0.5, dim: int = 128) -> list[CoisometryLift]:
-    return [coisometry_pair(parity, l, r, q, dim) for r in range(1, l + 1)]
-
-
-def _defect_ranks(parity: str, l: int, lifts: Sequence[CoisometryLift]) -> IndexMap:
-    """The defect 1 - U*U of a bare shift by k projects onto e_0..e_{k-1},
-    so its rank is the shift's offset, the kernel size of c."""
-    return IndexMap(parity=parity, l=l, entries=tuple(lift.shift.offset for lift in lifts))
-
-
-def index_map(parity: str, l: int, q: float = 0.5, dim: int = 128) -> IndexMap:
-    """Defect ranks of the lifted coisometries, one entry per label."""
-    return _defect_ranks(parity, l, coisometry_lift(parity, l, q, dim))
+def _lift_deviation(parity: str, l: int) -> float:
+    """Max |c (c* c)^{-1/2} - shift| past the kernel, over every column and
+    every q: 0.0 when c's squared weight form q^{h x} prod_{s in S}
+    (1 - q^{2s + x}) is the modulus side itself (h = 0, no q-power, only
+    product factors, the same exponents), so that the quotient is 1 on
+    every column; 1.0 otherwise."""
+    form, side = generator_form(parity, l, "c"), modulus_side(parity, l, "c")
+    same = (form.h == 0 and side.q_exponent == 0 and all(f[0] == "prod" for f in side.factors)
+            and sorted(form.factors) == sorted(e for f in side.factors for e in f[1]))
+    return 0.0 if same else 1.0
 
 
 # -- K-group assembly ----------------------------------------------------
@@ -285,7 +260,6 @@ class KReport:
     dim: int
     tolerance: float
     delta: IndexMap
-    stable: bool
     coisometry_max_deviation: float
     smith_diagonal: tuple[int, ...]
     kgroups: KGroups
@@ -294,10 +268,14 @@ class KReport:
     pullback: dict
 
     @property
+    def stable(self) -> bool:
+        """The index map reads no truncation, so doubling N cannot move it."""
+        return True
+
+    @property
     def all_pass(self) -> bool:
         return (
-            self.stable
-            and self.coisometry_max_deviation < self.tolerance
+            self.coisometry_max_deviation < self.tolerance
             and self.kgroups == self.expected
             and self.cokernel_map_ok
             and bool(self.pullback["all_pass"])
@@ -327,12 +305,9 @@ class KReport:
 
 def ktheory_report(parity: str, l: int, q: float = 0.5, dim: int = 128,
                    tol: float = 1e-10) -> KReport:
-    if l < 1:
-        raise ValueError("l must be a positive integer")
-    lifts = coisometry_lift(parity, l, q, dim)
-    delta = _defect_ranks(parity, l, lifts)
-    stable = index_map(parity, l, q, 2 * dim) == delta
-    deviation = max(lift.max_interior_deviation for lift in lifts)
+    """The K-theory checks; dim is only echoed as N, since nothing here
+    reads a truncation."""
+    delta = index_map(parity, l)
     groups = assemble_kgroups(delta)
     return KReport(
         parity=parity,
@@ -341,8 +316,7 @@ def ktheory_report(parity: str, l: int, q: float = 0.5, dim: int = 128,
         dim=dim,
         tolerance=tol,
         delta=delta,
-        stable=stable,
-        coisometry_max_deviation=deviation,
+        coisometry_max_deviation=_lift_deviation(parity, l),
         smith_diagonal=(math.gcd(*delta.entries),),
         kgroups=groups,
         expected=expected_kgroups(parity, l),

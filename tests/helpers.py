@@ -75,7 +75,7 @@ def dense_interior_max(diff: np.ndarray, cols: int) -> float:
     return float(np.max(np.abs(diff[:, :cols]))) if cols else 0.0
 
 
-def dense_defect_rank(shift: np.ndarray, tol: float) -> int:
-    """Numeric rank of 1 - U*U by singular values."""
-    defect = np.eye(shift.shape[0]) - shift.conj().T @ shift
-    return int(np.sum(np.linalg.svd(defect, compute_uv=False) > tol))
+def dense_kernel_dim(mat: np.ndarray, tol: float) -> int:
+    """Kernel dimension of a dense matrix: its columns minus the singular
+    values above tol."""
+    return mat.shape[1] - int(np.sum(np.linalg.svd(mat, compute_uv=False) > tol))

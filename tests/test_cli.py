@@ -123,10 +123,31 @@ def test_rep_check_names_the_smallest_q(capsys):
         assert "all pass: yes" in out
 
 
-def test_ktheory_names_the_truncation_it_needs(capsys):
-    code, out, err = run(capsys, "ktheory", "--parity", "odd", "--l", "5", "--N", "8")
-    assert code == EXIT_PRECONDITION
-    assert "l=5 needs N >= 20" in err and not out
+@pytest.mark.parametrize("argv", [
+    "rep-check --parity odd --l 40 --q 0.999999 --N 512",
+    "rep-check --parity even --l 61 --q 0.999999999 --N 512",
+    "ktheory --parity odd --l 12 --q 0.9999999999999999",
+    "ktheory --parity odd --l 25 --q 0.99999999 --N 512",
+    "ktheory --parity odd --l 40 --q 0.999999999",
+    "ktheory --parity odd --l 1 --tol 1e-300",
+    "ktheory --parity odd --l 1 --tol 5e-324",
+    "ktheory --parity odd --l 1 --tol 1e-17",
+    "ktheory --parity even --l 3 --tol 1e-17",
+])
+def test_kernels_and_lifts_are_exact(capsys, argv):
+    # near q = 1, c* c underflows to 0.0 on columns where it does not vanish,
+    # and a tolerance below rounding is below any float quotient c / |c|; the
+    # kernels and the lift are read off integer exponents instead
+    code, out, _ = run(capsys, *shlex.split(argv))
+    assert code == EXIT_OK
+    assert "all pass: yes" in out
+    if argv.startswith("rep-check"):
+        assert "kernel conditions exact: yes" in out
+    else:
+        words = argv.split()
+        l, step = int(words[words.index("--l") + 1]), 1 if "even" in words else 2
+        assert f"index map: {[step] * l} (stable under doubling: yes)" in out
+        assert "coisometry max interior deviation: 0.000e+00" in out
 
 
 def test_report_all_accepts_every_q(capsys):

@@ -25,6 +25,7 @@ from qrwp.fockrep import (
     eval_side_matrix,
     kernel_columns,
     kernel_conditions_exact,
+    modulus_kernel,
     relation_residuals,
     scalar_relation_residual,
     subspace_dim,
@@ -63,8 +64,8 @@ def test_kernel_columns_are_exact_zeros():
     b = rep_generator(inst, "b").matrix
     assert np.all(cm[:, 0] == 0) and np.all(cm[:, 1] == 0)
     assert np.all(b[:, 0] == 0)
-    assert kernel_conditions_exact("odd", 5, Q, 64)
-    assert kernel_conditions_exact("even", 5, Q, 64)
+    assert kernel_conditions_exact("odd", 5)
+    assert kernel_conditions_exact("even", 5)
 
 
 def test_kernel_columns_read_the_modulus_relation():
@@ -82,6 +83,15 @@ def test_kernel_columns_read_the_modulus_relation():
     assert k == 1 and diag[1] > 0 and diag[200] == 0.0
     with pytest.raises(ValueError):
         kernel_columns(RepInstance("even", 3, 1, Q, 8), "b")
+    # the integer kernel agrees with the float scan's leading zeros
+    for q in (0.02, 0.5, 0.97):
+        for parity, ls in (("even", (1, 3, 5, 7)), ("odd", range(1, 8))):
+            for l in ls:
+                for r in range(1, l + 1):
+                    inst = RepInstance(parity, l, r, q, 64)
+                    for gen in ("c",) if parity == "even" else ("b", "c"):
+                        k = kernel_columns(inst, gen)[1]
+                        assert modulus_kernel(parity, l, r, gen) == tuple(range(k)), (q, parity, l, r, gen)
 
 
 def test_generators_are_banded():

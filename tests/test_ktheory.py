@@ -1,4 +1,4 @@
-"""Coisometry index maps, K-group assembly from gcd(delta), pullbacks."""
+"""Index maps and lifts from integer exponents, K-group assembly from gcd(delta), pullbacks."""
 
 import dataclasses
 import tracemalloc
@@ -11,7 +11,6 @@ from qrwp import (
     IndexMap,
     KGroups,
     assemble_kgroups,
-    coisometry_lift,
     cokernel_map_check,
     expected_kgroups,
     index_map,
@@ -19,11 +18,10 @@ from qrwp import (
     pullback_check,
 )
 from qrwp import fockrep, ktheory
-from qrwp.fockrep import RepInstance, kernel_conditions_exact, rep_generator
-from qrwp.ktheory import coisometry_pair
+from qrwp.fockrep import RepInstance, kernel_columns, kernel_conditions_exact, modulus_kernel, rep_generator
 from qrwp.qwrp import RelationSide
 
-from helpers import dense_defect_rank
+from helpers import dense_kernel_dim
 
 Q = 0.5
 
@@ -32,46 +30,58 @@ Q = 0.5
 
 
 def test_shift_structure():
-    lifts = coisometry_lift("even", 3, Q, 32)
-    assert len(lifts) == 3
-    u = lifts[0].shift.matrix
-    assert np.all(u[:, 0] == 0)                       # U e_0 = 0
-    assert u[4, 5] == 1 and u[0, 1] == 1              # U e_n = e_{n-1}
-    lifts = coisometry_lift("odd", 2, Q, 32)
-    v = lifts[0].shift.matrix
-    assert np.all(v[:, 0] == 0) and np.all(v[:, 1] == 0)
-    assert v[0, 2] == 1 and v[3, 5] == 1              # V e_n = e_{n-2}
+    # the lift is the bare shift past the kernel of c, so it lowers out the
+    # columns on which c* c vanishes: e_0 (even) or e_0, e_1 (odd), which
+    # are the zero columns of c itself
+    for parity, l, kernel in (("even", 3, (0,)), ("odd", 2, (0, 1))):
+        for r in range(1, l + 1):
+            assert modulus_kernel(parity, l, r, "c") == kernel, (parity, r)
+            c = rep_generator(RepInstance(parity, l, r, Q, 32), "c").matrix
+            assert tuple(np.flatnonzero(~c.any(axis=0))) == kernel, (parity, r)
 
 
 def test_formula_reconstruction_agrees_with_shift():
-    lift = coisometry_pair("even", 3, 1, Q, 128)
-    assert lift.max_interior_deviation < 1e-10
-    for parity, l in (("even", 5), ("odd", 3)):
-        for entry in coisometry_lift(parity, l, Q, 128):
-            assert entry.max_interior_deviation < 1e-10
+    # exactly: c's squared weight form is the modulus side, so the lift
+    # c (c* c)^{-1/2} is the bare shift; numerically: c's weights divided
+    # by the square root of c* c evaluated in floats are 1 past the kernel
+    for parity, l in (("even", 3), ("even", 5), ("odd", 3)):
+        assert ktheory_report(parity, l, Q, 128).coisometry_max_deviation == 0.0, (parity, l)
+        for r in range(1, l + 1):
+            inst = RepInstance(parity, l, r, Q, 128)
+            diag, k = kernel_columns(inst, "c")
+            quotient = rep_generator(inst, "c").weights[:128 - k] / np.sqrt(diag[k:])
+            assert np.max(np.abs(quotient - 1.0)) < 1e-10, (parity, l, r)
 
 
-def test_truncation_too_small_is_rejected():
-    with pytest.raises(ValueError):
-        coisometry_pair("even", 3, 1, Q, 8)
+def test_ktheory_reads_no_truncation():
+    # the index map and the lift are read off integer exponents, so N is
+    # only echoed, even where it holds fewer columns than 4l
+    for dim in (4, 8, 128):
+        report = ktheory_report("odd", 5, Q, dim)
+        assert report.all_pass and report.delta.entries == (2,) * 5, dim
+        assert report.as_dict()["N"] == dim
 
 
 # -- index maps -----------------------------------------------------------
 
 
 def test_index_map_values():
-    assert index_map("even", 3, Q, 64).entries == (1, 1, 1)
-    assert index_map("odd", 2, Q, 64).entries == (2, 2)
-    assert index_map("even", 1, Q, 64).entries == (1,)   # the Toeplitz index
+    assert index_map("even", 3).entries == (1, 1, 1)
+    assert index_map("odd", 2).entries == (2, 2)
+    assert index_map("even", 1).entries == (1,)   # the Toeplitz index
+    for parity, l in (("even", 2), ("odd", 0), ("sideways", 1)):
+        with pytest.raises(ValueError):
+            index_map(parity, l)
 
 
 def test_index_map_matches_dense_svd_rank():
+    # entry r is the kernel dimension of the truncated c, by singular values
     for dim in (16, 48):
         for parity, ls in (("even", (1, 3, 5)), ("odd", (1, 2, 3, 4, 5))):
-            for l in (l for l in ls if dim >= 4 * l):
-                ranks = tuple(dense_defect_rank(lift.shift.matrix, 1e-8)
-                              for lift in coisometry_lift(parity, l, Q, dim))
-                assert index_map(parity, l, Q, dim).entries == ranks, (parity, l, dim)
+            for l in ls:
+                ranks = tuple(dense_kernel_dim(rep_generator(RepInstance(parity, l, r, Q, dim), "c").matrix, 1e-8)
+                              for r in range(1, l + 1))
+                assert index_map(parity, l).entries == ranks, (parity, l, dim)
 
 
 def test_index_map_stability():
@@ -90,13 +100,46 @@ def test_kernel_checks_follow_the_modulus_relation(monkeypatch):
         return tuple(dataclasses.replace(rel, rhs=shifted) if rel.rid == "odd.11" else rel
                      for rel in relations_for(parity, l))
 
-    assert index_map("odd", 2, Q, 64).entries == (2, 2)
+    assert index_map("odd", 2).entries == (2, 2)
     monkeypatch.setattr(fockrep, "relations_for", mutated)
-    assert not kernel_conditions_exact("odd", 2, Q, 64)
-    assert index_map("odd", 2, Q, 64).entries == (2, 1)
+    assert not kernel_conditions_exact("odd", 2)
+    assert index_map("odd", 2).entries == (2, 1)
     report = ktheory_report("odd", 2, Q, 64)
+    assert report.coisometry_max_deviation == 1.0
     assert not report.all_pass
     assert not report.cokernel_map_ok
+
+
+def test_lift_check_reads_the_weight_form(monkeypatch):
+    # with one factor of c's weight form dropped, c (c* c)^{-1/2} is no longer
+    # the bare shift; the pullback still decays, so only the lift fails
+    generator_form = ktheory.generator_form
+
+    def mutated(parity, l, gen):
+        form = generator_form(parity, l, gen)
+        return form._replace(factors=form.factors[:-1]) if gen == "c" else form
+
+    monkeypatch.setattr(ktheory, "generator_form", mutated)
+    for parity, l in (("even", 3), ("odd", 2)):
+        report = ktheory_report(parity, l, Q, 64)
+        assert report.coisometry_max_deviation == 1.0, parity
+        assert report.pullback["all_pass"] and report.cokernel_map_ok, parity
+        assert not report.all_pass, parity
+
+
+def test_negative_modulus_factor_is_an_error(monkeypatch):
+    # c-* c- with an extra factor (1 - q^{-2(2l+2)} a): on e_2 of label 1 that
+    # factor is negative and none vanishes, which c* c >= 0 forbids
+    relations_for = fockrep.relations_for
+
+    def mutated(parity, l):
+        longer = RelationSide(0, (("prod", tuple(range(-1, -2 * l - 1, -1)) + (-2 * l - 2,)),))
+        return tuple(dataclasses.replace(rel, rhs=longer) if rel.rid == "odd.11" else rel
+                     for rel in relations_for(parity, l))
+
+    monkeypatch.setattr(fockrep, "relations_for", mutated)
+    with pytest.raises(ArithmeticError, match="non-kernel column 2"):
+        index_map("odd", 2)
 
 
 # -- K-group assembly -------------------------------------------------------
@@ -195,13 +238,16 @@ def test_ktheory_near_q_one_sizes_the_pullback(q):
 
 @pytest.mark.parametrize("q", (1e-20, 1e-12, 1e-8))
 def test_ktheory_at_tiny_q(q):
-    # in a kernel column a factor 1 - q^{2(ln+r-m)} overflows to -inf; the
-    # column's exact zero factor must still make c* c exactly zero there
+    # the index map reads integers; its float oracle must agree, although in
+    # a kernel column a factor 1 - q^{2(ln+r-m)} overflows to -inf and only
+    # the column's exact zero factor keeps c* c exactly zero there
     for parity, ls in (("even", (1, 3, 5)), ("odd", (1, 2, 3, 4, 5))):
         for l in ls:
             report = ktheory_report(parity, l, q, 128)
             assert report.all_pass, (parity, l)
             assert report.delta.entries == (1 if parity == "even" else 2,) * l
+            for r in range(1, l + 1):
+                assert kernel_columns(RepInstance(parity, l, r, q, 128), "c")[1] == report.delta.entries[r - 1]
 
 
 def test_pullback_near_q_one_allocates_no_tail():
@@ -221,7 +267,11 @@ def test_pullback_near_q_one_allocates_no_tail():
 def test_pullback_at_the_smallest_tolerance():
     # at eps = 5e-324 the ratio eps / 2T underflows to 0, so the tail bound
     # must take log(eps) - log(2T)
-    assert ktheory_report("odd", 1, 0.5, 128, 5e-324).pullback["all_pass"]
+    report = ktheory_report("odd", 1, 0.5, 128, 5e-324)
+    assert report.pullback["all_pass"]
+    # the lift check is exact, so no tolerance is below its rounding
+    assert report.coisometry_max_deviation == 0.0
+    assert report.all_pass
     for eps in (0.0, -1e-10, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="eps must be finite and positive"):
             pullback_check("odd", 1, Q, eps)
@@ -237,6 +287,7 @@ def test_pullback_gate_reads_the_weight_form(monkeypatch):
 
     monkeypatch.setattr(ktheory, "generator_form", mutated)
     report = ktheory_report("odd", 2, Q, 64)
+    assert report.coisometry_max_deviation == 1.0
     for entry in report.pullback["per_r"]:
         assert entry == {"r": entry["r"], "monotone_decay": False, "n0": None,
                          "tail_max": 1.0, "pass": False}
