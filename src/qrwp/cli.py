@@ -349,13 +349,22 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     try:
-        return args.handler(args, cfg)
+        code = args.handler(args, cfg)
+        sys.stdout.flush()
+        return code
     except ExpressionError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): send the unflushed rest
+        # to devnull so the interpreter's final flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -30,6 +30,13 @@ class LaurentPoly:
                     data[int(e)] = c
         self._coeffs = data
 
+    @classmethod
+    def _canonical(cls, data: dict[int, int]) -> "LaurentPoly":
+        """Wrap a dict of int exponents to nonzero ints without a copy."""
+        out = cls.__new__(cls)
+        out._coeffs = data
+        return out
+
     # -- inspection --------------------------------------------------
 
     def items_sorted(self) -> list[tuple[int, int]]:
@@ -99,6 +106,11 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        # times a single term c q^e: shift and scale; nonzero ints have nonzero products
+        if len(other._coeffs) == 1 or len(self._coeffs) == 1:
+            poly, term = (self, other) if len(other._coeffs) == 1 else (other, self)
+            (e, c), = term._coeffs.items()
+            return LaurentPoly._canonical({e1 + e: c1 * c for e1, c1 in poly._coeffs.items()})
         out: dict[int, int] = {}
         for e1, c1 in self._coeffs.items():
             for e2, c2 in other._coeffs.items():

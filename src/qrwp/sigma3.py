@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from itertools import accumulate
+from typing import Mapping, Sequence
 
 from .qlaurent import ONE, ZERO, LaurentPoly, coefficient_text, power_text, qpow, signed_sum
 
@@ -52,15 +53,34 @@ class NormalMonomial:
 IDENTITY_MONOMIAL = NormalMonomial(0, 0, 0)
 
 
-def _one_minus_qa_product(exponents: Iterable[int]) -> dict[int, LaurentPoly]:
-    """Expand prod_e (1 - q^{2e} A) as {A-power: coefficient}."""
-    poly: dict[int, LaurentPoly] = {0: ONE}
-    for e in exponents:
-        nxt: dict[int, LaurentPoly] = {}
-        for j, c in poly.items():
-            nxt[j] = nxt.get(j, ZERO) + c
-            nxt[j + 1] = nxt.get(j + 1, ZERO) - c * qpow(2 * e)
-        poly = {j: c for j, c in nxt.items() if not c.is_zero()}
+def _one_minus_qa_product(exponents: Sequence[int]) -> dict[int, LaurentPoly]:
+    """Expand prod_e (1 - q^{2e} A) as {A-power: coefficient}.
+
+    The exponents must be a run e0, e0 + d, ..., e0 + (n-1) d with step
+    d = +-1.  By the q-binomial theorem the coefficient of A^k is
+
+        (-1)^k q^{2k e0 + d k(k-1)} [n k]_{q^{2d}},
+
+    and each Gaussian binomial, kept as the integer coefficients of a
+    polynomial in x = q^{2d}, follows from the previous one as
+    G_k = G_{k-1} (1 - x^{n-k+1}) / (1 - x^k).
+    """
+    n = len(exponents)
+    e0 = exponents[0] if n else 0
+    d = exponents[1] - e0 if n > 1 else 1
+    poly = {0: ONE}
+    gauss = [1]
+    for k in range(1, n + 1):
+        m = n - k + 1
+        # times (1 - x^m), then exactly divided by (1 - x^k) as a running sum
+        pad = [0] * m
+        gauss = [g - h for g, h in zip(gauss + pad, pad + gauss)]
+        for r in range(k):
+            gauss[r::k] = accumulate(gauss[r::k])
+        del gauss[len(gauss) - k:]
+        base = 2 * k * e0 + d * k * (k - 1)
+        sign = -1 if k & 1 else 1
+        poly[k] = LaurentPoly._canonical({base + 2 * d * i: sign * g for i, g in enumerate(gauss)})
     return poly
 
 

@@ -1,7 +1,10 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -267,3 +270,17 @@ def test_report_all_json_schema(capsys):
         assert section["relations"]["all_pass"] is True
         assert section["ktheory"]["kgroups_match"] is True
         assert section["pass"] is True
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # about 130 kB of JSON, more than a pipe holds, so the writer is still
+    # printing when the reader closes the pipe, as with `| head -c 100`
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    cmd = [sys.executable, "-m", "qrwp.cli", "verify-relations", "--parity", "odd", "--l", "12", "--format", "json"]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(100).startswith(b'{"all_pass"')
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -114,6 +114,11 @@ def test_oracle_equals_iterated_multiplication():
         for n in range(7):
             assert iterated(m, n) == powers_oracle(m, n), (m, n)
             assert iterated(m, n, True) == powers_oracle(m, n, conjugate_first=True), (m, n)
+    # runs of 40 factors, as in the relations at l = 40: the closed form builds both
+    # sides of even.3/4 and odd.6-odd.11, so only this oracle can catch it going wrong
+    for m, n in ((40, 40), (41, 39), (39, 41)):
+        assert Z0**m * Z0S**n == powers_oracle(m, n), (m, n)
+        assert Z0S**n * Z0**m == powers_oracle(m, n, conjugate_first=True), (m, n)
 
 
 def test_oracle_rejects_negative_powers():
