@@ -23,6 +23,8 @@ trailing syntax error is evaluated before that error is raised.
 
 from __future__ import annotations
 
+import re
+
 from .qlaurent import qpow
 from .sigma3 import XI, XIS, Z0, Z0S, Z1, Z1S, AlgebraElement
 
@@ -48,37 +50,24 @@ class LoweringError(ExpressionError):
 
 _PUNCT = {"^": "CARET", "*": "STAR", "+": "PLUS", "-": "MINUS", "(": "LPAREN", ")": "RPAREN"}
 
+# ASCII classes only: str.isdigit/isalpha would admit "٣" or "²"
+_TOKEN = re.compile(r"(?P<SPACE>[ \t\n\r\f\v]+)|(?P<INT>[0-9]+)|(?P<NAME>[A-Za-z][A-Za-z0-9_]*)"
+                    r"|(?P<PUNCT>[-^*+()])|(?P<BAD>.)", re.DOTALL)
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for match in _TOKEN.finditer(text):
+        kind, value, i = match.lastgroup, match.group(), match.start()
+        if kind == "SPACE":
             continue
-        if ch in _PUNCT:
-            tokens.append((_PUNCT[ch], ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("INT", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            name = text[i:j]
-            if name not in NAMES:
-                raise ParseError(f"unknown name {name!r}", i)
-            tokens.append(("NAME", name, i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+        if kind == "PUNCT":
+            kind = _PUNCT[value]
+        elif kind == "NAME" and value not in NAMES:
+            raise ParseError(f"unknown name {value!r}", i)
+        elif kind == "BAD":
+            raise ParseError(f"unexpected character {value!r}", i)
+        tokens.append((kind, value, i))
     tokens.append(("END", "", len(text)))
     return tokens
 

@@ -83,12 +83,12 @@ class LaurentPoly:
         out = dict(self._coeffs)
         for e, c in other._coeffs.items():
             out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
+        return LaurentPoly._canonical({e: c for e, c in out.items() if c})
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._coeffs.items()})
+        return LaurentPoly._canonical({e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
@@ -110,13 +110,15 @@ class LaurentPoly:
         if len(other._coeffs) == 1 or len(self._coeffs) == 1:
             poly, term = (self, other) if len(other._coeffs) == 1 else (other, self)
             (e, c), = term._coeffs.items()
+            if e == 0 and c == 1:
+                return poly  # instances are immutable, so times 1 may share
             return LaurentPoly._canonical({e1 + e: c1 * c for e1, c1 in poly._coeffs.items()})
         out: dict[int, int] = {}
         for e1, c1 in self._coeffs.items():
             for e2, c2 in other._coeffs.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
+        return LaurentPoly._canonical({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -125,14 +127,7 @@ class LaurentPoly:
             raise TypeError("exponent must be an integer")
         if n < 0:
             return self.inverse() ** (-n)
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return ONE if n == 0 else _binary_power(self, n)
 
     def inverse(self) -> "LaurentPoly":
         """Multiplicative inverse; defined only for the units +-q^e."""
@@ -178,6 +173,22 @@ class LaurentPoly:
 
 ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
+
+
+def _binary_power(x, n: int):
+    """x ** n for n >= 1 by square-and-multiply: n.bit_length() - 1
+    squarings and popcount(n) - 1 further products, none by one."""
+    while not n & 1:
+        x = x * x
+        n >>= 1
+    result = x
+    n >>= 1
+    while n:
+        x = x * x
+        if n & 1:
+            result = result * x
+        n >>= 1
+    return result
 
 
 def qpow(e: int) -> LaurentPoly:

@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Mapping, Sequence
 
-from .qlaurent import ONE, ZERO, LaurentPoly, coefficient_text, power_text, qpow, signed_sum
+from .qlaurent import ONE, ZERO, LaurentPoly, _binary_power, coefficient_text, power_text, qpow, signed_sum
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -138,6 +138,13 @@ class AlgebraElement:
                     data[mono] = coef
         self._terms = data
 
+    @classmethod
+    def _canonical(cls, data: dict[NormalMonomial, LaurentPoly]) -> "AlgebraElement":
+        """Wrap a dict of words to LaurentPoly coefficients, dropping the zero ones."""
+        out = cls.__new__(cls)
+        out._terms = {mono: coef for mono, coef in data.items() if coef}
+        return out
+
     # -- constructors ------------------------------------------------
 
     @classmethod
@@ -190,13 +197,13 @@ class AlgebraElement:
             return NotImplemented
         out = dict(self._terms)
         for mono, coef in other._terms.items():
-            out[mono] = out.get(mono, ZERO) + coef
-        return AlgebraElement(out)
+            out[mono] = out[mono] + coef if mono in out else coef
+        return AlgebraElement._canonical(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement({mono: -coef for mono, coef in self._terms.items()})
+        return AlgebraElement._canonical({mono: -coef for mono, coef in self._terms.items()})
 
     def __sub__(self, other) -> "AlgebraElement":
         other = _coerce_element(other)
@@ -215,7 +222,7 @@ class AlgebraElement:
     def __mul__(self, other) -> "AlgebraElement":
         if isinstance(other, (int, LaurentPoly)):
             c = other if isinstance(other, LaurentPoly) else LaurentPoly({0: other})
-            return AlgebraElement({mono: coef * c for mono, coef in self._terms.items()})
+            return AlgebraElement._canonical({mono: coef * c for mono, coef in self._terms.items()})
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         out: dict[NormalMonomial, LaurentPoly] = {}
@@ -223,8 +230,9 @@ class AlgebraElement:
             for w2, c2 in other._terms.items():
                 c12 = c1 * c2
                 for mono, coef in _mono_product(w1.m, w1.p, w1.r, w2.m, w2.p, w2.r):
-                    out[mono] = out.get(mono, ZERO) + c12 * coef
-        return AlgebraElement(out)
+                    c = c12 * coef
+                    out[mono] = out[mono] + c if mono in out else c
+        return AlgebraElement._canonical(out)
 
     def __rmul__(self, other) -> "AlgebraElement":
         if isinstance(other, (int, LaurentPoly)):
@@ -234,24 +242,16 @@ class AlgebraElement:
     def __pow__(self, n: int) -> "AlgebraElement":
         if not isinstance(n, int) or n < 0:
             raise ValueError("algebra elements support nonnegative integer powers only")
-        result = AlgebraElement.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return AlgebraElement.one() if n == 0 else _binary_power(self, n)
 
     def star(self) -> "AlgebraElement":
         """The involution.  On a basis word:
         (z0^m z1^p xi^r)* = q^{pm} z0*^m z1^p xi^{p-r}, uniformly in signed m.
         """
-        out: dict[NormalMonomial, LaurentPoly] = {}
-        for mono, coef in self._terms.items():
-            sm = NormalMonomial(-mono.m, mono.p, mono.p - mono.r)
-            out[sm] = out.get(sm, ZERO) + coef * qpow(mono.p * mono.m)
-        return AlgebraElement(out)
+        # distinct words have distinct images, so no two terms meet
+        return AlgebraElement._canonical({
+            NormalMonomial(-mono.m, mono.p, mono.p - mono.r): coef * qpow(mono.p * mono.m)
+            for mono, coef in self._terms.items()})
 
     def try_inverse(self) -> "AlgebraElement":
         """Inverse of a unit, i.e. a single term +-q^e xi^r."""

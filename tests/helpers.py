@@ -50,6 +50,28 @@ def random_element(rng: random.Random, max_terms: int = 4) -> AlgebraElement:
     return out
 
 
+# -- counting products -------------------------------------------------------
+
+
+def power_product_count(n: int) -> int:
+    """Products square-and-multiply needs for x ** n, n >= 1: one squaring
+    per bit below the top one, one multiply per set bit after the first."""
+    return n.bit_length() - 1 + n.bit_count() - 1
+
+
+def count_products(monkeypatch, cls) -> list:
+    """Patch cls.__mul__ to log each call; the returned list grows by one per product."""
+    calls = []
+    original = cls.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(cls, "__mul__", counted)
+    return calls
+
+
 # -- dense oracle for the weighted-shift operators ---------------------------
 
 

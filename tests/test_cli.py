@@ -219,6 +219,11 @@ def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "normalize", "z9 +")
     assert code == EXIT_PARSE
     assert "parse error" in err
+    # input is ASCII only: non-ASCII digits are not digits
+    for text in ("z0^\u0663", "z0^\u00b2"):
+        code, out, err = run(capsys, "normalize", text)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert "parse error" in err and "position 3" in err
 
 
 def test_precondition_exit_codes(capsys):

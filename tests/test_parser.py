@@ -68,6 +68,18 @@ def test_syntax_errors_carry_positions():
             lower_text(bad)
 
 
+@pytest.mark.parametrize("text, position", [
+    ("z0^\u0663", 3),       # ARABIC-INDIC DIGIT THREE
+    ("z0^\u00b2", 3),       # SUPERSCRIPT TWO
+    ("z0\u00e9", 2),        # a name stops at its last ASCII letter or digit
+    ("z0\u00a0z1", 2),      # NO-BREAK SPACE
+])
+def test_non_ascii_input_is_rejected(text, position):
+    with pytest.raises(ParseError) as err:
+        lower_text(text)
+    assert err.value.position == position
+
+
 def test_exponent_overflow_rejected():
     with pytest.raises(ParseError):
         lower_text("z0^10000000")

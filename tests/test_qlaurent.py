@@ -6,7 +6,7 @@ import pytest
 
 from qrwp import ONE, ZERO, LaurentPoly, qpow
 
-from helpers import make_rng, random_laurent
+from helpers import count_products, make_rng, power_product_count, random_laurent
 
 
 def test_qpow_zero_is_one():
@@ -42,6 +42,17 @@ def test_canonical_trimming():
     p = random_laurent(make_rng(1))
     assert p + (-p) == ZERO
     assert not (p - p)
+
+
+def test_cancellation_stores_no_zero_coefficient():
+    q = qpow(1)
+    assert ((1 + q) - q)._coeffs == {0: 1}
+    assert ((1 + q) + (-q))._coeffs == {0: 1}
+    # the q terms cancel inside one product
+    assert ((1 + q) * (1 - q))._coeffs == {0: 1, 2: -1}
+    for x in ((1 + q) - (1 + q), (1 + q) * (1 - q) - (1 - q * q), q * 0, (1 - q) * ZERO):
+        assert x._coeffs == {}
+        assert x == ZERO and hash(x) == hash(ZERO)
 
 
 def test_equality_is_mapping_equality():
@@ -90,6 +101,31 @@ def test_powers_and_units():
         (ONE + ONE).inverse()
     with pytest.raises(ValueError):
         (qpow(1) + 1).inverse()
+
+
+def test_power_equals_left_to_right_product():
+    rng = make_rng(4)
+    for x in [ZERO] + [random_laurent(rng) for _ in range(50)]:
+        product = ONE
+        for n in range(10):
+            assert x ** n == product, (x, n)
+            product = product * x
+    for u in (qpow(3), -qpow(-2), -ONE):
+        product = ONE
+        for n in range(10):
+            assert u ** -n == product, (u, n)
+            assert u ** -n * u ** n == ONE
+            product = product * u.inverse()
+
+
+def test_power_makes_no_wasted_products(monkeypatch):
+    x = qpow(1) + 2
+    calls = count_products(monkeypatch, LaurentPoly)
+    for n in range(1, 10):
+        for base, exponent in ((x, n), (-qpow(2), -n)):
+            calls.clear()
+            base ** exponent
+            assert len(calls) == power_product_count(n), (base, exponent)
 
 
 def test_unit_classification():

@@ -18,7 +18,14 @@ from qrwp import (
     qpow,
 )
 
-from helpers import make_rng, random_basis_element, random_element, random_monomial
+from helpers import (
+    count_products,
+    make_rng,
+    power_product_count,
+    random_basis_element,
+    random_element,
+    random_monomial,
+)
 
 A = basis_monomial(0, 2, 1)  # the self-adjoint quasi-central element z1^2 xi
 ONE_EL = AlgebraElement.one()
@@ -168,6 +175,31 @@ def test_zero_coefficients_are_dropped():
     assert AlgebraElement({NormalMonomial(1, 0, 0): qpow(1) - qpow(1)}).is_zero()
 
 
+def test_cancellation_stores_no_zero_coefficient():
+    q = qpow(1)
+    zero = AlgebraElement.zero()
+    # the z0 z1 terms cancel inside one product: z1 z0 = q^-1 z0 z1
+    assert (Z0 - q * Z1) * (Z1 + Z0) == Z0 ** 2 - q * Z1 ** 2
+    cases = (
+        (Z0 + Z1) * Z0S - Z0 * Z0S - Z1 * Z0S,
+        (Z0 + Z1) + (-Z1),
+        (Z0 + Z1) - Z1,
+        Z0 + (-Z0),
+        (Z0 - q * Z1) * (Z1 + Z0),
+        ((Z0 - q * Z1) * (Z1 + Z0)).star(),
+        Z0 * Z0S + A - ONE_EL,
+        (Z0 + Z1) * 0,
+        (Z0 + Z1) * (q - q),
+        zero * (Z0 + Z1),
+        zero.star(),
+    )
+    for x in cases:
+        assert all(coef._coeffs and all(coef._coeffs.values()) for coef in x._terms.values()), x
+        if x.is_zero():
+            assert x == zero and hash(x) == hash(zero)
+    assert cases[0] == zero and cases[-1] == zero
+
+
 def test_rendering_is_ordered():
     x = basis_monomial(1, 1, 0) + basis_monomial(-1, 0, 2) + basis_monomial(0, 2, 1)
     assert str(x) == "z0s xi^2 + z1^2 xi + z0 z1"
@@ -199,3 +231,21 @@ def test_power_operator():
     assert (Z0 * Z0S) ** 2 == (ONE_EL - A) * (ONE_EL - A)
     with pytest.raises(ValueError):
         Z0 ** -1
+
+
+def test_power_equals_left_to_right_product():
+    rng = make_rng(14)
+    for x in [AlgebraElement.zero(), Z0 + Z0S + Z1] + [random_element(rng, max_terms=2) for _ in range(15)]:
+        product = ONE_EL
+        for n in range(10):
+            assert x ** n == product, (x, n)
+            product = product * x
+
+
+def test_power_makes_no_wasted_products(monkeypatch):
+    x = random_element(make_rng(15))
+    calls = count_products(monkeypatch, AlgebraElement)
+    for n in range(1, 10):
+        calls.clear()
+        x ** n
+        assert len(calls) == power_product_count(n), n
