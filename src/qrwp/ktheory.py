@@ -61,6 +61,11 @@ class IndexMap:
     l: int
     entries: tuple[int, ...]
 
+    @property
+    def gcd(self) -> int:
+        """The Smith form of the l x 1 column: the gcd of its entries."""
+        return math.gcd(*self.entries)
+
 
 # -- index map and lift --------------------------------------------------
 
@@ -95,7 +100,7 @@ def assemble_kgroups(delta: IndexMap) -> KGroups:
     g = 0, and coker(delta) = Z^{l - [g != 0]} (+) Z_g.  A zero map yields
     K_1 = Z; the result is reported as computed, mismatches are the
     caller's check."""
-    g = math.gcd(*delta.entries)
+    g = delta.gcd
     k1 = GroupDescriptor(free_rank=0 if g else 1)
     k0 = GroupDescriptor(free_rank=delta.l - (1 if g else 0) + 1, torsion=(g,) if g > 1 else ())
     return KGroups(k0=k0, k1=k1)
@@ -268,11 +273,6 @@ class KReport:
     pullback: dict
 
     @property
-    def stable(self) -> bool:
-        """The index map reads no truncation, so doubling N cannot move it."""
-        return True
-
-    @property
     def all_pass(self) -> bool:
         return (
             self.coisometry_max_deviation < self.tolerance
@@ -289,7 +289,7 @@ class KReport:
             "N": self.dim,
             "tolerance": self.tolerance,
             "index_map": list(self.delta.entries),
-            "index_map_stable": self.stable,
+            "index_map_stable": True,  # the map reads no truncation, so doubling N cannot move it
             "coisometry_max_deviation": self.coisometry_max_deviation,
             "smith_diagonal": list(self.smith_diagonal),
             "k0": self.kgroups.k0.as_dict(),
@@ -317,7 +317,7 @@ def ktheory_report(parity: str, l: int, q: float = 0.5, dim: int = 128,
         tolerance=tol,
         delta=delta,
         coisometry_max_deviation=_lift_deviation(parity, l),
-        smith_diagonal=(math.gcd(*delta.entries),),
+        smith_diagonal=(delta.gcd,),
         kgroups=groups,
         expected=expected_kgroups(parity, l),
         cokernel_map_ok=_cokernel_map_ok(delta),

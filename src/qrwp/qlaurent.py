@@ -8,7 +8,7 @@ are produced only at the very end, by evaluating at a chosen q in (0,1).
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class LaurentPoly:
@@ -164,8 +164,24 @@ class LaurentPoly:
 
     # -- rendering ---------------------------------------------------
 
+    def signed_terms(self) -> list[str]:
+        """Each term, ascending exponent, as a signed piece of a sum:
+        " + 3", " - q^-2", " + 2q"; sum_text joins them."""
+        pieces = []
+        for e, c in sorted(self._coeffs.items()):
+            sign = " + "
+            if c < 0:
+                sign, c = " - ", -c
+            if e == 0:
+                pieces.append(f"{sign}{c}")
+            elif c == 1:
+                pieces.append(f"{sign}q" if e == 1 else f"{sign}q^{e}")
+            else:
+                pieces.append(f"{sign}{c}q" if e == 1 else f"{sign}{c}q^{e}")
+        return pieces
+
     def __str__(self) -> str:
-        return signed_sum([(c < 0, coefficient_text(abs(c), e)) for e, c in self.items_sorted()])
+        return sum_text(self.signed_terms())
 
     def __repr__(self) -> str:
         return f"LaurentPoly({dict(self.items_sorted())!r})"
@@ -206,18 +222,9 @@ def power_text(name: str, e: int) -> str:
     return name if e == 1 else f"{name}^{e}"
 
 
-def coefficient_text(mag: int, e: int) -> str:
-    """The positive coefficient mag * q^e as text: "3", "q^-2", "2q"."""
-    qpart = power_text("q", e)
-    return qpart if mag == 1 and qpart else f"{mag}{qpart}"
-
-
-def signed_sum(terms: Iterable[tuple[bool, str]]) -> str:
-    """Join (negative, text) pairs as "a - b + c" or "-a + ..."; "0" when empty."""
-    pieces: list[str] = []
-    for neg, text in terms:
-        if pieces:
-            pieces.append(f"- {text}" if neg else f"+ {text}")
-        else:
-            pieces.append(f"-{text}" if neg else text)
-    return " ".join(pieces) or "0"
+def sum_text(pieces: list[str]) -> str:
+    """Join signed pieces " + a", " - b" as "a - b + ..." or "-a + ..."; "0" when empty."""
+    text = "".join(pieces)
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else f"-{text[3:]}"

@@ -196,19 +196,23 @@ class RelationReport:
 
 def verify_relations(w: Weights) -> RelationReport:
     """Check every defining relation of the family by exact equality of
-    normal forms; a failing relation is reported, not raised."""
+    normal forms; a failing relation is reported, not raised.  Equal
+    elements have the same canonical text, so a passing relation renders
+    its normal form once, as both sides."""
     gens = generators(w)
     results = []
     for rel in relations_for(w.parity, w.l):
         lhs = eval_side(rel.lhs, gens)
         rhs = eval_side(rel.rhs, gens)
+        passed = lhs == rhs
+        lhs_text = str(lhs)
         results.append(
             RelationResult(
                 rid=rel.rid,
                 statement=rel.statement(w.parity),
-                passed=lhs == rhs,
-                lhs=str(lhs),
-                rhs=str(rhs),
+                passed=passed,
+                lhs=lhs_text,
+                rhs=lhs_text if passed else str(rhs),
             )
         )
     return RelationReport(parity=w.parity, l=w.l, k=w.k, results=tuple(results))

@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Mapping, Sequence
 
-from .qlaurent import ONE, ZERO, LaurentPoly, _binary_power, coefficient_text, power_text, qpow, signed_sum
+from .qlaurent import ONE, ZERO, LaurentPoly, _binary_power, power_text, qpow, sum_text
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -272,26 +272,21 @@ class AlgebraElement:
         return hash(frozenset(self._terms.items()))
 
     def __str__(self) -> str:
-        return signed_sum([_term_text(mono, coef) for mono, coef in self.terms()])
+        pieces = []
+        for mono, coef in self.terms():
+            terms = coef.signed_terms()
+            word = "" if mono.is_identity() else f" {mono}"
+            if len(terms) > 1:
+                pieces.append(f" + ({sum_text(terms)}){word}")
+            elif word and terms[0] in (" + 1", " - 1"):
+                # a coefficient of 1 stays implicit before a word, not on its own
+                pieces.append(terms[0][:3] + word[1:])
+            else:
+                pieces.append(terms[0] + word)
+        return sum_text(pieces)
 
     def __repr__(self) -> str:
         return f"<AlgebraElement {self}>"
-
-
-def _term_text(mono: NormalMonomial, coef: LaurentPoly) -> tuple[bool, str]:
-    items = coef.items_sorted()
-    if len(items) > 1:
-        coef_txt, neg = f"({coef})", False
-    else:
-        (e, c), = items
-        neg = c < 0
-        # a coefficient of 1 stays implicit before a word, not on its own
-        bare = abs(c) == 1 and e == 0 and not mono.is_identity()
-        coef_txt = "" if bare else coefficient_text(abs(c), e)
-    mono_txt = "" if mono.is_identity() else str(mono)
-    if coef_txt and mono_txt:
-        return neg, f"{coef_txt} {mono_txt}"
-    return neg, coef_txt or mono_txt
 
 
 def _coerce_element(x):

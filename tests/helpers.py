@@ -42,12 +42,60 @@ def random_basis_element(rng: random.Random, **kw) -> AlgebraElement:
     return AlgebraElement.monomial(mono.m, mono.p, mono.r)
 
 
-def random_element(rng: random.Random, max_terms: int = 4) -> AlgebraElement:
+def random_element(rng: random.Random, max_terms: int = 4, **coeff_kw) -> AlgebraElement:
+    coeff_kw.setdefault("max_exp", 4)
     out = AlgebraElement.zero()
     for _ in range(rng.randint(1, max_terms)):
         mono = random_monomial(rng)
-        out = out + AlgebraElement({mono: random_nonzero_laurent(rng, max_exp=4)})
+        out = out + AlgebraElement({mono: random_nonzero_laurent(rng, **coeff_kw)})
     return out
+
+
+# -- reference renderer ------------------------------------------------------
+
+
+def _power(name: str, e: int) -> str:
+    return "" if e == 0 else name if e == 1 else f"{name}^{e}"
+
+
+def _coefficient(mag: int, e: int) -> str:
+    qpart = _power("q", e)
+    return qpart if mag == 1 and qpart else f"{mag}{qpart}"
+
+
+def _signed_sum(terms) -> str:
+    pieces = []
+    for neg, text in terms:
+        if pieces:
+            pieces.append(f"- {text}" if neg else f"+ {text}")
+        else:
+            pieces.append(f"-{text}" if neg else text)
+    return " ".join(pieces) or "0"
+
+
+def _word(mono: NormalMonomial) -> str:
+    parts = (_power("z0" if mono.m > 0 else "z0s", abs(mono.m)), _power("z1", mono.p), _power("xi", mono.r))
+    return " ".join(filter(None, parts))
+
+
+def _term(mono: NormalMonomial, coef: LaurentPoly) -> tuple[bool, str]:
+    items = coef.items_sorted()
+    word = _word(mono)
+    if len(items) > 1:
+        neg, coef_txt = False, f"({reference_text(coef)})"
+    else:
+        (e, c), = items
+        neg = c < 0
+        coef_txt = "" if abs(c) == 1 and e == 0 and word else _coefficient(abs(c), e)
+    return neg, " ".join(filter(None, (coef_txt, word)))
+
+
+def reference_text(x) -> str:
+    """Text of a LaurentPoly or AlgebraElement, term by term from the
+    rendering rules, independently of qrwp's formatter."""
+    if isinstance(x, LaurentPoly):
+        return _signed_sum((c < 0, _coefficient(abs(c), e)) for e, c in x.items_sorted())
+    return _signed_sum(_term(mono, coef) for mono, coef in x.terms())
 
 
 # -- counting products -------------------------------------------------------

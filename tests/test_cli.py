@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import shlex
@@ -70,6 +71,18 @@ def test_verify_relations_json(capsys):
     assert payload["all_pass"] is True
     assert len(payload["relations"]) == 11
     assert payload["relations"][0]["id"] == "odd.1"
+
+
+@pytest.mark.parametrize("parity, l, digest", [
+    ("odd", "14", "6357bea2cdc421c21e074b839db364ac65a327a31e1e85aeca70155055ebe118"),
+    ("even", "25", "cf5dae0efa44e67a1db1f06a110f7125f9ee7685f9d32eda0ab29665cb3b4caf"),
+])
+def test_verify_relations_json_is_byte_stable(capsys, parity, l, digest):
+    # sha256 of the whole stdout, trailing newline included; the text does
+    # not depend on PYTHONHASHSEED
+    code, out, _ = run(capsys, "verify-relations", "--parity", parity, "--l", l, "--format", "json")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_factorize(capsys):

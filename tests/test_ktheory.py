@@ -85,8 +85,11 @@ def test_index_map_matches_dense_svd_rank():
 
 
 def test_index_map_stability():
+    # the map reads no truncation, so doubling N cannot move it
     for parity, l in (("even", 3), ("odd", 2)):
-        assert ktheory_report(parity, l, Q, 64).stable
+        report = ktheory_report(parity, l, Q, 64)
+        assert report.delta == ktheory_report(parity, l, Q, 128).delta
+        assert report.as_dict()["index_map_stable"] is True
 
 
 def test_kernel_checks_follow_the_modulus_relation(monkeypatch):

@@ -15,7 +15,7 @@ from qrwp import (
 )
 from qrwp.parser import LoweringError
 
-from helpers import make_rng, random_element
+from helpers import make_rng, random_element, reference_text
 
 
 def test_lowering_examples():
@@ -98,8 +98,11 @@ def test_lowering_errors():
 
 def test_round_trip_randomized():
     rng = make_rng(50)
-    for _ in range(500):
-        x = random_element(rng)
+    values = [random_element(rng) for _ in range(500)]
+    # multi-digit and negative coefficients with exponents -1, 0 and 1
+    values += [random_element(rng, max_exp=1, max_coeff=150) for _ in range(300)]
+    for x in values:
+        assert render(x) == reference_text(x), repr(x)
         assert lower_text(render(x)) == x, render(x)
 
 
@@ -111,7 +114,10 @@ def test_round_trip_corner_cases():
         AlgebraElement.scalar(qpow(-2) - 1),
         AlgebraElement.monomial(-2, 1, -3, -qpow(4)),
         basis_monomial(0, 0, 5) - basis_monomial(3, 0, 0) * qpow(-1),
+        AlgebraElement.monomial(1, 0, 0, -1) + AlgebraElement.monomial(0, 1, 0, 10) - qpow(1),
+        AlgebraElement.monomial(-1, 2, 1, qpow(1) - 1) + AlgebraElement.scalar(-qpow(-1) + 17),
     ):
+        assert render(x) == reference_text(x), repr(x)
         assert lower_text(render(x)) == x, render(x)
 
 

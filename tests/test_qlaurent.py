@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from qrwp import ONE, ZERO, LaurentPoly, qpow
+from qrwp import ONE, ZERO, LaurentPoly, lower_text, qpow
 
-from helpers import count_products, make_rng, power_product_count, random_laurent
+from helpers import count_products, make_rng, power_product_count, random_laurent, reference_text
 
 
 def test_qpow_zero_is_one():
@@ -146,3 +146,11 @@ def test_rendering():
     assert str(-qpow(1)) == "-q"
     assert str(LaurentPoly({1: -2, 3: 1})) == "-2q + q^3"
     assert str(LaurentPoly({-1: 1, 0: -1, 1: 4})) == "q^-1 - 1 + 4q"
+    # seeded values against the term-by-term reference, and back through the parser
+    rng = make_rng(60)
+    values = [ZERO, ONE, -ONE, qpow(-1), -qpow(-1), qpow(1), -qpow(1), LaurentPoly({0: 12, 1: -305})]
+    values += [random_laurent(rng, max_exp=1, max_coeff=150) for _ in range(200)]
+    values += [random_laurent(rng, max_exp=12, max_coeff=10 ** 6, max_terms=6) for _ in range(200)]
+    for p in values:
+        assert str(p) == reference_text(p), repr(p)
+        assert lower_text(str(p)) == p, str(p)

@@ -18,7 +18,8 @@ from qrwp import (
     verify_relations,
     word_element,
 )
-from qrwp.qwrp import GeneratorWord, word_text
+from qrwp import qwrp
+from qrwp.qwrp import GeneratorSet, GeneratorWord, eval_side, word_text
 
 
 def test_generator_examples():
@@ -80,15 +81,32 @@ def test_odd_small_cases():
     assert gens.b * gens.b == qpow(6) * gens.a * gens.c
 
 
-def test_failed_relation_is_reported_not_raised():
+def test_failed_relation_is_reported_not_raised(monkeypatch):
     # a deliberately wrong generator set: c = z1 gives c c* = a, not 1 - a
-    from qrwp.qwrp import GeneratorSet, eval_side
-
     broken = GeneratorSet(weights=Weights(2, 1), a=basis_monomial(0, 2, 1), c=basis_monomial(0, 1, 0))
-    rel = relations_for("even", 1)[2]   # c c* = 1 - a
-    assert eval_side(rel.lhs, broken) != eval_side(rel.rhs, broken)
+    monkeypatch.setattr(qwrp, "generators", lambda w: broken)
     report = verify_relations(Weights(2, 1))
-    assert report.all_pass and all(isinstance(r.passed, bool) for r in report.results)
+    rel = relations_for("even", 1)[2]   # c c* = 1 - a
+    res = report.results[2]
+    assert res.rid == rel.rid == "even.3"
+    assert res.passed is False and report.all_pass is False
+    assert res.lhs == str(eval_side(rel.lhs, broken))
+    assert res.rhs == str(eval_side(rel.rhs, broken))
+    assert res.lhs != res.rhs
+
+
+def test_normal_forms_are_each_sides_own_text():
+    # a passing relation stores one rendering as both sides; it must be
+    # the text of each side evaluated on its own
+    families = [("even", l) for l in (1, 3, 5, 7, 9)] + [("odd", l) for l in range(1, 9)]
+    for parity, l in families:
+        w = Weights.canonical(parity, l)
+        gens = generators(w)
+        report = verify_relations(w)
+        for rel, res in zip(relations_for(parity, l), report.results, strict=True):
+            assert res.rid == rel.rid
+            assert res.lhs == str(eval_side(rel.lhs, gens)), rel.rid
+            assert res.rhs == str(eval_side(rel.rhs, gens)), rel.rid
 
 
 def test_factorize_examples():
