@@ -17,26 +17,30 @@ The table of (offset, h, S), in which the central unitary acts trivially:
 The kernels c+ e_0 = b e_0 = 0, c- e_0 = c- e_1 = 0 are read from the
 relations that state g* g as a product in a (even.4, odd.7, odd.11): a
 factor (1 - q^{2e} a) vanishes on e_n exactly where e + ln + r = 0, an
-integer condition that holds for every q (modulus_kernel).  The float
-scan of g* g's diagonal (kernel_columns) is kept as its test oracle.
-Everything is compressed to span{e_0, ..., e_{N-1}}; all displayed
-operators lower the index, so compression is exact except in the top
-band, and checks read the interior window of N - 2l columns (so N > 2l).
-Every operator is stored as a WeightedShift; products and adjoints stay
-weighted shifts, so a relation side costs O(N) per factor.
+integer condition that holds for every q (modulus_kernel).
+
+A relation side composes, factor by factor, into one such weight with a
+q-power and the multiset S of every factor's half-factors, written in
+the exponent of the column that the product reads (compose_side).  A
+relation holds exactly when its two sides are one operator
+(same_operator), so its verdict is exact at every q and on every column;
+floats only measure how far apart the sides of a failing relation are.
+Operators are compressed to span{e_0, ..., e_{N-1}} as WeightedShift;
+all displayed operators lower the index, so compression is exact except
+in the top band, and residuals read the N - 2l interior columns (N > 2l).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import sys
+from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .qwrp import RelationSide, generators, relations_for
+from .qwrp import Relation, RelationSide, generators, relations_for
 from .grading import Weights
 from .sigma3 import NormalMonomial
 
@@ -57,13 +61,10 @@ def _shifted(d: np.ndarray, k: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False, slots=True)
 class WeightedShift:
     """The operator M[i, i + offset] = weights[i] on span{e_0, ..., e_{N-1}};
-    weights whose column i + offset lies outside 0..N-1 are zero.  A shift
-    built from a weight form keeps in exponents the x of the column that
-    each row reads (see eval_side_matrix)."""
+    weights whose column i + offset lies outside 0..N-1 are zero."""
 
     offset: int
     weights: np.ndarray
-    exponents: np.ndarray | None = None
 
     def __post_init__(self):
         w = np.array(self.weights)
@@ -79,22 +80,6 @@ class WeightedShift:
     @property
     def dim(self) -> int:
         return self.weights.size
-
-    def __matmul__(self, other: "WeightedShift") -> "WeightedShift":
-        """(AB)[i, i + kA + kB] = dA[i] * dB[i + kA].  An exact zero factor
-        gives an exact zero, also against a factor that overflowed to inf."""
-        d_a, d_b = self.weights, _shifted(other.weights, self.offset)
-        out = np.zeros(d_a.size, dtype=np.result_type(d_a, d_b))
-        np.multiply(d_a, d_b, out=out, where=(d_a != 0) & (d_b != 0))
-        return WeightedShift(self.offset + other.offset, out)
-
-    def adjoint(self) -> "WeightedShift":
-        return WeightedShift(-self.offset, _shifted(self.weights.conj(), -self.offset))
-
-    def column_max(self, cols: int) -> float:
-        """Largest |entry| in the first cols columns (0 when there is none)."""
-        rows = max(0, min(self.dim, cols - self.offset))
-        return float(np.max(np.abs(self.weights[:rows]))) if rows else 0.0
 
     @property
     def matrix(self) -> np.ndarray:
@@ -171,23 +156,28 @@ def a_exponents(l: int, r: int | np.ndarray, columns: np.ndarray) -> np.ndarray:
     return 2 * (l * columns + r)
 
 
-def form_weights(form: WeightForm, q: float, x: np.ndarray) -> np.ndarray:
-    """The weights q^{h x/2} prod_{s in S} (1 - q^{2s + x})^{1/2} of a form
-    on a's integer exponents x.  A negative radicand signals a mistyped
-    form (or a kernel column) and is a hard error."""
+def form_weights(form: WeightForm | SideForm, q: float, x: np.ndarray, q_exponent: int = 0) -> np.ndarray:
+    """The weights q^{q_exponent + h x/2} prod_{s in S} (1 - q^{2s + x})^{1/2}
+    of a form on a's integer exponents x.  A repeated s is a full factor
+    raised to an integer power, which may be negative; a negative radicand
+    under a square root signals a mistyped form (or a kernel column) and
+    is a hard error."""
     acc = 1.0
-    for s in form.factors:
+    for s, count in Counter(form.factors).items():
         radicand = 1.0 - q ** (2 * s + x)
-        if np.any(radicand < 0.0):
-            raise ArithmeticError(f"negative radicand 1 - q^{int(np.min(2 * s + x))} in shift weight")
-        acc = acc * np.sqrt(radicand)
-    return q ** (form.h * x // 2) * acc
+        if count % 2:
+            if np.any(radicand < 0.0):
+                raise ArithmeticError(f"negative radicand 1 - q^{int(np.min(2 * s + x))} in shift weight")
+            acc = acc * np.sqrt(radicand)
+        if count > 1:
+            acc = acc * radicand ** (count // 2)
+    return q ** (q_exponent + form.h * x // 2) * acc
 
 
 def _weighted_shift(form: WeightForm, q: float, l: int, r: int, dim: int) -> WeightedShift:
     """The weighted shift of a weight form on e_0..e_{N-1}."""
     x = a_exponents(l, r, np.arange(dim) + form.offset)  # the column each row reads
-    return WeightedShift(form.offset, form_weights(form, q, x), x)
+    return WeightedShift(form.offset, form_weights(form, q, x))
 
 
 def rep_generator(inst: RepInstance, gen: str) -> WeightedShift:
@@ -219,83 +209,48 @@ def rep_sigma(mono: NormalMonomial, q: float, dim: int) -> WeightedShift:
 # -- relation residuals ----------------------------------------------
 
 
-def eval_side_matrix(side: RelationSide, ops: Mapping[str, WeightedShift], q: float) -> WeightedShift:
-    """Evaluate one relation side on weighted-shift operators.
+class SideForm(NamedTuple):
+    """A relation side composed on the weight table: row i reads column
+    i + offset with the weight q^{q_exponent + h X/2} prod_{s in factors}
+    (1 - q^{2s + X})^{1/2}, X = 2(l(i + offset) + r), and is 0 below row
+    lowest, where some factor would read or write a column below e_0."""
 
-    A factor (1 - q^{2e} a) acts on e_n as 1 - q^{2e + x_n}, with x_n the
-    integer exponent of a's diagonal, so it is exactly zero where
-    2e + x_n = 0 instead of a rounding residue that the other factors
-    (up to q^{-4l}) would amplify."""
-    a = ops["a"]
-    out = WeightedShift(0, np.full(a.dim, q ** side.q_exponent))
+    offset: int
+    q_exponent: int
+    h: int
+    factors: tuple[int, ...]
+    lowest: int
+
+
+def compose_side(side: RelationSide, parity: str, l: int) -> SideForm:
+    """Compose a relation side, left to right, from generator_form, written
+    in X, the exponent of the column that the product so far reads.
+    Appending a factor (k, h_f, S_f) moves that column k steps up, so every
+    earlier half-factor s becomes s - lk and the earlier q^{hX/2} gains
+    q^{-hlk}.  The adjoint of (k, h, S) is (-k, h, S + lk) times q^{hlk};
+    a product factor (1 - q^{2e} a) is the half-factor s = e twice."""
+    offset, q_exponent, h, factors, lowest = 0, side.q_exponent, 0, [], 0
     for f in side.factors:
-        if f[0] == "gen":
-            op = ops[f[1]]
-            out = out @ (op.adjoint() if f[2] else op)
+        if f[0] == "prod":
+            k, e_f, h_f, s_f = 0, 0, 0, f[1] * 2
         else:
-            for e in f[1]:
-                # at tiny q a kernel column's factor overflows to -inf; the
-                # exact zero factor of that column absorbs it in the product
-                with np.errstate(over="ignore"):
-                    factor = 1.0 - q ** (2 * e + a.exponents)
-                out = out @ WeightedShift(0, factor)
-    return out
+            (k, h_f, s_f), e_f = generator_form(parity, l, f[1]), 0
+            if f[2]:
+                k, e_f, s_f = -k, h_f * l * k, [s + l * k for s in s_f]
+        factors = [s - l * k for s in factors] + list(s_f)
+        q_exponent += e_f - h * l * k
+        h, offset = h + h_f, offset + k
+        lowest = max(lowest, -offset)
+    return SideForm(offset, q_exponent, h, tuple(sorted(factors)), lowest)
 
 
-# The relation whose right side states g* g as a product in a.
-_MODULUS_RELATION = {("even", "c"): "even.4", ("odd", "b"): "odd.7", ("odd", "c"): "odd.11"}
-
-
-def modulus_side(parity: str, l: int, gen: str) -> RelationSide:
-    """The right side of the relation that states g* g: even.4 for c+,
-    odd.7 for b, odd.11 for c-."""
-    rid = _MODULUS_RELATION.get((parity, gen))
-    if rid is None:
-        raise ValueError(f"no relation states g* g for generator {gen!r} in the {parity} family")
-    return next(rel.rhs for rel in relations_for(parity, l) if rel.rid == rid)
-
-
-def modulus_kernel(parity: str, l: int, r: int, gen: str) -> tuple[int, ...]:
-    """The columns n >= 0 on which g* g vanishes for label r, read off
-    integers: a factor (1 - q^{2e} a) of modulus_side is zero on e_n
-    exactly where e + ln + r = 0, whatever q is.  A factor is negative
-    where e + ln + r < 0, which g* g >= 0 allows only on a kernel column;
-    anywhere else it is a hard error.  Past column (-min e - r) / l every
-    factor is positive, so only the columns below it are read."""
-    _check_label(parity, l, r)
-    exps = [e for f in modulus_side(parity, l, gen).factors if f[0] == "prod" for e in f[1]]
-    kernel = []
-    for n in range(max(0, (-min(exps, default=0) - r) // l + 1)):
-        heights = [e + l * n + r for e in exps]
-        if 0 in heights:
-            kernel.append(n)
-        elif min(heights) < 0:
-            raise ArithmeticError(f"negative modulus factor 1 - q^{2 * min(heights)} "
-                                  f"at non-kernel column {n} (label r={r})")
-    return tuple(kernel)
-
-
-def kernel_columns(inst: RepInstance, gen: str) -> tuple[np.ndarray, int]:
-    """The diagonal of g* g on e_0..e_{N-1}, and its run of leading exact
-    zeros: modulus_side evaluated in floats.  Only tests call it, as the
-    numeric cross-check of modulus_kernel (the factor a in odd.7
-    underflows to 0.0 deep in the tail, so later zeros do not count)."""
-    rhs = modulus_side(inst.parity, inst.l, gen)
-    diag = eval_side_matrix(rhs, {"a": rep_generator(inst, "a")}, inst.q).weights
-    nonzero = np.flatnonzero(diag)
-    return diag, int(nonzero[0]) if nonzero.size else diag.size
-
-
-def _interior_max(lhs: WeightedShift, rhs: WeightedShift, interior_cols: int) -> float:
-    """Max |lhs - rhs| over the first interior_cols columns."""
-    if lhs.offset == rhs.offset:
-        return WeightedShift(lhs.offset, lhs.weights - rhs.weights).column_max(interior_cols)
-    return max(lhs.column_max(interior_cols), rhs.column_max(interior_cols))
-
-
-def _instance_ops(inst: RepInstance) -> dict[str, WeightedShift]:
-    names = ("a", "c") if inst.parity == "even" else ("a", "b", "c")
-    return {name: rep_generator(inst, name) for name in names}
+def same_operator(lhs: SideForm, rhs: SideForm, l: int, r: int) -> bool:
+    """Whether two composed sides are one operator for label r, at every q
+    and on every column: one weight where both sides reach every column,
+    and an exact zero factor on each row where only one side does."""
+    low, high = sorted((lhs.lowest, rhs.lowest))
+    return lhs[:4] == rhs[:4] and all(any(s + l * (n + lhs.offset) + r == 0 for s in lhs.factors)
+                                      for n in range(low, high))
 
 
 @dataclass(frozen=True, slots=True)
@@ -306,20 +261,61 @@ class ResidualEntry:
     passed: bool
 
 
-def relation_residuals(parity: str, l: int, q: float = 0.5, dim: int = 256,
-                       tol: float = 1e-10) -> list[ResidualEntry]:
-    """Max interior residual of every defining relation, per label r."""
-    rels = relations_for(parity, l)
-    entries: list[ResidualEntry] = []
+def relation_residuals(parity: str, l: int, q: float = 0.5, dim: int = 256) -> list[ResidualEntry]:
+    """Every defining relation, per label r.  It passes when its two sides
+    are one operator, with residual 0.0; otherwise the residual is the
+    largest difference of the sides' entries on the N - 2l interior
+    columns, in the rows where both sides reach every column."""
+    _check_label(parity, l, 1)
     interior = max(0, dim - 2 * l)
+    forms = [(rel.rid, compose_side(rel.lhs, parity, l), compose_side(rel.rhs, parity, l))
+             for rel in relations_for(parity, l)]
+    entries: list[ResidualEntry] = []
     for r in range(1, l + 1):
-        ops = _instance_ops(RepInstance(parity, l, r, q, dim))
-        for rel in rels:
-            lhs = eval_side_matrix(rel.lhs, ops, q)
-            rhs = eval_side_matrix(rel.rhs, ops, q)
-            res = _interior_max(lhs, rhs, interior)
-            entries.append(ResidualEntry(r=r, rid=rel.rid, residual=res, passed=res < tol))
+        for rid, lhs, rhs in forms:
+            passed, res = same_operator(lhs, rhs, l, r), 0.0
+            if not passed:
+                first = max(lhs.lowest, rhs.lowest)  # each side reads columns first + offset onwards
+                left, right = (form_weights(f, q, a_exponents(l, r, np.arange(first + f.offset, interior)),
+                                            f.q_exponent) for f in (lhs, rhs))
+                # shifts with different offsets share no entry
+                diff = left - right if lhs.offset == rhs.offset else np.concatenate((left, right))
+                res = float(np.max(np.abs(diff), initial=0.0))
+            entries.append(ResidualEntry(r=r, rid=rid, residual=res, passed=passed))
     return entries
+
+
+# The relation whose right side states g* g as a product in a.
+_MODULUS_RELATION = {("even", "c"): "even.4", ("odd", "b"): "odd.7", ("odd", "c"): "odd.11"}
+
+
+def modulus_relation(parity: str, l: int, gen: str) -> Relation:
+    """The relation g* g = (a product in a): even.4 for c+, odd.7 for b,
+    odd.11 for c-."""
+    rid = _MODULUS_RELATION.get((parity, gen))
+    if rid is None:
+        raise ValueError(f"no relation states g* g for generator {gen!r} in the {parity} family")
+    return next(rel for rel in relations_for(parity, l) if rel.rid == rid)
+
+
+def modulus_kernel(parity: str, l: int, r: int, gen: str) -> tuple[int, ...]:
+    """The columns n >= 0 on which g* g vanishes for label r, read off
+    integers: a factor (1 - q^{2e} a) of modulus_relation is zero on e_n
+    exactly where e + ln + r = 0, whatever q is.  A factor is negative
+    where e + ln + r < 0, which g* g >= 0 allows only on a kernel column;
+    anywhere else it is a hard error.  Past column (-min e - r) / l every
+    factor is positive, so only the columns below it are read."""
+    _check_label(parity, l, r)
+    exps = [e for f in modulus_relation(parity, l, gen).rhs.factors if f[0] == "prod" for e in f[1]]
+    kernel = []
+    for n in range(max(0, (-min(exps, default=0) - r) // l + 1)):
+        heights = [e + l * n + r for e in exps]
+        if 0 in heights:
+            kernel.append(n)
+        elif min(heights) < 0:
+            raise ArithmeticError(f"negative modulus factor 1 - q^{2 * min(heights)} "
+                                  f"at non-kernel column {n} (label r={r})")
+    return tuple(kernel)
 
 
 def kernel_conditions_exact(parity: str, l: int) -> bool:
@@ -334,17 +330,18 @@ def kernel_conditions_exact(parity: str, l: int) -> bool:
 def scalar_relation_residual(parity: str, l: int, theta: float, q: float = 0.5) -> float:
     """Max residual of the relation set in the one-dimensional
     representation: a = 0 makes every product factor equal 1, so a side
-    is its q-power times the generator values, conjugated where starred."""
+    is its q-power times the generator values, conjugated where starred.
+    A side with a or b in it is 0, and its q-power is never evaluated."""
     # Python complex arithmetic: numpy's vectorised complex product may be
     # fused and leave an imaginary residue of ~1e-18 in c c* = 1.
     values = rep_scalar(theta, parity)
 
     def value(side: RelationSide) -> complex:
-        out = q ** side.q_exponent
+        out = 1.0
         for f in side.factors:
             if f[0] == "gen":
                 out *= values[f[1]].conjugate() if f[2] else values[f[1]]
-        return out
+        return out * q ** side.q_exponent if out else out
 
     return max(abs(value(rel.lhs) - value(rel.rhs)) for rel in relations_for(parity, l))
 
@@ -499,16 +496,7 @@ def rep_report(parity: str, l: int, q: float = 0.5, dim: int = 256,
     if dim <= 2 * l:
         raise ValueError(f"truncation too small: l={l} needs N >= {2 * l + 1} "
                          f"(the checks read the N - 2l interior columns)")
-    # the smallest q at which every relation scalar q^e fits in a double,
-    # rounded up to the three digits that the message prints
-    lowest = min(side.q_exponent for rel in relations_for(parity, l) for side in (rel.lhs, rel.rhs))
-    bound = math.exp(math.log(sys.float_info.max) / lowest)
-    scale = 10.0 ** (math.floor(math.log10(bound)) - 2)
-    q_min = float(f"{math.ceil(bound / scale) * scale:.3g}")
-    if q < q_min:
-        raise ValueError(f"q too small: l={l} needs q >= {q_min:g} "
-                         f"(the relation scalar q^{lowest} must fit in a double)")
-    residuals = tuple(relation_residuals(parity, l, q, dim, tol))
+    residuals = tuple(relation_residuals(parity, l, q, dim))
     kernel = kernel_conditions_exact(parity, l)
     scalar = max(scalar_relation_residual(parity, l, theta, q) for theta in (0.0, 0.25, 0.5, 0.8))
     inter = intertwiner_check(parity, l, q, dim)["max_residual"]

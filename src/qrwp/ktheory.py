@@ -5,14 +5,15 @@ with a sum of l compact ideals and circle functions as quotient.  The
 connecting index map sends the quotient unitary's class to the defect
 class of a lifted coisometry: per label r the lift is the generator c
 divided by the square root of its modulus c* c = prod_m (1 - q^{-2m} a)
-(even.4, odd.11).  When c's squared weight form is that product, the
-quotient is the bare shift past the kernel of c on every column and at
-every q.  That kernel is read off the product's integer exponents
-(fockrep.modulus_kernel): one column in the even family, two in the odd.
-The defect 1 - U*U of the lift projects onto those columns, so its rank
-is the kernel size, and no truncation enters.  The ranks fill an l x 1
-integer column delta, whose Smith form is its gcd; kernel and cokernel
-of delta, read off gcd(delta), assemble the K-groups:
+(even.4, odd.11).  When that relation's sides are one operator
+(fockrep.same_operator), the quotient is the bare shift past the kernel
+of c on every column and at every q.  That kernel is read off the
+product's integer exponents (fockrep.modulus_kernel): one column in the
+even family, two in the odd.  The defect 1 - U*U of the lift projects
+onto those columns, so its rank is the kernel size, and no truncation
+enters.  The ranks fill an l x 1 integer column delta, whose Smith form
+is its gcd; kernel and cokernel of delta, read off gcd(delta), assemble
+the K-groups:
 
     K_1 = ker(delta),    K_0 = coker(delta) (+) Z.
 """
@@ -25,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fockrep import RepInstance, a_exponents, form_weights, generator_form, modulus_kernel, modulus_side
+from .fockrep import (RepInstance, a_exponents, compose_side, form_weights, generator_form, modulus_kernel,
+                      modulus_relation, same_operator)
 # not called here; perfbench/tests/test_perfbench.py checks that tracing patches this name too
 from .fockrep import rep_generator
 from .qlaurent import power_text
@@ -81,14 +83,12 @@ def index_map(parity: str, l: int) -> IndexMap:
 
 def _lift_deviation(parity: str, l: int) -> float:
     """Max |c (c* c)^{-1/2} - shift| past the kernel, over every column and
-    every q: 0.0 when c's squared weight form q^{h x} prod_{s in S}
-    (1 - q^{2s + x}) is the modulus side itself (h = 0, no q-power, only
-    product factors, the same exponents), so that the quotient is 1 on
-    every column; 1.0 otherwise."""
-    form, side = generator_form(parity, l, "c"), modulus_side(parity, l, "c")
-    same = (form.h == 0 and side.q_exponent == 0 and all(f[0] == "prod" for f in side.factors)
-            and sorted(form.factors) == sorted(e for f in side.factors for e in f[1]))
-    return 0.0 if same else 1.0
+    every q: 0.0 when c* c and the modulus side (even.4, odd.11) compose to
+    one operator for every label, so that the quotient is 1 on every
+    column; 1.0 otherwise."""
+    rel = modulus_relation(parity, l, "c")
+    lhs, rhs = compose_side(rel.lhs, parity, l), compose_side(rel.rhs, parity, l)
+    return 0.0 if all(same_operator(lhs, rhs, l, r) for r in range(1, l + 1)) else 1.0
 
 
 # -- K-group assembly ----------------------------------------------------

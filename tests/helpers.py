@@ -8,6 +8,7 @@ import random
 import numpy as np
 
 from qrwp import AlgebraElement, LaurentPoly, NormalMonomial
+from qrwp import fockrep
 
 SEED = 31415926
 
@@ -125,7 +126,7 @@ def count_products(monkeypatch, cls) -> list:
 
 def dense_side(side, mats, q: float) -> np.ndarray:
     """One relation side evaluated on dense matrices with np.eye and @,
-    independently of the banded evaluation in qrwp.fockrep."""
+    independently of the composition on the weight table in qrwp.fockrep."""
     dim = mats["a"].shape[0]
     eye = np.eye(dim, dtype=np.complex128)
     out = (q ** side.q_exponent) * eye
@@ -149,3 +150,28 @@ def dense_kernel_dim(mat: np.ndarray, tol: float) -> int:
     """Kernel dimension of a dense matrix: its columns minus the singular
     values above tol."""
     return mat.shape[1] - int(np.sum(np.linalg.svd(mat, compute_uv=False) > tol))
+
+
+def kernel_columns(inst, gen: str) -> tuple[np.ndarray, int]:
+    """The diagonal of g* g on e_0..e_{N-1}, and its run of leading exact
+    zeros: the modulus relation's right side evaluated in floats, the
+    numeric oracle of fockrep.modulus_kernel.  The side holds a (in odd.7)
+    and factors (1 - q^{2e} a), each evaluated from its integer exponent.
+    At tiny q a kernel column's factor overflows to -inf, and the column's
+    exact zero factor wins over it.  The factor a underflows to 0.0 deep in
+    the tail, so later zeros do not count."""
+    side = fockrep.modulus_relation(inst.parity, inst.l, gen).rhs
+    x = fockrep.a_exponents(inst.l, inst.r, np.arange(inst.dim))
+    diag = np.full(inst.dim, inst.q ** side.q_exponent)
+    for f in side.factors:
+        if f[0] == "gen":
+            factors = [fockrep.rep_generator(inst, f[1]).weights]   # only a, which is diagonal
+        else:
+            with np.errstate(over="ignore"):
+                factors = [1.0 - inst.q ** (2 * e + x) for e in f[1]]
+        for factor in factors:
+            out = np.zeros(inst.dim)
+            np.multiply(diag, factor, out=out, where=(diag != 0) & (factor != 0))
+            diag = out
+    nonzero = np.flatnonzero(diag)
+    return diag, int(nonzero[0]) if nonzero.size else diag.size

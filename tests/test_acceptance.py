@@ -102,9 +102,10 @@ def test_criterion_4_representation_residuals():
     started = time.perf_counter()
     for parity, ls in (("even", (1, 3, 5)), ("odd", ODD_LS)):
         for l in ls:
-            entries = relation_residuals(parity, l, Q, N, tol=1e-10)
+            entries = relation_residuals(parity, l, Q, N)
             for entry in entries:
                 assert entry.passed, (parity, l, entry)
+                assert entry.residual < 1e-10, (parity, l, entry)
             assert kernel_conditions_exact(parity, l), (parity, l)
     _report(4, "relation residuals < 1e-10 on interior at q=0.5, N=256; kernels exact", started)
 

@@ -127,16 +127,14 @@ def test_rep_check_rejects_an_empty_interior(capsys):
     assert "all pass: yes" in out
 
 
-def test_rep_check_names_the_smallest_q(capsys):
-    # the relation scalar q^-4l of odd.3 must fit in a double: q^-16 overflows
-    # below q = 5.4247e-20, q^-20 below q = 3.87e-16
-    for l, q_min in (("4", "5.43e-20"), ("5", "3.87e-16")):
-        code, out, err = run(capsys, "rep-check", "--parity", "odd", "--l", l, "--q", "1e-20", "--N", "64")
-        assert code == EXIT_PRECONDITION, l
-        assert f"l={l} needs q >= {q_min}" in err and not out
-        code, out, _ = run(capsys, "rep-check", "--parity", "odd", "--l", l, "--q", q_min, "--N", "64")
-        assert code == EXIT_OK, l
-        assert "all pass: yes" in out
+def test_rep_check_accepts_every_q(capsys):
+    # relation verdicts are exact and a side with a or b in it is 0 in the
+    # one-dimensional representation, so no relation scalar q^-4l is evaluated
+    for l in ("4", "5"):
+        for q in ("1e-20", "1e-300", "5e-324"):
+            code, out, err = run(capsys, "rep-check", "--parity", "odd", "--l", l, "--q", q, "--N", "64")
+            assert code == EXIT_OK, (l, q, err)
+            assert "all pass: yes" in out
 
 
 @pytest.mark.parametrize("argv", [
@@ -249,11 +247,26 @@ def test_precondition_exit_codes(capsys):
     assert code == EXIT_PRECONDITION
 
 
-def test_check_failure_exit_code(capsys):
-    # an absurdly small tolerance forces the numeric residual checks to fail
-    code, out, _ = run(capsys, "rep-check", "--parity", "odd", "--l", "2", "--N", "64", "--tol", "1e-30")
+def test_check_failure_exit_code(capsys, monkeypatch):
+    # a tolerance below rounding is no failure: the relation verdicts are exact
+    argv = ("rep-check", "--parity", "odd", "--l", "2", "--N", "64")
+    code, out, _ = run(capsys, *argv, "--tol", "1e-30")
+    assert code == EXIT_OK
+    assert "all pass: yes" in out
+    # b with one more power of q^{x/2} breaks every relation in which the b's
+    # do not cancel
+    generator_form = fockrep.generator_form
+
+    def mutated(parity, l, gen):
+        form = generator_form(parity, l, gen)
+        return form._replace(h=form.h + 1) if gen == "b" else form
+
+    monkeypatch.setattr(fockrep, "generator_form", mutated)
+    code, out, _ = run(capsys, *argv)
     assert code == EXIT_CHECK_FAILED
     assert "all pass: NO" in out
+    failed = {line.split()[2].rstrip(":") for line in out.splitlines() if line.startswith("FAIL r=")}
+    assert failed == {f"odd.{i}" for i in range(4, 10)}
 
 
 def test_env_overrides(capsys, monkeypatch):

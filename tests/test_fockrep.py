@@ -1,5 +1,6 @@
 """Weighted-shift representations: generators, residuals, intertwiner."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -19,20 +20,25 @@ from qrwp import (
     rep_scalar,
     rep_sigma,
 )
+from qrwp import fockrep
+from qrwp.cli import EXIT_CHECK_FAILED, main
 from qrwp.fockrep import (
+    SideForm,
     WeightForm,
     _weighted_shift,
-    eval_side_matrix,
-    kernel_columns,
+    a_exponents,
+    compose_side,
+    form_weights,
     kernel_conditions_exact,
     modulus_kernel,
     relation_residuals,
+    same_operator,
     scalar_relation_residual,
     subspace_dim,
     words_independent,
 )
 
-from helpers import SEED, dense_interior_max, dense_side, make_rng
+from helpers import SEED, dense_interior_max, dense_side, kernel_columns, make_rng
 
 Q = 0.5
 
@@ -75,8 +81,8 @@ def test_kernel_columns_read_the_modulus_relation():
             inst = RepInstance(parity, l, r, Q, 32)
             diag, k = kernel_columns(inst, "c")
             assert k == kernel and np.all(diag[k:] > 0), (parity, r)
-            c = rep_generator(inst, "c")
-            assert np.max(np.abs((c.adjoint() @ c).weights - diag)) < 1e-14
+            c = rep_generator(inst, "c").matrix
+            assert np.max(np.abs(np.diag(c.conj().T @ c) - diag)) < 1e-14
     # b*b = a prod(1 - q^{-2m} a): a underflows to 0.0 deep in the tail,
     # and only the leading zeros count
     diag, k = kernel_columns(RepInstance("odd", 5, 1, Q, 256), "b")
@@ -162,10 +168,24 @@ def test_negative_radicand_is_hard_error():
 
 def test_relation_residuals_small_config():
     for parity, l in (("even", 3), ("odd", 2)):
-        entries = relation_residuals(parity, l, Q, 64, tol=1e-10)
+        entries = relation_residuals(parity, l, Q, 64)
         assert entries
         assert all(e.passed for e in entries)
-        assert max(e.residual for e in entries) < 1e-12
+        assert max(e.residual for e in entries) == 0.0
+    # no RepInstance is built, so the label is checked here
+    with pytest.raises(ValueError, match="the even family requires odd l"):
+        relation_residuals("even", 2)
+
+
+def test_one_operator_needs_exact_zeros_where_one_side_stops():
+    # c+* c+ (even, l = 1) is 0 on row 0, where c+ lowers e_0 out; the side
+    # prod(1 - q^-2 a) reaches row 0, and its factor vanishes there for r = 1
+    (rel,) = [rel for rel in relations_for("even", 1) if rel.rid == "even.4"]
+    lhs, rhs = compose_side(rel.lhs, "even", 1), compose_side(rel.rhs, "even", 1)
+    assert (lhs, rhs) == (SideForm(0, 0, 0, (-1, -1), 1), SideForm(0, 0, 0, (-1, -1), 0))
+    assert same_operator(lhs, rhs, 1, 1) and same_operator(rhs, lhs, 1, 1)
+    assert not same_operator(rhs, lhs, 2, 2)                      # -1 + 2 != 0 on row 0
+    assert not same_operator(rhs, rhs._replace(lowest=2), 1, 1)   # -1 + 1 + 1 != 0 on row 1
 
 
 def test_intertwiner_even_a_is_exact():
@@ -234,38 +254,97 @@ def test_weighted_shift_algebra_matches_dense():
     rng = np.random.default_rng(SEED + 31)
     dim = 9
     for _ in range(40):
-        ka, kb = (int(k) for k in rng.integers(-4, 5, size=2))
+        ka = int(rng.integers(-4, 5))
         a = WeightedShift(ka, rng.normal(size=dim) + 1j * rng.normal(size=dim))
-        b = WeightedShift(kb, rng.normal(size=dim))
-        assert np.array_equal((a @ b).matrix, a.matrix @ b.matrix)
-        assert np.array_equal(a.adjoint().matrix, a.matrix.conj().T)
         rows, cols = np.nonzero(a.matrix)
         assert rows.size == dim - abs(ka) and np.all(cols - rows == ka)
+        assert np.array_equal(a.matrix[rows, cols], a.weights[rows])
     assert not np.any(WeightedShift(dim + 2, np.ones(dim)).matrix)   # shifts everything out
-    # an exact zero factor wins over an overflowed one
-    product = WeightedShift(0, np.array([0.0, -np.inf, 2.0])) @ WeightedShift(0, np.array([-np.inf, 0.0, 3.0]))
-    assert product.weights.tolist() == [0.0, 0.0, 6.0]
 
 
 def test_banded_relations_match_dense_oracle():
-    # q = 0.5: every q-power is exact, so banded and dense agree bit for bit
+    # every relation holds exactly; the dense product of the generator
+    # matrices agrees on the interior, and each composed side, evaluated,
+    # is the band of its dense product there
     for dim in (16, 48):
         for parity, ls in (("even", (1, 3, 5)), ("odd", (1, 2, 3, 4, 5))):
             for l in ls:
+                interior = dim - 2 * l
                 entries = iter(relation_residuals(parity, l, Q, dim))
                 for r in range(1, l + 1):
                     inst = RepInstance(parity, l, r, Q, dim)
-                    ops = {name: rep_generator(inst, name)
-                           for name in (("a", "c") if parity == "even" else ("a", "b", "c"))}
-                    mats = {name: op.matrix for name, op in ops.items()}
+                    mats = {name: rep_generator(inst, name).matrix
+                            for name in (("a", "c") if parity == "even" else ("a", "b", "c"))}
                     for rel in relations_for(parity, l):
-                        lhs = dense_side(rel.lhs, mats, Q)
-                        rhs = dense_side(rel.rhs, mats, Q)
-                        assert np.array_equal(eval_side_matrix(rel.lhs, ops, Q).matrix, lhs), (parity, l, r, rel.rid)
-                        assert np.array_equal(eval_side_matrix(rel.rhs, ops, Q).matrix, rhs), (parity, l, r, rel.rid)
                         entry = next(entries)
-                        assert (entry.r, entry.rid) == (r, rel.rid)
-                        assert entry.residual == dense_interior_max(lhs - rhs, dim - 2 * l)
+                        assert (entry.r, entry.rid, entry.residual, entry.passed) == (r, rel.rid, 0.0, True)
+                        lhs, rhs = dense_side(rel.lhs, mats, Q), dense_side(rel.rhs, mats, Q)
+                        assert dense_interior_max(lhs - rhs, interior) < 1e-12, (parity, l, r, rel.rid)
+                        for side, dense in ((rel.lhs, lhs), (rel.rhs, rhs)):
+                            form = compose_side(side, parity, l)
+                            # rows below form.lowest are 0, in the dense product too
+                            rows = np.arange(form.lowest, interior - form.offset)
+                            x = a_exponents(l, r, rows + form.offset)
+                            band = np.zeros((dim, interior), dtype=complex)
+                            band[rows, rows + form.offset] = form_weights(form, Q, x, form.q_exponent)
+                            scale = np.maximum(np.abs(dense[:, :interior]), np.finfo(float).tiny)
+                            error = np.max(np.abs(band - dense[:, :interior]) / scale)
+                            assert error < 1e-13, (parity, l, r, rel.rid)
+
+
+def _form_mutation(gen, change):
+    """fockrep.generator_form with the form of gen changed."""
+    original = fockrep.generator_form
+
+    def mutated(parity, l, name):
+        form = original(parity, l, name)
+        return change(form) if name == gen else form
+    return "generator_form", mutated
+
+
+def _odd4_mutation():
+    """fockrep.relations_for with odd.4's right side q^{3l} a c- read as q^{3l+1} a c-."""
+    original = fockrep.relations_for
+
+    def mutated(parity, l):
+        return tuple(dataclasses.replace(rel, rhs=dataclasses.replace(rel.rhs, q_exponent=3 * l + 1))
+                     if rel.rid == "odd.4" else rel for rel in original(parity, l))
+    return "relations_for", mutated
+
+
+# name: (patch, families, relations that fail, lift deviation)
+MUTATIONS = {
+    # odd.2 has one b on each side, so b's h cancels there
+    "b h+1": (_form_mutation("b", lambda f: f._replace(h=f.h + 1)), {"odd": (1, 2, 3)},
+              {"odd": {f"odd.{i}" for i in range(4, 10)}}, 0.0),
+    "odd.4 q^(3l+1)": (_odd4_mutation(), {"odd": (1, 2, 3)}, {"odd": {"odd.4"}}, 0.0),
+    # c's last half-factor s moved by -1; a has no half-factor, so a c = q^-4l c a still holds
+    "c s-1": (_form_mutation("c", lambda f: f._replace(factors=f.factors[:-1] + (f.factors[-1] - 1,))),
+              {"even": (1, 3), "odd": (1, 2, 3)},
+              {"even": {"even.3", "even.4"}, "odd": {"odd.4", "odd.5", "odd.8", "odd.9", "odd.10", "odd.11"}},
+              1.0),
+}
+
+
+@pytest.mark.parametrize("q", (0.02, 0.5, 0.97))
+@pytest.mark.parametrize("mutation", list(MUTATIONS))
+def test_mutated_forms_fail_exactly(capsys, monkeypatch, mutation, q):
+    # the relations with the mutated piece fail at every label and every q,
+    # the others still pass, and rep-check reports a failed check (exit 4),
+    # not a negative radicand (exit 3)
+    patch, families, failing, lift = MUTATIONS[mutation]
+    monkeypatch.setattr(fockrep, *patch)
+    for parity, ls in families.items():
+        for l in ls:
+            entries = relation_residuals(parity, l, q, 64)
+            for r in range(1, l + 1):
+                failed = {e.rid for e in entries if e.r == r and not e.passed}
+                assert failed == failing[parity], (parity, l, r)
+            assert all(e.residual == 0.0 for e in entries if e.passed)
+            assert ktheory_report(parity, l, q, 64).coisometry_max_deviation == lift, (parity, l)
+            argv = ["rep-check", "--parity", parity, "--l", str(l), "--q", str(q), "--N", "64"]
+            assert main(argv) == EXIT_CHECK_FAILED
+            assert "all pass: NO" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("q", (0.02, 0.05, 0.1, 0.5, 0.9, 0.97, 0.995))
@@ -273,7 +352,7 @@ def test_q_sweep_residuals(q):
     rng = make_rng(32)
     for parity, ls in (("even", (1, 3, 5)), ("odd", (1, 2, 3, 4, 5))):
         for l in ls:
-            entries = relation_residuals(parity, l, q, 256, tol=1e-10)
+            entries = relation_residuals(parity, l, q, 256)
             assert all(e.passed for e in entries), (parity, l, [e for e in entries if not e.passed])
             assert intertwiner_check(parity, l, q, 256)["max_residual"] < 1e-10, (parity, l)
             theta = rng.random()

@@ -18,10 +18,10 @@ from qrwp import (
     pullback_check,
 )
 from qrwp import fockrep, ktheory
-from qrwp.fockrep import RepInstance, kernel_columns, kernel_conditions_exact, modulus_kernel, rep_generator
+from qrwp.fockrep import RepInstance, kernel_conditions_exact, modulus_kernel, rep_generator
 from qrwp.qwrp import RelationSide
 
-from helpers import dense_kernel_dim
+from helpers import dense_kernel_dim, kernel_columns
 
 Q = 0.5
 
@@ -115,13 +115,15 @@ def test_kernel_checks_follow_the_modulus_relation(monkeypatch):
 
 def test_lift_check_reads_the_weight_form(monkeypatch):
     # with one factor of c's weight form dropped, c (c* c)^{-1/2} is no longer
-    # the bare shift; the pullback still decays, so only the lift fails
-    generator_form = ktheory.generator_form
+    # the bare shift; the pullback still decays, so only the lift fails.  The
+    # lift composes c* c in fockrep, the pullback reads the form in ktheory
+    generator_form = fockrep.generator_form
 
     def mutated(parity, l, gen):
         form = generator_form(parity, l, gen)
         return form._replace(factors=form.factors[:-1]) if gen == "c" else form
 
+    monkeypatch.setattr(fockrep, "generator_form", mutated)
     monkeypatch.setattr(ktheory, "generator_form", mutated)
     for parity, l in (("even", 3), ("odd", 2)):
         report = ktheory_report(parity, l, Q, 64)
@@ -282,12 +284,13 @@ def test_pullback_at_the_smallest_tolerance():
 
 def test_pullback_gate_reads_the_weight_form(monkeypatch):
     # with a q-power h = 1 on c the weights tend to 0, not to 1
-    generator_form = ktheory.generator_form
+    generator_form = fockrep.generator_form
 
     def mutated(parity, l, gen):
         form = generator_form(parity, l, gen)
         return form._replace(h=1) if gen == "c" else form
 
+    monkeypatch.setattr(fockrep, "generator_form", mutated)
     monkeypatch.setattr(ktheory, "generator_form", mutated)
     report = ktheory_report("odd", 2, Q, 64)
     assert report.coisometry_max_deviation == 1.0
