@@ -25,9 +25,18 @@ the exponent of the column that the product reads (compose_side).  A
 relation holds exactly when its two sides are one operator
 (same_operator), so its verdict is exact at every q and on every column;
 floats only measure how far apart the sides of a failing relation are.
-Operators are compressed to span{e_0, ..., e_{N-1}} as WeightedShift;
-all displayed operators lower the index, so compression is exact except
-in the top band, and residuals read the N - 2l interior columns (N > 2l).
+Failing relations are measured on the N - 2l interior columns (N > 2l).
+
+The relabeling Phi_r e_n = e_{ln+r-1} intertwines pi_r(g) with the
+ambient pi(j(g)) exactly when the ambient form of j(g) is (lk, h, S) for
+g's form (k, h, S): row n of pi_r(g) and row ln+r-1 of pi(j(g)) read the
+same exponent x = 2(ln + r) (intertwiner_check).  In the circle of
+one-dimensional representations (a = b = 0, |c| = 1) a side is 0 if it
+holds a or b, else q^E c^w with w = #c - #c*, so a relation holds on the
+whole circle and at every q exactly when both sides are 0 or both have
+equal (E, w) (scalar_relations_exact).  WeightedShift, the operators
+compressed to span{e_0, ..., e_{N-1}}, is built only for tests and the
+dense faithfulness probe.
 """
 
 from __future__ import annotations
@@ -43,19 +52,6 @@ import numpy as np
 from .qwrp import Relation, RelationSide, generators, relations_for
 from .grading import Weights
 from .sigma3 import NormalMonomial
-
-
-def _shifted(d: np.ndarray, k: int) -> np.ndarray:
-    """out[i] = d[i + k], zero where i + k leaves 0..len(d)-1."""
-    if k == 0:
-        return d
-    n = d.size
-    out = np.zeros(n, dtype=d.dtype)
-    if k >= 0:
-        out[:max(0, n - k)] = d[k:]
-    else:
-        out[-k:] = d[:max(0, n + k)]
-    return out
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -327,72 +323,40 @@ def kernel_conditions_exact(parity: str, l: int) -> bool:
                for r in range(1, l + 1) for name in names)
 
 
-def scalar_relation_residual(parity: str, l: int, theta: float, q: float = 0.5) -> float:
-    """Max residual of the relation set in the one-dimensional
-    representation: a = 0 makes every product factor equal 1, so a side
-    is its q-power times the generator values, conjugated where starred.
-    A side with a or b in it is 0, and its q-power is never evaluated."""
-    # Python complex arithmetic: numpy's vectorised complex product may be
-    # fused and leave an imaginary residue of ~1e-18 in c c* = 1.
-    values = rep_scalar(theta, parity)
+def scalar_relations_exact(parity: str, l: int) -> bool:
+    """Whether every relation holds in the whole circle of one-dimensional
+    representations (rep_scalar), at every q: a = 0 makes every product
+    factor 1, so a side with a or b in it is 0 and any other side is
+    q^E u^w, w = #c - #c*, on c = u.  Both sides must be 0, or both have
+    one (E, w)."""
 
-    def value(side: RelationSide) -> complex:
-        out = 1.0
-        for f in side.factors:
-            if f[0] == "gen":
-                out *= values[f[1]].conjugate() if f[2] else values[f[1]]
-        return out * q ** side.q_exponent if out else out
+    def value(side: RelationSide) -> tuple[int, int] | None:
+        gens = [f for f in side.factors if f[0] == "gen"]
+        if any(f[1] != "c" for f in gens):
+            return None
+        return side.q_exponent, sum(-1 if f[2] else 1 for f in gens)
 
-    return max(abs(value(rel.lhs) - value(rel.rhs)) for rel in relations_for(parity, l))
+    return all(value(rel.lhs) == value(rel.rhs) for rel in relations_for(parity, l))
 
 
 # -- intertwiner and faithfulness ------------------------------------
 
 
-def subspace_dim(l: int, r: int, dim: int) -> int:
-    """Number of small-side vectors e_n^r mapped into the big truncation:
-    the relabeling sends e_n^r to e_{ln+r-1}."""
-    return (dim - r) // l + 1
-
-
-def _relabeled_residual(small: WeightedShift, big: WeightedShift, l: int, r: int,
-                        interior: int) -> float:
-    """Max |Phi small - big Phi| over the small-side columns n whose image
-    ln+r-1 lies in the interior window; Phi e_n = e_{ln+r-1}.
-
-    Column n of Phi small holds small's column-n weight at row
-    l(n - k) + r - 1; column n of big Phi holds big's weight from column
-    ln + r - 1 at row ln + r - 1 - K (k, K the offsets).  The rows agree
-    when K = lk."""
-    cols = np.arange(small.dim)
-    cols = cols[l * cols + r - 1 < interior]
-    here = _shifted(small.weights, -small.offset)[cols]
-    there = _shifted(big.weights, -big.offset)[l * cols + r - 1]
-    if big.offset == l * small.offset:
-        return float(np.max(np.abs(here - there), initial=0.0))
-    return float(max(np.max(np.abs(here), initial=0.0), np.max(np.abs(there), initial=0.0)))
-
-
 def intertwiner_check(parity: str, l: int, q: float = 0.5, dim: int = 256) -> dict:
-    """Compare the relabeled family representations with the ambient
-    representation of the substituted generator words.
-
-    For each generator g and label r the columns of
-    Phi_r pi_r(g) - pi(j(g)) Phi_r are measured on the interior window;
-    Phi_r places e_n^r at position ln+r-1, so each column compares the
-    family weight w_r[n] with the ambient weight at row ln+r-1."""
-    w = Weights.canonical(parity, l)
-    gens = generators(w)
-    names = ["a", "c"] if parity == "even" else ["a", "b", "c"]
+    """Whether Phi_r pi_r(g) = pi(j(g)) Phi_r for every generator g and
+    label r, with Phi_r e_n = e_{ln+r-1}: on every column, at every q,
+    exactly when ambient_form(j(g)) is (lk, h, S) for generator_form
+    (k, h, S), since row n of pi_r(g) and row ln+r-1 of pi(j(g)) read the
+    same exponent x = 2(ln + r).  Each generator reads 0.0 when it
+    intertwines, 1.0 when not; q and dim are only echoed."""
+    RepInstance(parity, l, 1, q, dim)  # validates parity, l, q and dim
+    gens = generators(Weights.canonical(parity, l))
     per_generator: dict[str, float] = {}
-    interior = max(0, dim - 2 * l)
-    for name in names:
-        big = rep_sigma(gens.named(name).sole_monomial(), q, dim)
-        worst = 0.0
-        for r in range(1, l + 1):
-            small = rep_generator(RepInstance(parity, l, r, q, subspace_dim(l, r, dim)), name)
-            worst = max(worst, _relabeled_residual(small, big, l, r, interior))
-        per_generator[name] = worst
+    for name in ["a", "c"] if parity == "even" else ["a", "b", "c"]:
+        k, h, factors = generator_form(parity, l, name)
+        big = ambient_form(gens.named(name).sole_monomial())
+        same = (big.offset, big.h, sorted(big.factors)) == (l * k, h, sorted(factors))
+        per_generator[name] = 0.0 if same else 1.0
     return {
         "parity": parity,
         "l": l,
@@ -459,16 +423,16 @@ class RepReport:
     tolerance: float
     residuals: tuple[ResidualEntry, ...]
     kernel_exact: bool
-    scalar_residual: float
-    intertwiner_residual: float
+    scalar_residual: float       # 0.0 when the circle check holds, 1.0 when not
+    intertwiner_residual: float  # the same for the intertwiner; tolerance is only echoed
 
     @property
     def all_pass(self) -> bool:
         return (
             all(e.passed for e in self.residuals)
             and self.kernel_exact
-            and self.scalar_residual < self.tolerance
-            and self.intertwiner_residual < self.tolerance
+            and self.scalar_residual == 0.0
+            and self.intertwiner_residual == 0.0
         )
 
     def as_dict(self) -> dict:
@@ -498,7 +462,7 @@ def rep_report(parity: str, l: int, q: float = 0.5, dim: int = 256,
                          f"(the checks read the N - 2l interior columns)")
     residuals = tuple(relation_residuals(parity, l, q, dim))
     kernel = kernel_conditions_exact(parity, l)
-    scalar = max(scalar_relation_residual(parity, l, theta, q) for theta in (0.0, 0.25, 0.5, 0.8))
+    scalar = 0.0 if scalar_relations_exact(parity, l) else 1.0
     inter = intertwiner_check(parity, l, q, dim)["max_residual"]
     return RepReport(
         parity=parity,

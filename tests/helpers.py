@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 
-from qrwp import AlgebraElement, LaurentPoly, NormalMonomial
+from qrwp import AlgebraElement, LaurentPoly, NormalMonomial, Weights, generators
 from qrwp import fockrep
 
 SEED = 31415926
@@ -175,3 +175,48 @@ def kernel_columns(inst, gen: str) -> tuple[np.ndarray, int]:
             diag = out
     nonzero = np.flatnonzero(diag)
     return diag, int(nonzero[0]) if nonzero.size else diag.size
+
+
+def scalar_relation_residual(parity: str, l: int, theta: float, q: float = 0.5) -> float:
+    """Max residual of the relation set in the one-dimensional
+    representation at c = e^{2 pi i theta}, the float oracle of
+    fockrep.scalar_relations_exact: a = 0 makes every product factor equal
+    1, so a side is its q-power times the generator values, conjugated
+    where starred.  A side with a or b in it is 0, and its q-power is
+    never evaluated."""
+    # Python complex arithmetic: numpy's vectorised complex product may be
+    # fused and leave an imaginary residue of ~1e-18 in c c* = 1.
+    values = fockrep.rep_scalar(theta, parity)
+
+    def value(side) -> complex:
+        out = 1.0
+        for f in side.factors:
+            if f[0] == "gen":
+                out *= values[f[1]].conjugate() if f[2] else values[f[1]]
+        return out * q ** side.q_exponent if out else out
+
+    return max(abs(value(rel.lhs) - value(rel.rhs)) for rel in fockrep.relations_for(parity, l))
+
+
+def dense_intertwiner_error(parity: str, l: int, q: float, dim: int) -> dict[str, float]:
+    """Per generator g, the largest relative difference of the dense
+    Phi_r pi_r(g) and pi(j(g)) Phi_r over the labels r, on the small-side
+    columns n whose image ln+r-1 lies in the N - 2l interior columns:
+    the oracle of fockrep.intertwiner_check.  Phi_r is the 0/1 matrix of
+    e_n -> e_{ln+r-1} from span{e_0..e_{N//l - 1}} into span{e_0..e_{N-1}}."""
+    gens = generators(Weights.canonical(parity, l))
+    small = dim // l
+    errors = {}
+    for name in ("a", "c") if parity == "even" else ("a", "b", "c"):
+        big = fockrep.rep_sigma(gens.named(name).sole_monomial(), q, dim).matrix
+        worst = 0.0
+        for r in range(1, l + 1):
+            phi = np.zeros((dim, small))
+            phi[l * np.arange(small) + r - 1, np.arange(small)] = 1.0
+            cols = np.flatnonzero(l * np.arange(small) + r - 1 < dim - 2 * l)
+            here = (phi @ fockrep.rep_generator(fockrep.RepInstance(parity, l, r, q, small), name).matrix)[:, cols]
+            there = (big @ phi)[:, cols]
+            scale = np.maximum(np.maximum(np.abs(here), np.abs(there)), np.finfo(float).tiny)
+            worst = max(worst, float(np.max(np.abs(here - there) / scale, initial=0.0)))
+        errors[name] = worst
+    return errors

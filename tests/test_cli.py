@@ -269,6 +269,21 @@ def test_check_failure_exit_code(capsys, monkeypatch):
     assert failed == {f"odd.{i}" for i in range(4, 10)}
 
 
+def test_lift_verdict_reads_no_tolerance(capsys, monkeypatch):
+    # c's last half-factor moved by -1: the lift is no longer the bare shift,
+    # and a tolerance above its deviation 1.0 does not hide that
+    generator_form = fockrep.generator_form
+
+    def mutated(parity, l, gen):
+        form = generator_form(parity, l, gen)
+        return form._replace(factors=form.factors[:-1] + (form.factors[-1] - 1,)) if gen == "c" else form
+
+    monkeypatch.setattr(fockrep, "generator_form", mutated)
+    code, out, _ = run(capsys, "ktheory", "--parity", "odd", "--l", "2", "--tol", "2")
+    assert code == EXIT_CHECK_FAILED
+    assert "coisometry max interior deviation: 1.000e+00" in out and "all pass: NO" in out
+
+
 def test_env_overrides(capsys, monkeypatch):
     monkeypatch.setenv("QRWP_N", "64")
     code, out, _ = run(capsys, "rep-check", "--parity", "even", "--l", "1", "--format", "json")

@@ -21,7 +21,7 @@ from qrwp import (
     rep_sigma,
 )
 from qrwp import fockrep
-from qrwp.cli import EXIT_CHECK_FAILED, main
+from qrwp.cli import EXIT_CHECK_FAILED, EXIT_OK, main
 from qrwp.fockrep import (
     SideForm,
     WeightForm,
@@ -33,12 +33,13 @@ from qrwp.fockrep import (
     modulus_kernel,
     relation_residuals,
     same_operator,
-    scalar_relation_residual,
-    subspace_dim,
+    scalar_relations_exact,
     words_independent,
 )
+from qrwp.qwrp import RelationSide
 
-from helpers import SEED, dense_interior_max, dense_side, kernel_columns, make_rng
+from helpers import (SEED, dense_interior_max, dense_intertwiner_error, dense_side, kernel_columns, make_rng,
+                     scalar_relation_residual)
 
 Q = 0.5
 
@@ -132,6 +133,35 @@ def test_scalar_representation_satisfies_relations():
             assert scalar_relation_residual(parity, l, theta, Q) < 1e-12
 
 
+def test_circle_check_matches_the_float_oracle():
+    # every relation holds on the whole circle; the float oracle agrees at
+    # 101 points of it, rounding aside
+    for parity, ls in (("even", range(1, 10, 2)), ("odd", range(1, 10))):
+        for l in ls:
+            assert scalar_relations_exact(parity, l), (parity, l)
+            for i in range(101):
+                assert scalar_relation_residual(parity, l, i / 101, Q) < 1e-12, (parity, l, i)
+
+
+def test_circle_check_fails_a_winding_mutation(monkeypatch):
+    # odd.10's left side c c* read as twenty c's: u^20 = 1 at the four
+    # sample points theta in {0, .25, .5, .8}, but not on the whole circle
+    relations_for = fockrep.relations_for
+    twenty = RelationSide(0, (("gen", "c", False),) * 20)
+
+    def mutated(parity, l):
+        return tuple(dataclasses.replace(rel, lhs=twenty) if rel.rid == "odd.10" else rel
+                     for rel in relations_for(parity, l))
+
+    monkeypatch.setattr(fockrep, "relations_for", mutated)
+    for l in (1, 2, 3):
+        assert not scalar_relations_exact("odd", l)
+        assert max(scalar_relation_residual("odd", l, theta, Q) for theta in (0.0, 0.25, 0.5, 0.8)) < 1e-10
+        assert max(scalar_relation_residual("odd", l, i / 101, Q) for i in range(101)) > 1.0
+        report = rep_report("odd", l, Q, 64)
+        assert report.scalar_residual == 1.0 and not report.all_pass
+
+
 def test_ambient_rep_examples():
     # xi acts as the identity
     op = rep_sigma(NormalMonomial(0, 0, 1), Q, 8).matrix
@@ -196,7 +226,6 @@ def test_intertwiner_even_a_is_exact():
 
 def test_intertwiner_relabeling_for_l1():
     # l = 1: the relabeling e_n^1 -> e_n is the identity
-    assert subspace_dim(1, 1, 64) == 64
     report = intertwiner_check("even", 1, Q, 64)
     assert report["max_residual"] < 1e-14
 
@@ -204,6 +233,28 @@ def test_intertwiner_relabeling_for_l1():
 def test_intertwiner_odd_b():
     report = intertwiner_check("odd", 2, Q, 240)
     assert report["per_generator"]["b"] < 1e-12
+
+
+@pytest.mark.parametrize("q", (0.02, 0.5, 0.97))
+def test_intertwiner_matches_the_dense_oracle(q):
+    # Phi_r pi_r(g) = pi(j(g)) Phi_r with Phi_r a dense 0/1 matrix
+    for parity, ls in (("even", (1, 3, 5)), ("odd", (1, 2, 3, 4, 5))):
+        for l in ls:
+            assert set(intertwiner_check(parity, l, q, 64)["per_generator"].values()) == {0.0}, (parity, l)
+            errors = dense_intertwiner_error(parity, l, q, 64)
+            assert max(errors.values()) < 1e-13, (parity, l, errors)
+
+
+def test_rep_check_builds_no_weighted_shift(monkeypatch, capsys):
+    # every rep-check verdict reads the weight table, not an operator
+    def refuse(*args):
+        raise AssertionError("a weighted shift was built")
+
+    monkeypatch.setattr(fockrep, "_weighted_shift", refuse)
+    for l in range(1, 6):
+        assert rep_report("odd", l, Q, 64).all_pass, l
+    assert main(["report-all", "--lmax", "3"]) == EXIT_OK
+    assert "overall: PASS" in capsys.readouterr().out
 
 
 def test_faithfulness_probe_examples():
@@ -312,17 +363,17 @@ def _odd4_mutation():
     return "relations_for", mutated
 
 
-# name: (patch, families, relations that fail, lift deviation)
+# name: (patch, families, relations that fail, lift deviation, generators that do not intertwine)
 MUTATIONS = {
     # odd.2 has one b on each side, so b's h cancels there
     "b h+1": (_form_mutation("b", lambda f: f._replace(h=f.h + 1)), {"odd": (1, 2, 3)},
-              {"odd": {f"odd.{i}" for i in range(4, 10)}}, 0.0),
-    "odd.4 q^(3l+1)": (_odd4_mutation(), {"odd": (1, 2, 3)}, {"odd": {"odd.4"}}, 0.0),
+              {"odd": {f"odd.{i}" for i in range(4, 10)}}, 0.0, {"b"}),
+    "odd.4 q^(3l+1)": (_odd4_mutation(), {"odd": (1, 2, 3)}, {"odd": {"odd.4"}}, 0.0, set()),
     # c's last half-factor s moved by -1; a has no half-factor, so a c = q^-4l c a still holds
     "c s-1": (_form_mutation("c", lambda f: f._replace(factors=f.factors[:-1] + (f.factors[-1] - 1,))),
               {"even": (1, 3), "odd": (1, 2, 3)},
               {"even": {"even.3", "even.4"}, "odd": {"odd.4", "odd.5", "odd.8", "odd.9", "odd.10", "odd.11"}},
-              1.0),
+              1.0, {"c"}),
 }
 
 
@@ -331,8 +382,10 @@ MUTATIONS = {
 def test_mutated_forms_fail_exactly(capsys, monkeypatch, mutation, q):
     # the relations with the mutated piece fail at every label and every q,
     # the others still pass, and rep-check reports a failed check (exit 4),
-    # not a negative radicand (exit 3)
-    patch, families, failing, lift = MUTATIONS[mutation]
+    # not a negative radicand (exit 3).  The mutated generator no longer
+    # intertwines, also at q = 1e-6 and 1e-300, where a float difference of
+    # the weights reads below 1e-10
+    patch, families, failing, lift, tangled = MUTATIONS[mutation]
     monkeypatch.setattr(fockrep, *patch)
     for parity, ls in families.items():
         for l in ls:
@@ -342,6 +395,11 @@ def test_mutated_forms_fail_exactly(capsys, monkeypatch, mutation, q):
                 assert failed == failing[parity], (parity, l, r)
             assert all(e.residual == 0.0 for e in entries if e.passed)
             assert ktheory_report(parity, l, q, 64).coisometry_max_deviation == lift, (parity, l)
+            for q_inter in (q, 1e-6, 1e-300):
+                per_generator = intertwiner_check(parity, l, q_inter, 64)["per_generator"]
+                assert {g for g, res in per_generator.items() if res} == tangled, (parity, l, q_inter)
+            errors = dense_intertwiner_error(parity, l, q, 64)
+            assert {g for g, err in errors.items() if err > 1e-13} == tangled, (parity, l, errors)
             argv = ["rep-check", "--parity", parity, "--l", str(l), "--q", str(q), "--N", "64"]
             assert main(argv) == EXIT_CHECK_FAILED
             assert "all pass: NO" in capsys.readouterr().out

@@ -17,7 +17,7 @@ from qrwp import (
     ktheory_report,
     pullback_check,
 )
-from qrwp import fockrep, ktheory
+from qrwp import fockrep
 from qrwp.fockrep import RepInstance, kernel_conditions_exact, modulus_kernel, rep_generator
 from qrwp.qwrp import RelationSide
 
@@ -116,19 +116,21 @@ def test_kernel_checks_follow_the_modulus_relation(monkeypatch):
 def test_lift_check_reads_the_weight_form(monkeypatch):
     # with one factor of c's weight form dropped, c (c* c)^{-1/2} is no longer
     # the bare shift; the pullback still decays, so only the lift fails.  The
-    # lift composes c* c in fockrep, the pullback reads the form in ktheory
+    # lift and the pullback both read fockrep.generator_form
     generator_form = fockrep.generator_form
 
     def mutated(parity, l, gen):
         form = generator_form(parity, l, gen)
         return form._replace(factors=form.factors[:-1]) if gen == "c" else form
 
+    before = {parity: pullback_check(parity, l, Q) for parity, l in (("even", 3), ("odd", 2))}
     monkeypatch.setattr(fockrep, "generator_form", mutated)
-    monkeypatch.setattr(ktheory, "generator_form", mutated)
     for parity, l in (("even", 3), ("odd", 2)):
         report = ktheory_report(parity, l, Q, 64)
         assert report.coisometry_max_deviation == 1.0, parity
         assert report.pullback["all_pass"] and report.cokernel_map_ok, parity
+        # the pullback reads the mutated table: its weight defects move
+        assert report.pullback["per_r"] != before[parity]["per_r"], parity
         assert not report.all_pass, parity
 
 
@@ -291,7 +293,6 @@ def test_pullback_gate_reads_the_weight_form(monkeypatch):
         return form._replace(h=1) if gen == "c" else form
 
     monkeypatch.setattr(fockrep, "generator_form", mutated)
-    monkeypatch.setattr(ktheory, "generator_form", mutated)
     report = ktheory_report("odd", 2, Q, 64)
     assert report.coisometry_max_deviation == 1.0
     for entry in report.pullback["per_r"]:
