@@ -77,9 +77,10 @@ class LaurentPoly:
         return None
 
     def __add__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if not isinstance(other, LaurentPoly):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         out = dict(self._coeffs)
         for e, c in other._coeffs.items():
             out[e] = out.get(e, 0) + c
@@ -103,9 +104,10 @@ class LaurentPoly:
         return other + (-self)
 
     def __mul__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if not isinstance(other, LaurentPoly):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         # times a single term c q^e: shift and scale; nonzero ints have nonzero products
         if len(other._coeffs) == 1 or len(self._coeffs) == 1:
             poly, term = (self, other) if len(other._coeffs) == 1 else (other, self)
@@ -209,7 +211,7 @@ def _binary_power(x, n: int):
 
 def qpow(e: int) -> LaurentPoly:
     """The monomial q^e."""
-    return LaurentPoly({int(e): 1})
+    return LaurentPoly._canonical({e: 1})
 
 
 # -- rendering shared by every text form of the package ------------------

@@ -312,14 +312,16 @@ def factorize_with_conjugates(w: Weights, mono: NormalMonomial) -> GeneratorWord
 
 def degree_zero_monomials(w: Weights, m_max: int, p_max: int, r_max: int) -> list[NormalMonomial]:
     """All degree-zero basis words with 0 <= m <= m_max, 0 <= p <= p_max,
-    |r| <= r_max, in canonical order."""
+    |r| <= r_max, in canonical order.
+
+    Degree zero means k m + (p - 2r) l = 0, so each (m, p) admits at most
+    the one r with 2 l r = k m + p l."""
     out = []
     for m in range(m_max + 1):
         for p in range(p_max + 1):
-            for r in range(-r_max, r_max + 1):
-                mono = NormalMonomial(m, p, r)
-                if degree(w, mono) == 0:
-                    out.append(mono)
+            r, rem = divmod(w.k * m + p * w.l, 2 * w.l)
+            if rem == 0 and abs(r) <= r_max:
+                out.append(NormalMonomial(m, p, r))
     return out
 
 

@@ -17,7 +17,7 @@ element A = z1^2 xi satisfying z0 A = q^2 A z0 and z0* A = q^-2 A z0*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
 from typing import Mapping, Sequence
@@ -25,24 +25,30 @@ from typing import Mapping, Sequence
 from .qlaurent import ONE, ZERO, LaurentPoly, _binary_power, power_text, qpow, sum_text
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class NormalMonomial:
-    """One basis word.
+class NormalMonomial(namedtuple("NormalMonomial", "m p r")):
+    """One basis word, the immutable tuple (m, p, r).
 
     m >= 0 encodes z0^m, m < 0 encodes z0*^(-m); p is the z1 power
-    (always nonnegative) and r the xi power (any integer).
+    (always nonnegative) and r the xi power (any integer).  Hashing,
+    equality and ordering are the tuple's: the hash is hash((m, p, r)),
+    words sort in (m, p, r) order, and a word compares equal to the
+    plain tuple (m, p, r).
     """
 
-    m: int
-    p: int
-    r: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p < 0:
+    def __new__(cls, m: int, p: int, r: int):
+        if p < 0:
             raise ValueError("z1 exponent must be nonnegative")
+        return tuple.__new__(cls, (m, p, r))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so both keep the p >= 0 check
+        return cls(*iterable)
 
     def is_identity(self) -> bool:
-        return self.m == 0 and self.p == 0 and self.r == 0
+        return self == (0, 0, 0)
 
     def __str__(self) -> str:
         parts = (power_text("z0" if self.m > 0 else "z0s", abs(self.m)),
@@ -85,14 +91,16 @@ def _one_minus_qa_product(exponents: Sequence[int]) -> dict[int, LaurentPoly]:
 
 
 @lru_cache(maxsize=262144)
-def _mono_product(m1: int, p1: int, r1: int, m2: int, p2: int, r2: int):
-    """Normal form of (m1,p1,r1)*(m2,p2,r2) as a tuple of (monomial, coeff).
+def _mono_product(w1: NormalMonomial, w2: NormalMonomial):
+    """Normal form of w1 * w2 as a tuple of (monomial, nonzero coeff).
 
     Steps: move z1^p1 past the z0-part of the right word (cost q^{-p1*m2},
     valid for both families thanks to the signed encoding), resolve the
     adjacent z0/z0* powers by the closed forms, then move the resulting
     A-powers into normal position.
     """
+    m1, p1, r1 = w1
+    m2, p2, r2 = w2
     cost = -p1 * m2
     p = p1 + p2
     r = r1 + r2
@@ -140,9 +148,14 @@ class AlgebraElement:
 
     @classmethod
     def _canonical(cls, data: dict[NormalMonomial, LaurentPoly]) -> "AlgebraElement":
-        """Wrap a dict of words to LaurentPoly coefficients, dropping the zero ones."""
+        """Wrap a dict of words to nonzero LaurentPoly coefficients without a copy.
+
+        Z[q, q^-1] has no zero divisors, so products, negation and q-shifts
+        of nonzero coefficients are nonzero; only a sum can cancel, and
+        the callers that add delete such a word where it happens.
+        """
         out = cls.__new__(cls)
-        out._terms = {mono: coef for mono, coef in data.items() if coef}
+        out._terms = data
         return out
 
     # -- constructors ------------------------------------------------
@@ -166,8 +179,10 @@ class AlgebraElement:
     # -- inspection --------------------------------------------------
 
     def terms(self) -> list[tuple[NormalMonomial, LaurentPoly]]:
-        """(monomial, coefficient) pairs in the canonical (m, p, r) order."""
-        return sorted(self._terms.items(), key=lambda kv: (kv[0].m, kv[0].p, kv[0].r))
+        """(monomial, coefficient) pairs in the canonical (m, p, r) order.
+
+        The words are distinct, so sorting the pairs never compares coefficients."""
+        return sorted(self._terms.items())
 
     def coefficient(self, mono: NormalMonomial) -> LaurentPoly:
         return self._terms.get(mono, ZERO)
@@ -197,7 +212,12 @@ class AlgebraElement:
             return NotImplemented
         out = dict(self._terms)
         for mono, coef in other._terms.items():
-            out[mono] = out[mono] + coef if mono in out else coef
+            if mono in out:
+                coef = out[mono] + coef
+                if not coef:
+                    del out[mono]
+                    continue
+            out[mono] = coef
         return AlgebraElement._canonical(out)
 
     __radd__ = __add__
@@ -221,6 +241,8 @@ class AlgebraElement:
 
     def __mul__(self, other) -> "AlgebraElement":
         if isinstance(other, (int, LaurentPoly)):
+            if not other:
+                return AlgebraElement.zero()
             c = other if isinstance(other, LaurentPoly) else LaurentPoly({0: other})
             return AlgebraElement._canonical({mono: coef * c for mono, coef in self._terms.items()})
         if not isinstance(other, AlgebraElement):
@@ -229,9 +251,14 @@ class AlgebraElement:
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():
                 c12 = c1 * c2
-                for mono, coef in _mono_product(w1.m, w1.p, w1.r, w2.m, w2.p, w2.r):
+                for mono, coef in _mono_product(w1, w2):
                     c = c12 * coef
-                    out[mono] = out[mono] + c if mono in out else c
+                    if mono in out:
+                        c = out[mono] + c
+                        if not c:
+                            del out[mono]
+                            continue
+                    out[mono] = c
         return AlgebraElement._canonical(out)
 
     def __rmul__(self, other) -> "AlgebraElement":

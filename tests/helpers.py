@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 
-from qrwp import AlgebraElement, LaurentPoly, NormalMonomial, Weights, generators
+from qrwp import AlgebraElement, LaurentPoly, NormalMonomial, Weights, degree, generators
 from qrwp import fockrep
 
 SEED = 31415926
@@ -97,6 +97,21 @@ def reference_text(x) -> str:
     if isinstance(x, LaurentPoly):
         return _signed_sum((c < 0, _coefficient(abs(c), e)) for e, c in x.items_sorted())
     return _signed_sum(_term(mono, coef) for mono, coef in x.terms())
+
+
+# -- brute-force scan of the degree-zero box --------------------------------
+
+
+def degree_zero_scan(w: Weights, m_max: int, p_max: int, r_max: int) -> list[NormalMonomial]:
+    """The degree-zero words of the box by testing every (m, p, r) in it."""
+    out = []
+    for m in range(m_max + 1):
+        for p in range(p_max + 1):
+            for r in range(-r_max, r_max + 1):
+                mono = NormalMonomial(m, p, r)
+                if degree(w, mono) == 0:
+                    out.append(mono)
+    return out
 
 
 # -- counting products -------------------------------------------------------

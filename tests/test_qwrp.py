@@ -21,6 +21,8 @@ from qrwp import (
 from qrwp import qwrp
 from qrwp.qwrp import GeneratorSet, GeneratorWord, eval_side, word_text
 
+from helpers import degree_zero_scan
+
 
 def test_generator_examples():
     gens = generators(Weights(2, 3))
@@ -148,6 +150,13 @@ def test_factorize_completeness_oracle():
     for k, l in ((2, 3), (1, 2)):
         w = Weights(k, l)
         assert enumerate_word_monomials(w, 3 * l, 6, 6) == set(degree_zero_monomials(w, 3 * l, 6, 6))
+
+
+def test_degree_zero_monomials_match_the_scan():
+    for k, l in ((1, 14), (2, 25), (-1, 3), (-3, 4), (2, 3), (1, 2), (3, 2), (1, 1)):
+        w = Weights(k, l)
+        for box in ((2 * l, 4, 4), (3 * l, 6, 6), (0, 0, 0), (l, 2 * l, 1), (6 * l, 1, 1), (5, 9, 0)):
+            assert degree_zero_monomials(w, *box) == degree_zero_scan(w, *box), (k, l, box)
 
 
 def test_conjugate_family_via_involution():

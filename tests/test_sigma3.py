@@ -12,11 +12,13 @@ from qrwp import (
     Z1,
     Z1S,
     AlgebraElement,
+    LaurentPoly,
     NormalMonomial,
     basis_monomial,
     powers_oracle,
     qpow,
 )
+from qrwp import sigma3
 
 from helpers import (
     count_products,
@@ -159,8 +161,39 @@ def test_distributivity_randomized():
 
 
 def test_monomial_validation():
-    with pytest.raises(ValueError):
-        NormalMonomial(0, -1, 0)
+    word = NormalMonomial(0, 1, 0)
+    builds = (
+        lambda: NormalMonomial(0, -1, 0),
+        lambda: NormalMonomial(m=0, p=-1, r=0),
+        lambda: NormalMonomial._make((0, -1, 0)),
+        lambda: word._replace(p=-1),
+        lambda: AlgebraElement.monomial(0, -1, 0),
+        lambda: basis_monomial(2, -3, 1),
+    )
+    for build in builds:
+        with pytest.raises(ValueError):
+            build()
+    assert word._replace(r=2) == NormalMonomial(0, 1, 2)
+
+
+def test_words_are_tuples():
+    rng = make_rng(16)
+    words = [random_monomial(rng) for _ in range(300)]
+    for word in words:
+        assert hash(word) == hash((word.m, word.p, word.r))
+        assert word == (word.m, word.p, word.r)
+    in_order = sorted(set(words), key=lambda w: (w.m, w.p, w.r))
+    assert sorted(set(words)) == in_order
+    x = AlgebraElement({word: qpow(i) for i, word in enumerate(words)})
+    assert [mono for mono, _ in x.terms()] == in_order
+
+
+def test_mono_product_keeps_its_cache_counters():
+    # the benchmark reads the hit and miss counts of this cache
+    before = sigma3._mono_product.cache_info()
+    Z0 * Z0S
+    after = sigma3._mono_product.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses + 1
 
 
 def test_identity_monomial():
@@ -180,6 +213,23 @@ def test_cancellation_stores_no_zero_coefficient():
     zero = AlgebraElement.zero()
     # the z0 z1 terms cancel inside one product: z1 z0 = q^-1 z0 z1
     assert (Z0 - q * Z1) * (Z1 + Z0) == Z0 ** 2 - q * Z1 ** 2
+    # pairs run left term by left term: z0 z1 gets +1 from (z0, z1), cancels at
+    # (z1, z0), and comes back from (1, z0 z1), after the cancellation
+    z0z1 = NormalMonomial(1, 1, 0)
+    readded = (Z0 - q * Z1 + 1) * (Z1 + Z0 + Z0 * Z1)
+    assert readded.coefficient(z0z1) == 1
+    assert readded == Z0 ** 2 - q * Z1 ** 2 + Z0 * Z1 + Z1 + Z0 + Z0 ** 2 * Z1 - Z0 * Z1 ** 2
+    # the same in a running sum: z0 cancels at the third summand, returns at the fourth
+    resummed = sum([Z0, Z1, -Z0, q * Z0])
+    assert resummed.coefficient(NormalMonomial(1, 0, 0)) == q
+    by_zero = (
+        (Z0 + Z1) * 0,
+        (Z0 + Z1) * LaurentPoly(),
+        (Z0 + Z1) * (q - q),
+        0 * (Z0 + Z1),
+        LaurentPoly() * (Z0 + Z1),
+        zero * (Z0 + Z1),
+    )
     cases = (
         (Z0 + Z1) * Z0S - Z0 * Z0S - Z1 * Z0S,
         (Z0 + Z1) + (-Z1),
@@ -188,16 +238,16 @@ def test_cancellation_stores_no_zero_coefficient():
         (Z0 - q * Z1) * (Z1 + Z0),
         ((Z0 - q * Z1) * (Z1 + Z0)).star(),
         Z0 * Z0S + A - ONE_EL,
-        (Z0 + Z1) * 0,
-        (Z0 + Z1) * (q - q),
-        zero * (Z0 + Z1),
+        readded,
+        resummed,
         zero.star(),
-    )
+    ) + by_zero
     for x in cases:
         assert all(coef._coeffs and all(coef._coeffs.values()) for coef in x._terms.values()), x
         if x.is_zero():
             assert x == zero and hash(x) == hash(zero)
-    assert cases[0] == zero and cases[-1] == zero
+    assert cases[0] == zero and zero.star() == zero
+    assert all(x.is_zero() for x in by_zero)
 
 
 def test_rendering_is_ordered():
