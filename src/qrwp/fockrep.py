@@ -37,6 +37,9 @@ whole circle and at every q exactly when both sides are 0 or both have
 equal (E, w) (scalar_relations_exact).  WeightedShift, the operators
 compressed to span{e_0, ..., e_{N-1}}, is built only for tests and the
 dense faithfulness probe.
+
+numpy is imported inside the functions that build arrays, so importing
+this module (and the exact commands of the CLI) does not load it.
 """
 
 from __future__ import annotations
@@ -45,13 +48,14 @@ import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .qwrp import Relation, RelationSide, generators, relations_for
 from .grading import Weights
 from .sigma3 import NormalMonomial
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -63,6 +67,8 @@ class WeightedShift:
     weights: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         w = np.array(self.weights)
         if w.ndim != 1:
             raise ValueError("weights of a weighted shift form a vector")
@@ -81,6 +87,8 @@ class WeightedShift:
     def matrix(self) -> np.ndarray:
         """The dense N x N matrix, built on demand (for the faithfulness
         probe and for tests)."""
+        import numpy as np
+
         rows = np.arange(self.dim)
         keep = (rows + self.offset >= 0) & (rows + self.offset < self.dim)
         mat = np.zeros((self.dim, self.dim), dtype=np.complex128)
@@ -158,6 +166,8 @@ def form_weights(form: WeightForm | SideForm, q: float, x: np.ndarray, q_exponen
     raised to an integer power, which may be negative; a negative radicand
     under a square root signals a mistyped form (or a kernel column) and
     is a hard error."""
+    import numpy as np
+
     acc = 1.0
     for s, count in Counter(form.factors).items():
         radicand = 1.0 - q ** (2 * s + x)
@@ -172,6 +182,8 @@ def form_weights(form: WeightForm | SideForm, q: float, x: np.ndarray, q_exponen
 
 def _weighted_shift(form: WeightForm, q: float, l: int, r: int, dim: int) -> WeightedShift:
     """The weighted shift of a weight form on e_0..e_{N-1}."""
+    import numpy as np
+
     x = a_exponents(l, r, np.arange(dim) + form.offset)  # the column each row reads
     return WeightedShift(form.offset, form_weights(form, q, x))
 
@@ -271,6 +283,8 @@ def relation_residuals(parity: str, l: int, q: float = 0.5, dim: int = 256) -> l
         for rid, lhs, rhs in forms:
             passed, res = same_operator(lhs, rhs, l, r), 0.0
             if not passed:
+                import numpy as np
+
                 first = max(lhs.lowest, rhs.lowest)  # each side reads columns first + offset onwards
                 left, right = (form_weights(f, q, a_exponents(l, r, np.arange(first + f.offset, interior)),
                                             f.q_exponent) for f in (lhs, rhs))
@@ -370,15 +384,16 @@ def intertwiner_check(parity: str, l: int, q: float = 0.5, dim: int = 256) -> di
 def words_independent(monomials: Sequence[NormalMonomial], dim: int) -> bool:
     """Exact linear independence of the truncated ambient images at every
     q, read off the weight forms: offsets are distinct diagonals, and on
-    one offset the images q^{h(n+1)} f(n), on the columns n < N where no
-    factor of f vanishes, form a generalized Vandermonde system in q^h."""
+    one offset the images q^{h(n+1)} f(n), on the columns offset <= n < N
+    where no factor of f vanishes (n + 1 != -s), form a generalized
+    Vandermonde system in q^h."""
     blocks: dict[int, list[WeightForm]] = {}
     for mono in monomials:
         form = ambient_form(mono)
         blocks.setdefault(form.offset, []).append(form)
     for offset, forms in blocks.items():
-        x = a_exponents(1, 1, np.arange(offset, dim))
-        columns = np.count_nonzero(~np.isin(x, [-2 * s for form in forms for s in form.factors]))
+        vanishing = {-s - 1 for form in forms for s in form.factors}
+        columns = max(0, dim - offset) - sum(offset <= n < dim for n in vanishing)
         if len({form.h for form in forms}) < len(forms) or len(forms) > columns:
             return False
     return True
@@ -393,6 +408,8 @@ def faithfulness_probe(monomials: Sequence[NormalMonomial], q: float = 0.5,
     scale-invariant and the word norms vary over many orders of
     magnitude); the numeric rank counts singular values above
     tol * largest."""
+    import numpy as np
+
     monomials = list(monomials)
     if len(monomials) > dim // 2:
         raise ValueError("monomial list exceeds half the truncation size")

@@ -38,8 +38,12 @@ class Weights:
 
     @classmethod
     def canonical(cls, parity: str, l: int) -> "Weights":
-        """The standard representative of a parity class: k=2 or k=1."""
+        """The standard representative of a parity class: k=2 or k=1.  The
+        even family needs odd l, and says so rather than that (2, l) is
+        not coprime, as the representation and K-theory checks do."""
         if parity == "even":
+            if l >= 1 and l % 2 == 0:
+                raise ValueError("the even family requires odd l")
             return cls(2, l)
         if parity == "odd":
             return cls(1, l)

@@ -24,8 +24,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import fockrep
 from .fockrep import (RepInstance, a_exponents, compose_side, form_weights, modulus_kernel, modulus_relation,
                       same_operator)
@@ -209,6 +207,8 @@ def pullback_check(parity: str, l: int, q: float = 0.5, eps: float = 1e-10) -> d
 
     taken at min(eps, 2^-54): there every factor is below 2^-55, each
     radicand rounds to 1, and the computed defect is exactly 0."""
+    import numpy as np
+
     if not 0.0 < eps < math.inf:
         raise ValueError("eps must be finite and positive")
     RepInstance(parity, l, 1, q, 1)  # validates parity, l and q

@@ -167,6 +167,22 @@ def dense_kernel_dim(mat: np.ndarray, tol: float) -> int:
     return mat.shape[1] - int(np.sum(np.linalg.svd(mat, compute_uv=False) > tol))
 
 
+def array_words_independent(monomials, dim: int) -> bool:
+    """fockrep.words_independent with the columns counted on numpy arrays:
+    per offset, the a-exponents x_n = 2(n + 1) of the columns offset <= n
+    < N that no factor s of any word on that offset zeroes (x_n != -2s)."""
+    blocks = {}
+    for mono in monomials:
+        form = fockrep.ambient_form(mono)
+        blocks.setdefault(form.offset, []).append(form)
+    for offset, forms in blocks.items():
+        x = fockrep.a_exponents(1, 1, np.arange(offset, dim))
+        columns = np.count_nonzero(~np.isin(x, [-2 * s for form in forms for s in form.factors]))
+        if len({form.h for form in forms}) < len(forms) or len(forms) > columns:
+            return False
+    return True
+
+
 def kernel_columns(inst, gen: str) -> tuple[np.ndarray, int]:
     """The diagonal of g* g on e_0..e_{N-1}, and its run of leading exact
     zeros: the modulus relation's right side evaluated in floats, the

@@ -205,6 +205,13 @@ def test_family_sizes_must_be_positive(capsys, argv, message):
     assert message in err and not out
 
 
+@pytest.mark.parametrize("command", ["verify-relations", "rep-check", "ktheory"])
+def test_even_family_with_even_l_names_the_family(capsys, command):
+    code, out, err = run(capsys, command, "--parity", "even", "--l", "2")
+    assert (code, out) == (EXIT_PRECONDITION, "")
+    assert err == "error: the even family requires odd l\n"
+
+
 def _readme_commands():
     """(argv, note) for every qrwp line of README's "Command line" block."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -240,7 +247,7 @@ def test_parse_error_exit_code(capsys):
 def test_precondition_exit_codes(capsys):
     code, _, err = run(capsys, "generators", "--k", "2", "--l", "4")
     assert code == EXIT_PRECONDITION
-    assert "coprime" in err
+    assert "weights (2, 4) are not coprime" in err
     code, _, _ = run(capsys, "rep-check", "--parity", "even", "--l", "2", "--N", "32")
     assert code == EXIT_PRECONDITION
     code, _, _ = run(capsys, "normalize", "z0", "--q", "1.5")

@@ -1,6 +1,7 @@
 """Weighted-shift representations: generators, residuals, intertwiner."""
 
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -38,8 +39,8 @@ from qrwp.fockrep import (
 )
 from qrwp.qwrp import RelationSide
 
-from helpers import (SEED, dense_interior_max, dense_intertwiner_error, dense_side, kernel_columns, make_rng,
-                     scalar_relation_residual)
+from helpers import (SEED, array_words_independent, dense_interior_max, dense_intertwiner_error, dense_side,
+                     kernel_columns, make_rng, scalar_relation_residual)
 
 Q = 0.5
 
@@ -284,6 +285,29 @@ def test_words_independent_matches_the_probe():
         verdicts[exact] += 1
         overfull += not exact and len({(w.m, w.p) for w in words}) == len(words)
     assert min(verdicts.values()) >= 100 and overfull >= 20, (verdicts, overfull)
+
+
+@pytest.mark.parametrize("dim", [6, 8])
+def test_words_independent_counts_columns_like_the_array_oracle(dim):
+    # offsets past N leave no column (their vanishing columns reach past N),
+    # one below N leaves one; p = 1 twice (xi^0, xi^1) repeats h on an offset
+    offsets = (0, 1, dim - 2, dim - 1, dim, dim + 2)
+    words = [NormalMonomial(m, p, r) for m in offsets for p in range(2) for r in ((0, 1) if p == 1 else (0,))]
+    verdicts = {True: 0, False: 0}
+    for size in (1, 2, 3):
+        for combo in itertools.combinations_with_replacement(words, size):
+            exact = words_independent(combo, dim)
+            assert exact == array_words_independent(combo, dim) == faithfulness_probe(combo, Q, dim), combo
+            verdicts[exact] += 1
+    assert min(verdicts.values()) >= 200, verdicts
+
+
+def test_words_independent_on_the_report_all_words():
+    words = [NormalMonomial(m, p, (m - p) % 3 - 1) for m in range(4) for p in range(3)]
+    assert words_independent(words, 128)
+    assert array_words_independent(words, 128) and faithfulness_probe(words, Q, 128)
+    extra = words + [NormalMonomial(1, 1, 1)]  # repeats (offset 1, h 1)
+    assert not words_independent(extra, 128) and not array_words_independent(extra, 128)
 
 
 def test_faithfulness_probe_precondition():

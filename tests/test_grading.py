@@ -17,12 +17,12 @@ from helpers import make_rng, random_monomial
 
 
 def test_weights_validation():
-    with pytest.raises(ValueError):
-        Weights(2, 4)      # not coprime
+    with pytest.raises(ValueError, match="not coprime"):
+        Weights(2, 4)
     with pytest.raises(ValueError):
         Weights(3, 0)      # l must be positive
-    with pytest.raises(ValueError):
-        Weights.canonical("even", 2)   # gcd(2, 2) = 2
+    with pytest.raises(ValueError, match="the even family requires odd l"):
+        Weights.canonical("even", 2)
     assert Weights.canonical("even", 3) == Weights(2, 3)
     assert Weights.canonical("odd", 4) == Weights(1, 4)
 
