@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import fockrep, ktheory, qwrp
 from .grading import Weights, coinvariant_part, element_degrees, is_coinvariant
@@ -28,20 +28,22 @@ EXIT_PRECONDITION = 3
 EXIT_CHECK_FAILED = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    q: float
-    dim: int
-    tolerance: float
-    fmt: str
+class RunConfig(namedtuple("RunConfig", "q dim tolerance fmt")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 < self.q < 1.0:
+    def __new__(cls, q: float, dim: int, tolerance: float, fmt: str):
+        if not 0.0 < q < 1.0:
             raise ValueError("q must lie in (0, 1)")
-        if self.dim < 4:
+        if dim < 4:
             raise ValueError("N must be at least 4")
-        if not 0.0 < self.tolerance < math.inf:
+        if not 0.0 < tolerance < math.inf:
             raise ValueError("tolerance must be finite and positive")
+        return tuple.__new__(cls, (q, dim, tolerance, fmt))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so both keep the checks
+        return cls(*iterable)
 
 
 def _env_default(name: str, cast, fallback):

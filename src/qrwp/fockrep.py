@@ -46,8 +46,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .qwrp import Relation, RelationSide, generators, relations_for
@@ -58,26 +57,32 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class WeightedShift:
+class WeightedShift(namedtuple("WeightedShift", "offset weights")):
     """The operator M[i, i + offset] = weights[i] on span{e_0, ..., e_{N-1}};
-    weights whose column i + offset lies outside 0..N-1 are zero."""
+    weights whose column i + offset lies outside 0..N-1 are zero.  The
+    weights are a read-only copy, and a shift compares and hashes by
+    identity, as an array has no tuple equality."""
 
-    offset: int
-    weights: np.ndarray
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __post_init__(self):
+    def __new__(cls, offset: int, weights: np.ndarray):
         import numpy as np
 
-        w = np.array(self.weights)
+        w = np.array(weights)
         if w.ndim != 1:
             raise ValueError("weights of a weighted shift form a vector")
-        if self.offset > 0:
-            w[max(0, w.size - self.offset):] = 0
-        elif self.offset < 0:
-            w[:-self.offset] = 0
+        if offset > 0:
+            w[max(0, w.size - offset):] = 0
+        elif offset < 0:
+            w[:-offset] = 0
         w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        return tuple.__new__(cls, (offset, w))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so both zero and freeze the weights
+        return cls(*iterable)
 
     @property
     def dim(self) -> int:
@@ -97,32 +102,28 @@ class WeightedShift:
 
 
 def _check_label(parity: str, l: int, r: int) -> None:
-    if parity not in ("even", "odd"):
-        raise ValueError(f"unknown parity {parity!r}")
-    if l < 1:
-        raise ValueError("l must be a positive integer")
-    if parity == "even" and l % 2 == 0:
-        raise ValueError("the even family requires odd l")
+    Weights.canonical(parity, l)  # parity and l, with the family's messages
     if not 1 <= r <= l:
         raise ValueError(f"label r must lie in 1..{l}")
 
 
-@dataclass(frozen=True, slots=True)
-class RepInstance:
+class RepInstance(namedtuple("RepInstance", "parity l r q dim")):
     """One infinite-dimensional representation label, truncated to dim."""
 
-    parity: str
-    l: int
-    r: int
-    q: float
-    dim: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_label(self.parity, self.l, self.r)
-        if not 0.0 < self.q < 1.0:
+    def __new__(cls, parity: str, l: int, r: int, q: float, dim: int):
+        _check_label(parity, l, r)
+        if not 0.0 < q < 1.0:
             raise ValueError("q must lie in (0, 1)")
-        if self.dim < 1:
+        if dim < 1:
             raise ValueError("dim must be positive")
+        return tuple.__new__(cls, (parity, l, r, q, dim))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so both keep the checks
+        return cls(*iterable)
 
 
 class WeightForm(NamedTuple):
@@ -261,8 +262,7 @@ def same_operator(lhs: SideForm, rhs: SideForm, l: int, r: int) -> bool:
                                       for n in range(low, high))
 
 
-@dataclass(frozen=True, slots=True)
-class ResidualEntry:
+class ResidualEntry(NamedTuple):
     r: int
     rid: str
     residual: float
@@ -384,19 +384,16 @@ def intertwiner_check(parity: str, l: int, q: float = 0.5, dim: int = 256) -> di
 def words_independent(monomials: Sequence[NormalMonomial], dim: int) -> bool:
     """Exact linear independence of the truncated ambient images at every
     q, read off the weight forms: offsets are distinct diagonals, and on
-    one offset the images q^{h(n+1)} f(n), on the columns offset <= n < N
-    where no factor of f vanishes (n + 1 != -s), form a generalized
-    Vandermonde system in q^h."""
-    blocks: dict[int, list[WeightForm]] = {}
+    one offset the images q^{h(n+1)} f(n) on the N - offset columns
+    offset <= n < N form a generalized Vandermonde system in q^h.  No
+    factor of f vanishes there: ambient_form(z0^m ...) has the factors
+    -1..-m, which vanish only on the columns n + 1 = -s, that is 0..m-1,
+    all below the block's offset m."""
+    blocks: dict[int, list[int]] = {}
     for mono in monomials:
         form = ambient_form(mono)
-        blocks.setdefault(form.offset, []).append(form)
-    for offset, forms in blocks.items():
-        vanishing = {-s - 1 for form in forms for s in form.factors}
-        columns = max(0, dim - offset) - sum(offset <= n < dim for n in vanishing)
-        if len({form.h for form in forms}) < len(forms) or len(forms) > columns:
-            return False
-    return True
+        blocks.setdefault(form.offset, []).append(form.h)
+    return all(len(set(hs)) == len(hs) <= max(0, dim - offset) for offset, hs in blocks.items())
 
 
 def faithfulness_probe(monomials: Sequence[NormalMonomial], q: float = 0.5,
@@ -431,8 +428,7 @@ def faithfulness_probe(monomials: Sequence[NormalMonomial], q: float = 0.5,
 # -- assembled report -------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class RepReport:
+class RepReport(NamedTuple):
     parity: str
     l: int
     q: float
@@ -472,8 +468,7 @@ class RepReport:
 
 def rep_report(parity: str, l: int, q: float = 0.5, dim: int = 256,
                tol: float = 1e-10) -> RepReport:
-    if l < 1:
-        raise ValueError("l must be a positive integer")
+    _check_label(parity, l, 1)
     if dim <= 2 * l:
         raise ValueError(f"truncation too small: l={l} needs N >= {2 * l + 1} "
                          f"(the checks read the N - 2l interior columns)")

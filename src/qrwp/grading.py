@@ -8,24 +8,29 @@ the coaction exactly when every term has degree zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .sigma3 import AlgebraElement, NormalMonomial
 
 
-@dataclass(frozen=True, slots=True)
-class Weights:
-    """A coprime integer weight pair; parity of k picks the quotient family."""
+class Weights(namedtuple("Weights", "k l")):
+    """A coprime integer weight pair; parity of k picks the quotient family.
+    An immutable named tuple, checked on every construction path."""
 
-    k: int
-    l: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.l < 1:
+    def __new__(cls, k: int, l: int):
+        if l < 1:
             raise ValueError("weight l must be a positive integer")
-        if gcd(abs(self.k), self.l) != 1:
-            raise ValueError(f"weights ({self.k}, {self.l}) are not coprime")
+        if gcd(abs(k), l) != 1:
+            raise ValueError(f"weights ({k}, {l}) are not coprime")
+        return tuple.__new__(cls, (k, l))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so both keep the checks
+        return cls(*iterable)
 
     @property
     def parity(self) -> str:
@@ -38,16 +43,18 @@ class Weights:
 
     @classmethod
     def canonical(cls, parity: str, l: int) -> "Weights":
-        """The standard representative of a parity class: k=2 or k=1.  The
-        even family needs odd l, and says so rather than that (2, l) is
-        not coprime, as the representation and K-theory checks do."""
-        if parity == "even":
-            if l >= 1 and l % 2 == 0:
-                raise ValueError("the even family requires odd l")
-            return cls(2, l)
-        if parity == "odd":
-            return cls(1, l)
-        raise ValueError(f"unknown parity {parity!r}")
+        """The standard representative of a parity class: k=2 or k=1.  This
+        is the one check of a family label (parity, l): the representation
+        and K-theory checks call it too, so every family command names a
+        bad l the same way, and the even family asks for odd l rather
+        than saying that (2, l) is not coprime."""
+        if parity not in ("even", "odd"):
+            raise ValueError(f"unknown parity {parity!r}")
+        if l < 1:
+            raise ValueError("l must be a positive integer")
+        if parity == "even" and l % 2 == 0:
+            raise ValueError("the even family requires odd l")
+        return cls(2 if parity == "even" else 1, l)
 
 
 def degree(w: Weights, mono: NormalMonomial) -> int:

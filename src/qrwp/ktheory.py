@@ -22,18 +22,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import fockrep
 from .fockrep import (RepInstance, a_exponents, compose_side, form_weights, modulus_kernel, modulus_relation,
                       same_operator)
 # not called here; perfbench/tests/test_perfbench.py checks that tracing patches this name too
 from .fockrep import rep_generator
+from .grading import Weights
 from .qlaurent import power_text
 
 
-@dataclass(frozen=True, slots=True)
-class GroupDescriptor:
+class GroupDescriptor(NamedTuple):
     """A finitely generated abelian group: free rank plus torsion orders
     in Smith canonical form (each dividing the next, all > 1)."""
 
@@ -48,14 +48,12 @@ class GroupDescriptor:
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
 
 
-@dataclass(frozen=True, slots=True)
-class KGroups:
+class KGroups(NamedTuple):
     k0: GroupDescriptor
     k1: GroupDescriptor
 
 
-@dataclass(frozen=True, slots=True)
-class IndexMap:
+class IndexMap(NamedTuple):
     """The connecting map Z -> Z^l, stored as its column of defect ranks."""
 
     parity: str
@@ -74,8 +72,7 @@ class IndexMap:
 def index_map(parity: str, l: int) -> IndexMap:
     """Defect ranks of the lifted coisometries, one entry per label: the
     number of columns on which c* c vanishes."""
-    if l < 1:
-        raise ValueError("l must be a positive integer")
+    Weights.canonical(parity, l)  # l < 1 leaves no label r below to check it
     return IndexMap(parity=parity, l=l,
                     entries=tuple(len(modulus_kernel(parity, l, r, "c")) for r in range(1, l + 1)))
 
@@ -258,8 +255,7 @@ def pullback_check(parity: str, l: int, q: float = 0.5, eps: float = 1e-10) -> d
 # -- assembled report -------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class KReport:
+class KReport(NamedTuple):
     parity: str
     l: int
     q: float

@@ -15,7 +15,7 @@ that the reordering produces).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .grading import Weights, degree
 from .qlaurent import LaurentPoly, power_text, qpow
@@ -27,14 +27,12 @@ from .sigma3 import AlgebraElement, NormalMonomial, _one_minus_qa_product
 Factor = tuple
 
 
-@dataclass(frozen=True, slots=True)
-class RelationSide:
+class RelationSide(NamedTuple):
     q_exponent: int
     factors: tuple[Factor, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Relation:
+class Relation(NamedTuple):
     rid: str
     lhs: RelationSide
     rhs: RelationSide
@@ -109,8 +107,7 @@ def _side_text(side: RelationSide, parity: str) -> str:
     return " ".join(filter(None, parts)) or "1"
 
 
-@dataclass(frozen=True, slots=True)
-class GeneratorSet:
+class GeneratorSet(NamedTuple):
     """Coinvariant generators for one weight pair; b is None for even k."""
 
     weights: Weights
@@ -155,8 +152,7 @@ def eval_side(side: RelationSide, gens: GeneratorSet) -> AlgebraElement:
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class RelationResult:
+class RelationResult(NamedTuple):
     rid: str
     statement: str
     passed: bool
@@ -164,8 +160,7 @@ class RelationResult:
     rhs: str
 
 
-@dataclass(frozen=True, slots=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     parity: str
     l: int
     k: int
@@ -218,8 +213,7 @@ def verify_relations(w: Weights) -> RelationReport:
     return RelationReport(parity=w.parity, l=w.l, k=w.k, results=tuple(results))
 
 
-@dataclass(frozen=True, slots=True)
-class GeneratorWord:
+class GeneratorWord(NamedTuple):
     """A product of generator powers, in word order, with the q-power
     scalar relating it to the factorized monomial:
 

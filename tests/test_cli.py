@@ -198,11 +198,21 @@ def test_tolerance_must_be_finite_and_positive(capsys, command, tol):
     (("rep-check", "--parity", "odd", "--l", "0"), "l must be a positive integer"),
     (("ktheory", "--parity", "odd", "--l", "0"), "l must be a positive integer"),
     (("ktheory", "--parity", "odd", "--l", "-2"), "l must be a positive integer"),
+    # every family command names l <= 0 with one message, in both families
+    (("verify-relations", "--parity", "even", "--l", "0"), "l must be a positive integer"),
+    (("verify-relations", "--parity", "odd", "--l", "0"), "l must be a positive integer"),
+    (("verify-relations", "--parity", "even", "--l", "-3"), "l must be a positive integer"),
+    (("rep-check", "--parity", "even", "--l", "0"), "l must be a positive integer"),
+    (("ktheory", "--parity", "even", "--l", "0"), "l must be a positive integer"),
+    (("report-all", "--lmax", "0", "--format", "json"), "lmax must be at least 1"),
+    # a weight pair is not a family label: its l keeps the weight message
+    (("generators", "--k", "1", "--l", "0"), "weight l must be a positive integer"),
+    (("degree", "--k", "1", "--l", "0", "z0"), "weight l must be a positive integer"),
 ])
 def test_family_sizes_must_be_positive(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_PRECONDITION
-    assert message in err and not out
+    assert err == f"error: {message}\n" and not out
 
 
 @pytest.mark.parametrize("command", ["verify-relations", "rep-check", "ktheory"])

@@ -1,6 +1,5 @@
 """Weighted-shift representations: generators, residuals, intertwiner."""
 
-import dataclasses
 import itertools
 import tracemalloc
 
@@ -151,7 +150,7 @@ def test_circle_check_fails_a_winding_mutation(monkeypatch):
     twenty = RelationSide(0, (("gen", "c", False),) * 20)
 
     def mutated(parity, l):
-        return tuple(dataclasses.replace(rel, lhs=twenty) if rel.rid == "odd.10" else rel
+        return tuple(rel._replace(lhs=twenty) if rel.rid == "odd.10" else rel
                      for rel in relations_for(parity, l))
 
     monkeypatch.setattr(fockrep, "relations_for", mutated)
@@ -382,7 +381,7 @@ def _odd4_mutation():
     original = fockrep.relations_for
 
     def mutated(parity, l):
-        return tuple(dataclasses.replace(rel, rhs=dataclasses.replace(rel.rhs, q_exponent=3 * l + 1))
+        return tuple(rel._replace(rhs=rel.rhs._replace(q_exponent=3 * l + 1))
                      if rel.rid == "odd.4" else rel for rel in original(parity, l))
     return "relations_for", mutated
 

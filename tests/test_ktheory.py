@@ -1,6 +1,5 @@
 """Index maps and lifts from integer exponents, K-group assembly from gcd(delta), pullbacks."""
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -100,7 +99,7 @@ def test_kernel_checks_follow_the_modulus_relation(monkeypatch):
 
     def mutated(parity, l):
         shifted = RelationSide(0, (("prod", tuple(range(0, -2 * l, -1))),))
-        return tuple(dataclasses.replace(rel, rhs=shifted) if rel.rid == "odd.11" else rel
+        return tuple(rel._replace(rhs=shifted) if rel.rid == "odd.11" else rel
                      for rel in relations_for(parity, l))
 
     assert index_map("odd", 2).entries == (2, 2)
@@ -141,7 +140,7 @@ def test_negative_modulus_factor_is_an_error(monkeypatch):
 
     def mutated(parity, l):
         longer = RelationSide(0, (("prod", tuple(range(-1, -2 * l - 1, -1)) + (-2 * l - 2,)),))
-        return tuple(dataclasses.replace(rel, rhs=longer) if rel.rid == "odd.11" else rel
+        return tuple(rel._replace(rhs=longer) if rel.rid == "odd.11" else rel
                      for rel in relations_for(parity, l))
 
     monkeypatch.setattr(fockrep, "relations_for", mutated)

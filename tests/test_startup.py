@@ -2,7 +2,8 @@
 
 numpy is imported only inside the functions that build arrays, so
 `import qrwp`, `import qrwp.cli` and every exact command work in an
-interpreter where any numpy import raises.
+interpreter where any numpy import raises.  The package's records are
+named tuples, so `import qrwp.cli` loads no dataclasses either.
 """
 
 import json
@@ -49,7 +50,10 @@ def _python(*args: str) -> str:
 
 
 def test_import_loads_no_numpy():
-    assert _python("-c", "import sys, qrwp.cli; print('numpy' in sys.modules)") == "False\n"
+    # importing dataclasses would also pull in inspect, ast, dis and tokenize
+    loaded = _python("-c", "import sys, qrwp.cli; print([m for m in ('numpy', 'dataclasses', 'inspect') "
+                           "if m in sys.modules])")
+    assert loaded == "[]\n"
 
 
 def test_exact_commands_run_with_numpy_blocked():
