@@ -17,7 +17,7 @@ The table of (offset, h, S), in which the central unitary acts trivially:
 The kernels c+ e_0 = b e_0 = 0, c- e_0 = c- e_1 = 0 are read from the
 relations that state g* g as a product in a (even.4, odd.7, odd.11): a
 factor (1 - q^{2e} a) vanishes on e_n exactly where e + ln + r = 0, an
-integer condition that holds for every q (modulus_kernel).
+integer condition that holds for every q (modulus_kernels).
 
 A relation side composes, factor by factor, into one such weight with a
 q-power and the multiset S of every factor's half-factors, written in
@@ -308,24 +308,29 @@ def modulus_relation(parity: str, l: int, gen: str) -> Relation:
     return next(rel for rel in relations_for(parity, l) if rel.rid == rid)
 
 
-def modulus_kernel(parity: str, l: int, r: int, gen: str) -> tuple[int, ...]:
-    """The columns n >= 0 on which g* g vanishes for label r, read off
-    integers: a factor (1 - q^{2e} a) of modulus_relation is zero on e_n
-    exactly where e + ln + r = 0, whatever q is.  A factor is negative
-    where e + ln + r < 0, which g* g >= 0 allows only on a kernel column;
-    anywhere else it is a hard error.  Past column (-min e - r) / l every
-    factor is positive, so only the columns below it are read."""
-    _check_label(parity, l, r)
+def modulus_kernels(parity: str, l: int, gen: str) -> tuple[tuple[int, ...], ...]:
+    """For each label r = 1..l, the columns n >= 0 on which g* g
+    vanishes, read off integers: a factor (1 - q^{2e} a) of
+    modulus_relation is zero on e_n exactly where e + ln + r = 0, whatever
+    q is.  A factor is negative where e + ln + r < 0, which g* g >= 0
+    allows only on a kernel column; anywhere else it is a hard error.
+    Past column (-min e - r) / l every factor is positive, so only the
+    columns below it are read.  The relation list is built once for all
+    labels."""
+    Weights.canonical(parity, l)
     exps = [e for f in modulus_relation(parity, l, gen).rhs.factors if f[0] == "prod" for e in f[1]]
-    kernel = []
-    for n in range(max(0, (-min(exps, default=0) - r) // l + 1)):
-        heights = [e + l * n + r for e in exps]
-        if 0 in heights:
-            kernel.append(n)
-        elif min(heights) < 0:
-            raise ArithmeticError(f"negative modulus factor 1 - q^{2 * min(heights)} "
-                                  f"at non-kernel column {n} (label r={r})")
-    return tuple(kernel)
+    kernels = []
+    for r in range(1, l + 1):
+        kernel = []
+        for n in range(max(0, (-min(exps, default=0) - r) // l + 1)):
+            heights = [e + l * n + r for e in exps]
+            if 0 in heights:
+                kernel.append(n)
+            elif min(heights) < 0:
+                raise ArithmeticError(f"negative modulus factor 1 - q^{2 * min(heights)} "
+                                      f"at non-kernel column {n} (label r={r})")
+        kernels.append(tuple(kernel))
+    return tuple(kernels)
 
 
 def kernel_conditions_exact(parity: str, l: int) -> bool:
@@ -333,8 +338,8 @@ def kernel_conditions_exact(parity: str, l: int) -> bool:
     for every label, the columns on which the relations make g* g vanish
     must be exactly the columns that g's shift lowers out of the space."""
     names = ("c",) if parity == "even" else ("b", "c")
-    return all(modulus_kernel(parity, l, r, name) == tuple(range(generator_form(parity, l, name).offset))
-               for r in range(1, l + 1) for name in names)
+    return all(kernel == tuple(range(generator_form(parity, l, name).offset))
+               for name in names for kernel in modulus_kernels(parity, l, name))
 
 
 def scalar_relations_exact(parity: str, l: int) -> bool:

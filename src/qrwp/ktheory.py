@@ -8,7 +8,7 @@ divided by the square root of its modulus c* c = prod_m (1 - q^{-2m} a)
 (even.4, odd.11).  When that relation's sides are one operator
 (fockrep.same_operator), the quotient is the bare shift past the kernel
 of c on every column and at every q.  That kernel is read off the
-product's integer exponents (fockrep.modulus_kernel): one column in the
+product's integer exponents (fockrep.modulus_kernels): one column in the
 even family, two in the odd.  The defect 1 - U*U of the lift projects
 onto those columns, so its rank is the kernel size, and no truncation
 enters.  The ranks fill an l x 1 integer column delta, whose Smith form
@@ -25,11 +25,10 @@ import math
 from typing import NamedTuple
 
 from . import fockrep
-from .fockrep import (RepInstance, a_exponents, compose_side, form_weights, modulus_kernel, modulus_relation,
+from .fockrep import (RepInstance, a_exponents, compose_side, form_weights, modulus_kernels, modulus_relation,
                       same_operator)
 # not called here; perfbench/tests/test_perfbench.py checks that tracing patches this name too
 from .fockrep import rep_generator
-from .grading import Weights
 from .qlaurent import power_text
 
 
@@ -72,9 +71,8 @@ class IndexMap(NamedTuple):
 def index_map(parity: str, l: int) -> IndexMap:
     """Defect ranks of the lifted coisometries, one entry per label: the
     number of columns on which c* c vanishes."""
-    Weights.canonical(parity, l)  # l < 1 leaves no label r below to check it
     return IndexMap(parity=parity, l=l,
-                    entries=tuple(len(modulus_kernel(parity, l, r, "c")) for r in range(1, l + 1)))
+                    entries=tuple(len(kernel) for kernel in modulus_kernels(parity, l, "c")))
 
 
 def _lift_deviation(parity: str, l: int) -> float:

@@ -146,9 +146,9 @@ def eval_side(side: RelationSide, gens: GeneratorSet) -> AlgebraElement:
         if f[0] == "gen":
             g = gens.named(f[1])
             out = out * (g.star() if f[2] else g)
-        else:  # prod_e (1 - q^{2e} a), expanded once, with a^j = z1^{2j} xi^j
-            poly = _one_minus_qa_product(f[1])
-            out = out * AlgebraElement({NormalMonomial(0, 2 * j, j): c for j, c in poly.items()})
+        else:  # prod_e (1 - q^{2e} a), expanded once per process, with a^j = z1^{2j} xi^j
+            out = out * AlgebraElement._canonical({NormalMonomial(0, 2 * j, j): c
+                                                   for j, c in _one_minus_qa_product(f[1])})
     return out
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
+from operator import neg
 from typing import Mapping, Sequence
 
 from .qlaurent import ONE, ZERO, LaurentPoly, _binary_power, power_text, qpow, sum_text
@@ -59,24 +60,20 @@ class NormalMonomial(namedtuple("NormalMonomial", "m p r")):
 IDENTITY_MONOMIAL = NormalMonomial(0, 0, 0)
 
 
-def _one_minus_qa_product(exponents: Sequence[int]) -> dict[int, LaurentPoly]:
-    """Expand prod_e (1 - q^{2e} A) as {A-power: coefficient}.
+@lru_cache(maxsize=None)
+def _gaussian_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """The Gaussian binomials [n k]_x, k = 0..n, each as the integer
+    coefficients of a polynomial in x, ascending.
 
-    The exponents must be a run e0, e0 + d, ..., e0 + (n-1) d with step
-    d = +-1.  By the q-binomial theorem the coefficient of A^k is
-
-        (-1)^k q^{2k e0 + d k(k-1)} [n k]_{q^{2d}},
-
-    and each Gaussian binomial, kept as the integer coefficients of a
-    polynomial in x = q^{2d}, follows from the previous one as
-    G_k = G_{k-1} (1 - x^{n-k+1}) / (1 - x^k).
+    Rows k <= n/2 follow from the previous one as
+    G_k = G_{k-1} (1 - x^{n-k+1}) / (1 - x^k); the rest are mirrors,
+    [n k] = [n n-k].  The rows are cached by n alone: each is a
+    palindrome, [n k]_{x^-1} = x^{-k(n-k)} [n k]_x, so a rising and a
+    falling run of one length read the same rows.
     """
-    n = len(exponents)
-    e0 = exponents[0] if n else 0
-    d = exponents[1] - e0 if n > 1 else 1
-    poly = {0: ONE}
     gauss = [1]
-    for k in range(1, n + 1):
+    rows = [(1,)]
+    for k in range(1, n // 2 + 1):
         m = n - k + 1
         # times (1 - x^m), then exactly divided by (1 - x^k) as a running sum
         pad = [0] * m
@@ -84,10 +81,37 @@ def _one_minus_qa_product(exponents: Sequence[int]) -> dict[int, LaurentPoly]:
         for r in range(k):
             gauss[r::k] = accumulate(gauss[r::k])
         del gauss[len(gauss) - k:]
+        rows.append(tuple(gauss))
+    return tuple(rows + [rows[n - k] for k in range(len(rows), n + 1)])
+
+
+def _one_minus_qa_product(exponents: Sequence[int]) -> tuple[tuple[int, LaurentPoly], ...]:
+    """Expand prod_e (1 - q^{2e} A) as (A-power, coefficient) pairs,
+    ascending in the power; every coefficient is nonzero.
+
+    The exponents must be a run e0, e0 + d, ..., e0 + (n-1) d with step
+    d = +-1.  By the q-binomial theorem the coefficient of A^k is
+
+        (-1)^k q^{2k e0 + d k(k-1)} [n k]_{q^{2d}},
+
+    with [n k] read from _gaussian_rows(n) for either sign of d.  The
+    expansion is cached by (e0, d, n), so every caller of one run shares
+    the same immutable pairs.
+    """
+    n = len(exponents)
+    e0 = exponents[0] if n else 0
+    d = exponents[1] - e0 if n > 1 else 1
+    return _run_product(e0, d, n)
+
+
+@lru_cache(maxsize=None)
+def _run_product(e0: int, d: int, n: int) -> tuple[tuple[int, LaurentPoly], ...]:
+    terms = []
+    for k, row in enumerate(_gaussian_rows(n)):
         base = 2 * k * e0 + d * k * (k - 1)
-        sign = -1 if k & 1 else 1
-        poly[k] = LaurentPoly._canonical({base + 2 * d * i: sign * g for i, g in enumerate(gauss)})
-    return poly
+        exponents = range(base, base + 2 * d * len(row), 2 * d)
+        terms.append((k, LaurentPoly._canonical(dict(zip(exponents, map(neg, row) if k & 1 else row)))))
+    return tuple(terms)
 
 
 @lru_cache(maxsize=262144)
@@ -111,16 +135,14 @@ def _mono_product(w1: NormalMonomial, w2: NormalMonomial):
     if m1 > 0:
         # z0^a z0s^b -> [z0^d] prod_{j=0}^{w-1}(1 - q^{2j} A) [z0s^{-d}]
         w = min(m1, -m2)
-        poly = _one_minus_qa_product(range(w))
-        for j, coef in sorted(poly.items()):
+        for j, coef in _one_minus_qa_product(range(w)):
             # when d < 0 the A-polynomial sits left of z0s^{-d}: A^j z0s^k = q^{2jk} z0s^k A^j
             shift = cost if d >= 0 else cost - 2 * j * d
             terms.append((NormalMonomial(d, p + 2 * j, r + j), coef * qpow(shift)))
     else:
         # z0s^a z0^b -> [z0s^{-d}] prod_{i=1}^{w}(1 - q^{-2i} A) [z0^d]
         w = min(-m1, m2)
-        poly = _one_minus_qa_product(range(-1, -w - 1, -1))
-        for j, coef in sorted(poly.items()):
+        for j, coef in _one_minus_qa_product(range(-1, -w - 1, -1)):
             # when d > 0 the A-polynomial sits left of z0^d: A^j z0^k = q^{-2jk} z0^k A^j
             shift = cost if d <= 0 else cost - 2 * j * d
             terms.append((NormalMonomial(d, p + 2 * j, r + j), coef * qpow(shift)))

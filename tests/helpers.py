@@ -186,7 +186,7 @@ def array_words_independent(monomials, dim: int) -> bool:
 def kernel_columns(inst, gen: str) -> tuple[np.ndarray, int]:
     """The diagonal of g* g on e_0..e_{N-1}, and its run of leading exact
     zeros: the modulus relation's right side evaluated in floats, the
-    numeric oracle of fockrep.modulus_kernel.  The side holds a (in odd.7)
+    numeric oracle of fockrep.modulus_kernels.  The side holds a (in odd.7)
     and factors (1 - q^{2e} a), each evaluated from its integer exponent.
     At tiny q a kernel column's factor overflows to -inf, and the column's
     exact zero factor wins over it.  The factor a underflows to 0.0 deep in

@@ -222,10 +222,12 @@ def test_even_family_with_even_l_names_the_family(capsys, command):
     assert err == "error: the even family requires odd l\n"
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_commands():
     """(argv, note) for every qrwp line of README's "Command line" block."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = text.split("## Command line", 1)[1].split("```")[1]
+    block = README.read_text().split("## Command line", 1)[1].split("```")[1]
     for line in block.splitlines():
         if line.startswith("qrwp "):
             cmd, _, note = line.partition("#")
@@ -241,6 +243,32 @@ def test_readme_command_line(capsys, monkeypatch, argv, note):
     assert code == EXIT_OK, err
     if note.startswith("-> "):
         assert ", ".join(out.splitlines()) == note[3:]
+
+
+def test_readme_library_quick_start(capsys):
+    # the two python blocks run in one namespace, as a reader would type them
+    section = README.read_text().split("## Library quick start", 1)[1].split("\n## ", 1)[0]
+    blocks = [chunk.removeprefix("python\n") for chunk in section.split("```")[1::2]]
+    assert len(blocks) == 2
+    namespace = {}
+    exec(blocks[0], namespace)
+    assert capsys.readouterr().out.splitlines() == ["True", "(('b', 0), ('a', 0), ('c', 1)) 1", "Z2 (+) Z^2"]
+    assert namespace["delta"].entries == (2, 2)
+    # in the second block a comment is the line's value, or the error it raises
+    *lines, last = blocks[1].splitlines()
+    for line in lines:
+        code, _, note = (part.strip() for part in line.partition("#"))
+        if note:
+            assert repr(eval(code, namespace)) == note, line
+        else:
+            exec(code, namespace)
+    assert (namespace["k"], namespace["l"]) == (1, 2)
+    code, _, note = (part.strip() for part in last.partition("#"))
+    error, _, message = note.partition(": ")
+    assert error == "ValueError"
+    with pytest.raises(ValueError) as raised:
+        eval(code, namespace)
+    assert str(raised.value) == message
 
 
 def test_parse_error_exit_code(capsys):

@@ -17,7 +17,7 @@ from qrwp import (
     pullback_check,
 )
 from qrwp import fockrep
-from qrwp.fockrep import RepInstance, kernel_conditions_exact, modulus_kernel, rep_generator
+from qrwp.fockrep import RepInstance, kernel_conditions_exact, modulus_kernels, rep_generator
 from qrwp.qwrp import RelationSide
 
 from helpers import dense_kernel_dim, kernel_columns
@@ -34,7 +34,7 @@ def test_shift_structure():
     # are the zero columns of c itself
     for parity, l, kernel in (("even", 3, (0,)), ("odd", 2, (0, 1))):
         for r in range(1, l + 1):
-            assert modulus_kernel(parity, l, r, "c") == kernel, (parity, r)
+            assert modulus_kernels(parity, l, "c")[r - 1] == kernel, (parity, r)
             c = rep_generator(RepInstance(parity, l, r, Q, 32), "c").matrix
             assert tuple(np.flatnonzero(~c.any(axis=0))) == kernel, (parity, r)
 

@@ -188,6 +188,42 @@ def test_words_are_tuples():
     assert [mono for mono, _ in x.terms()] == in_order
 
 
+def linear_factor_product(exponents) -> list:
+    """prod_e (1 - q^{2e} A) multiplied out one linear factor at a time,
+    as (A-power, coefficient) pairs in ascending power."""
+    coeffs = [LaurentPoly({0: 1})]
+    for e in exponents:
+        shifted = [c * qpow(2 * e) for c in coeffs]
+        coeffs = [a - b for a, b in zip(coeffs + [LaurentPoly()], [LaurentPoly()] + shifted)]
+    return list(enumerate(coeffs))
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_run_product_matches_the_linear_factors(n):
+    # n = 0 is the empty product; odd and even n put a row in the mirrored
+    # half or one row on the middle of the Gaussian binomials
+    for e0 in (0, -1, 3):
+        for run in (range(e0, e0 + n), range(e0, e0 - n, -1)):
+            pairs = sigma3._one_minus_qa_product(run)
+            assert list(pairs) == linear_factor_product(run), (e0, list(run))
+            assert all(coef for _, coef in pairs)
+
+
+def test_run_product_is_one_cached_tuple():
+    rising = sigma3._one_minus_qa_product(range(7))
+    # a tuple of tuples: no caller can change the shared expansion
+    assert isinstance(rising, tuple) and all(isinstance(pair, tuple) for pair in rising)
+    # the same run, however it is spelled, returns the same coefficient objects
+    again = sigma3._one_minus_qa_product(tuple(range(7)))
+    assert again is rising
+    assert all(a is b for (_, a), (_, b) in zip(rising, again))
+    # the falling run of a length reads the rows the rising run built
+    sigma3._one_minus_qa_product(range(31))
+    rows = sigma3._gaussian_rows.cache_info()
+    sigma3._one_minus_qa_product(range(-1, -32, -1))
+    assert sigma3._gaussian_rows.cache_info().misses == rows.misses
+
+
 def test_mono_product_keeps_its_cache_counters():
     # the benchmark reads the hit and miss counts of this cache
     before = sigma3._mono_product.cache_info()
