@@ -46,12 +46,9 @@ from .fockrep import (
     RepInstance,
     RepReport,
     WeightedShift,
-    faithfulness_probe,
     intertwiner_check,
     rep_generator,
     rep_report,
-    rep_scalar,
-    rep_sigma,
 )
 from .ktheory import (
     GroupDescriptor,
@@ -80,8 +77,7 @@ __all__ = [
     "factorize", "factorize_with_conjugates", "word_element",
     "degree_zero_monomials", "enumerate_word_monomials",
     "RepInstance", "RepReport", "WeightedShift",
-    "rep_generator", "rep_scalar", "rep_sigma",
-    "intertwiner_check", "faithfulness_probe", "rep_report",
+    "rep_generator", "intertwiner_check", "rep_report",
     "GroupDescriptor", "IndexMap", "KGroups",
     "index_map", "assemble_kgroups",
     "expected_kgroups", "cokernel_map_check", "pullback_check",

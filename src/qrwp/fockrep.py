@@ -34,17 +34,17 @@ same exponent x = 2(ln + r) (intertwiner_check).  In the circle of
 one-dimensional representations (a = b = 0, |c| = 1) a side is 0 if it
 holds a or b, else q^E c^w with w = #c - #c*, so a relation holds on the
 whole circle and at every q exactly when both sides are 0 or both have
-equal (E, w) (scalar_relations_exact).  WeightedShift, the operators
-compressed to span{e_0, ..., e_{N-1}}, is built only for tests and the
-dense faithfulness probe.
+equal (E, w) (scalar_relations_exact).
 
-numpy is imported inside the functions that build arrays, so importing
-this module (and the exact commands of the CLI) does not load it.
+Every weight is evaluated one column at a time on Python ints and floats
+(form_weights), so no command loads numpy.  Only WeightedShift, the
+operators compressed to span{e_0, ..., e_{N-1}}, builds arrays; it is
+built only by tests, and imports numpy when it is.
 """
 
 from __future__ import annotations
 
-import cmath
+import functools
 import math
 from collections import Counter, namedtuple
 from typing import TYPE_CHECKING, NamedTuple, Sequence
@@ -90,8 +90,7 @@ class WeightedShift(namedtuple("WeightedShift", "offset weights")):
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense N x N matrix, built on demand (for the faithfulness
-        probe and for tests)."""
+        """The dense N x N matrix, built on demand (for tests)."""
         import numpy as np
 
         rows = np.arange(self.dim)
@@ -156,63 +155,55 @@ def ambient_form(mono: NormalMonomial) -> WeightForm:
     return WeightForm(mono.m, mono.p, _down(mono.m))
 
 
-def a_exponents(l: int, r: int | np.ndarray, columns: np.ndarray) -> np.ndarray:
+def a_exponents(l: int, r: int | np.ndarray, columns: int | np.ndarray) -> int | np.ndarray:
     """x_n = 2(ln + r) on each column n (l = r = 1: the ambient one)."""
     return 2 * (l * columns + r)
 
 
-def form_weights(form: WeightForm | SideForm, q: float, x: np.ndarray, q_exponent: int = 0) -> np.ndarray:
-    """The weights q^{q_exponent + h x/2} prod_{s in S} (1 - q^{2s + x})^{1/2}
-    of a form on a's integer exponents x.  A repeated s is a full factor
-    raised to an integer power, which may be negative; a negative radicand
-    under a square root signals a mistyped form (or a kernel column) and
-    is a hard error."""
-    import numpy as np
+@functools.lru_cache(maxsize=None)
+def _factor_counts(factors: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Each half-factor s with its multiplicity, in first-seen order."""
+    return tuple(Counter(factors).items())
 
+
+def _power(base: float, e: int) -> float:
+    """base ** e, with an overflow read as an infinity of the result's sign,
+    as numpy reads it."""
+    try:
+        return base ** e
+    except OverflowError:
+        return math.copysign(math.inf, base) if e % 2 else math.inf
+
+
+def form_weights(form: WeightForm | SideForm, q: float, x: int, q_exponent: int = 0) -> float:
+    """The weight q^{q_exponent + h x/2} prod_{s in S} (1 - q^{2s + x})^{1/2}
+    of a form on one column, whose a-exponent is the integer x.  A repeated
+    s is a full factor raised to an integer power, which may be negative; a
+    negative radicand under a square root signals a mistyped form (or a
+    kernel column) and is a hard error.  A power that overflows reads inf,
+    so a failing relation's measurement reads inf rather than raising."""
     acc = 1.0
-    for s, count in Counter(form.factors).items():
-        radicand = 1.0 - q ** (2 * s + x)
+    for s, count in _factor_counts(form.factors):
+        radicand = 1.0 - _power(q, 2 * s + x)
         if count % 2:
-            if np.any(radicand < 0.0):
-                raise ArithmeticError(f"negative radicand 1 - q^{int(np.min(2 * s + x))} in shift weight")
-            acc = acc * np.sqrt(radicand)
+            if radicand < 0.0:
+                raise ArithmeticError(f"negative radicand 1 - q^{2 * s + x} in shift weight")
+            acc = acc * math.sqrt(radicand)
         if count > 1:
-            acc = acc * radicand ** (count // 2)
-    return q ** (q_exponent + form.h * x // 2) * acc
+            acc = acc * _power(radicand, count // 2)
+    return _power(q, q_exponent + form.h * x // 2) * acc
 
 
 def _weighted_shift(form: WeightForm, q: float, l: int, r: int, dim: int) -> WeightedShift:
-    """The weighted shift of a weight form on e_0..e_{N-1}."""
-    import numpy as np
-
-    x = a_exponents(l, r, np.arange(dim) + form.offset)  # the column each row reads
-    return WeightedShift(form.offset, form_weights(form, q, x))
+    """The weighted shift of a weight form on e_0..e_{N-1}: row n reads
+    column n + offset."""
+    return WeightedShift(form.offset, [form_weights(form, q, a_exponents(l, r, n + form.offset))
+                                       for n in range(dim)])
 
 
 def rep_generator(inst: RepInstance, gen: str) -> WeightedShift:
     """One generator in the representation inst, as a weighted shift."""
     return _weighted_shift(generator_form(inst.parity, inst.l, gen), inst.q, inst.l, inst.r, inst.dim)
-
-
-def rep_scalar(theta: float, parity: str) -> dict[str, complex]:
-    """The one-dimensional representation: a (and b) vanish, c is the
-    unit-circle value e^{2 pi i theta}."""
-    if not 0.0 <= theta < 1.0:
-        raise ValueError("theta must lie in [0, 1)")
-    values = {"a": 0j, "c": cmath.exp(2j * math.pi * theta)}
-    if parity == "odd":
-        values["b"] = 0j
-    elif parity != "even":
-        raise ValueError(f"unknown parity {parity!r}")
-    return values
-
-
-def rep_sigma(mono: NormalMonomial, q: float, dim: int) -> WeightedShift:
-    """The ambient representation of one basis word (z0 family only)."""
-    form = ambient_form(mono)
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must lie in (0, 1)")
-    return _weighted_shift(form, q, 1, 1, dim)
 
 
 # -- relation residuals ----------------------------------------------
@@ -283,14 +274,14 @@ def relation_residuals(parity: str, l: int, q: float = 0.5, dim: int = 256) -> l
         for rid, lhs, rhs in forms:
             passed, res = same_operator(lhs, rhs, l, r), 0.0
             if not passed:
-                import numpy as np
-
                 first = max(lhs.lowest, rhs.lowest)  # each side reads columns first + offset onwards
-                left, right = (form_weights(f, q, a_exponents(l, r, np.arange(first + f.offset, interior)),
-                                            f.q_exponent) for f in (lhs, rhs))
+                left, right = ([form_weights(f, q, a_exponents(l, r, n), f.q_exponent)
+                                for n in range(first + f.offset, interior)] for f in (lhs, rhs))
                 # shifts with different offsets share no entry
-                diff = left - right if lhs.offset == rhs.offset else np.concatenate((left, right))
-                res = float(np.max(np.abs(diff), initial=0.0))
+                diff = [u - v for u, v in zip(left, right)] if lhs.offset == rhs.offset else left + right
+                sizes = [abs(d) for d in diff]
+                # a nan (inf - inf, inf * 0) wins, as in numpy's max
+                res = math.nan if any(d != d for d in sizes) else max(sizes, default=0.0)
             entries.append(ResidualEntry(r=r, rid=rid, residual=res, passed=passed))
     return entries
 
@@ -344,7 +335,7 @@ def kernel_conditions_exact(parity: str, l: int) -> bool:
 
 def scalar_relations_exact(parity: str, l: int) -> bool:
     """Whether every relation holds in the whole circle of one-dimensional
-    representations (rep_scalar), at every q: a = 0 makes every product
+    representations, at every q: a = 0 makes every product
     factor 1, so a side with a or b in it is 0 and any other side is
     q^E u^w, w = #c - #c*, on c = u.  Both sides must be 0, or both have
     one (E, w)."""
@@ -399,35 +390,6 @@ def words_independent(monomials: Sequence[NormalMonomial], dim: int) -> bool:
         form = ambient_form(mono)
         blocks.setdefault(form.offset, []).append(form.h)
     return all(len(set(hs)) == len(hs) <= max(0, dim - offset) for offset, hs in blocks.items())
-
-
-def faithfulness_probe(monomials: Sequence[NormalMonomial], q: float = 0.5,
-                       dim: int = 128, tol: float = 1e-8) -> bool:
-    """True when the truncated images are linearly independent; the
-    dense test oracle of words_independent.
-
-    Images are normalized before the rank computation (independence is
-    scale-invariant and the word norms vary over many orders of
-    magnitude); the numeric rank counts singular values above
-    tol * largest."""
-    import numpy as np
-
-    monomials = list(monomials)
-    if len(monomials) > dim // 2:
-        raise ValueError("monomial list exceeds half the truncation size")
-    if not monomials:
-        return True
-    rows = []
-    for mono in monomials:
-        v = rep_sigma(mono, q, dim).matrix.reshape(-1)
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            return False
-        rows.append(v / norm)
-    stack = np.array(rows)
-    svals = np.linalg.svd(stack, compute_uv=False)
-    rank = int(np.sum(svals > tol * svals[0]))
-    return rank == len(monomials)
 
 
 # -- assembled report -------------------------------------------------

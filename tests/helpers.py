@@ -3,7 +3,10 @@
 All randomized suites use SEED so failures reproduce exactly.
 """
 
+import cmath
+import math
 import random
+from collections import Counter
 
 import numpy as np
 
@@ -139,6 +142,80 @@ def count_products(monkeypatch, cls) -> list:
 # -- dense oracle for the weighted-shift operators ---------------------------
 
 
+def array_form_weights(form, q: float, x: np.ndarray, q_exponent: int = 0) -> np.ndarray:
+    """fockrep.form_weights vectorised over an array of a-exponents x, with
+    numpy's power: the independent oracle of the scalar evaluation.  An
+    overflow reads inf (under np.errstate, a warning otherwise)."""
+    acc = 1.0
+    for s, count in Counter(form.factors).items():
+        radicand = 1.0 - q ** (2 * s + x)
+        if count % 2:
+            if np.any(radicand < 0.0):
+                raise ArithmeticError(f"negative radicand 1 - q^{int(np.min(2 * s + x))} in shift weight")
+            acc = acc * np.sqrt(radicand)
+        if count > 1:
+            acc = acc * radicand ** (count // 2)
+    return q ** (q_exponent + form.h * x // 2) * acc
+
+
+def array_relation_residual(lhs, rhs, q: float, l: int, r: int, interior: int) -> float:
+    """The residual of a failing relation for label r, from its composed
+    sides on numpy arrays: the largest difference of the sides' entries on
+    the interior columns, in the rows where both sides reach every column;
+    an overflow reads inf."""
+    first = max(lhs.lowest, rhs.lowest)
+    with np.errstate(over="ignore", invalid="ignore"):
+        left, right = (array_form_weights(f, q, fockrep.a_exponents(l, r, np.arange(first + f.offset, interior)),
+                                          f.q_exponent) for f in (lhs, rhs))
+        diff = left - right if lhs.offset == rhs.offset else np.concatenate((left, right))
+    return float(np.max(np.abs(diff), initial=0.0))
+
+
+def rep_scalar(theta: float, parity: str) -> dict[str, complex]:
+    """The one-dimensional representation: a (and b) vanish, c is the
+    unit-circle value e^{2 pi i theta}."""
+    if not 0.0 <= theta < 1.0:
+        raise ValueError("theta must lie in [0, 1)")
+    values = {"a": 0j, "c": cmath.exp(2j * math.pi * theta)}
+    if parity == "odd":
+        values["b"] = 0j
+    elif parity != "even":
+        raise ValueError(f"unknown parity {parity!r}")
+    return values
+
+
+def rep_sigma(mono, q: float, dim: int):
+    """The ambient representation of one basis word (z0 family only)."""
+    form = fockrep.ambient_form(mono)
+    if not 0.0 < q < 1.0:
+        raise ValueError("q must lie in (0, 1)")
+    return fockrep._weighted_shift(form, q, 1, 1, dim)
+
+
+def faithfulness_probe(monomials, q: float = 0.5, dim: int = 128, tol: float = 1e-8) -> bool:
+    """True when the truncated images are linearly independent; the
+    dense test oracle of fockrep.words_independent.
+
+    Images are normalized before the rank computation (independence is
+    scale-invariant and the word norms vary over many orders of
+    magnitude); the numeric rank counts singular values above
+    tol * largest."""
+    monomials = list(monomials)
+    if len(monomials) > dim // 2:
+        raise ValueError("monomial list exceeds half the truncation size")
+    if not monomials:
+        return True
+    rows = []
+    for mono in monomials:
+        v = rep_sigma(mono, q, dim).matrix.reshape(-1)
+        norm = np.linalg.norm(v)
+        if norm == 0.0:
+            return False
+        rows.append(v / norm)
+    svals = np.linalg.svd(np.array(rows), compute_uv=False)
+    return int(np.sum(svals > tol * svals[0])) == len(monomials)
+
+
 def dense_side(side, mats, q: float) -> np.ndarray:
     """One relation side evaluated on dense matrices with np.eye and @,
     independently of the composition on the weight table in qrwp.fockrep."""
@@ -217,7 +294,7 @@ def scalar_relation_residual(parity: str, l: int, theta: float, q: float = 0.5) 
     never evaluated."""
     # Python complex arithmetic: numpy's vectorised complex product may be
     # fused and leave an imaginary residue of ~1e-18 in c c* = 1.
-    values = fockrep.rep_scalar(theta, parity)
+    values = rep_scalar(theta, parity)
 
     def value(side) -> complex:
         out = 1.0
@@ -239,7 +316,7 @@ def dense_intertwiner_error(parity: str, l: int, q: float, dim: int) -> dict[str
     small = dim // l
     errors = {}
     for name in ("a", "c") if parity == "even" else ("a", "b", "c"):
-        big = fockrep.rep_sigma(gens.named(name).sole_monomial(), q, dim).matrix
+        big = rep_sigma(gens.named(name).sole_monomial(), q, dim).matrix
         worst = 0.0
         for r in range(1, l + 1):
             phi = np.zeros((dim, small))

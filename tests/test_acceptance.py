@@ -20,7 +20,6 @@ from qrwp import (
     degree_zero_monomials,
     enumerate_word_monomials,
     factorize,
-    faithfulness_probe,
     generators,
     index_map,
     intertwiner_check,
@@ -33,7 +32,7 @@ from qrwp import (
 from qrwp.fockrep import kernel_conditions_exact, relation_residuals
 from qrwp.ktheory import assemble_kgroups, cokernel_map_check, expected_kgroups, ktheory_report
 
-from helpers import make_rng, random_basis_element, random_element, random_laurent, random_monomial
+from helpers import faithfulness_probe, make_rng, random_basis_element, random_element, random_laurent, random_monomial
 
 Q = 0.5
 N = 256

@@ -1,6 +1,7 @@
 """Weighted-shift representations: generators, residuals, intertwiner."""
 
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -13,12 +14,9 @@ from qrwp import (
     ktheory_report,
     relations_for,
     basis_monomial,
-    faithfulness_probe,
     intertwiner_check,
     rep_generator,
     rep_report,
-    rep_scalar,
-    rep_sigma,
 )
 from qrwp import fockrep
 from qrwp.cli import EXIT_CHECK_FAILED, EXIT_OK, main
@@ -38,8 +36,9 @@ from qrwp.fockrep import (
 )
 from qrwp.qwrp import RelationSide
 
-from helpers import (SEED, array_words_independent, dense_interior_max, dense_intertwiner_error, dense_side,
-                     kernel_columns, make_rng, scalar_relation_residual)
+from helpers import (SEED, array_form_weights, array_relation_residual, array_words_independent, dense_interior_max,
+                     dense_intertwiner_error, dense_side, faithfulness_probe, kernel_columns, make_rng, rep_scalar,
+                     rep_sigma, scalar_relation_residual)
 
 Q = 0.5
 
@@ -194,6 +193,27 @@ def test_negative_radicand_is_hard_error():
     # the factor s = -2 has the radicand 1 - q^-2
     with pytest.raises(ArithmeticError):
         _weighted_shift(WeightForm(0, 0, (-2,)), Q, 1, 1, 8)
+
+
+@pytest.mark.parametrize("q", (1e-300, 0.02, 0.5, 0.97, 1 - 1e-9))
+def test_scalar_weights_match_the_array_oracle(q):
+    # one column at a time on Python floats against numpy's power on arrays,
+    # within 1e-14 relative.  The two pows may differ in the last bit of
+    # p = q^{2s + x}, and a radicand 1 - p magnifies that by p / (1 - p)
+    # (5e8 at q = 1 - 1e-9), so the bound scales with their sum
+    for parity, ls in (("even", (1, 3, 5)), ("odd", (1, 2, 3, 4, 5))):
+        for l in ls:
+            for gen in ("a", "c") if parity == "even" else ("a", "b", "c"):
+                form = fockrep.generator_form(parity, l, gen)
+                for r in range(1, l + 1):
+                    columns = range(form.offset, form.offset + 64)
+                    scalar = np.array([form_weights(form, q, a_exponents(l, r, n)) for n in columns])
+                    x = a_exponents(l, r, np.array(columns))
+                    array = array_form_weights(form, q, x)
+                    powers = [q ** (2 * s + x) for s in form.factors]
+                    condition = 1.0 + sum(p / (1.0 - p) for p in powers)
+                    scale = np.maximum(np.abs(array), np.finfo(float).tiny)
+                    assert np.max(np.abs(scalar - array) / scale / condition) <= 1e-14, (parity, l, gen, r)
 
 
 def test_relation_residuals_small_config():
@@ -360,7 +380,7 @@ def test_banded_relations_match_dense_oracle():
                             rows = np.arange(form.lowest, interior - form.offset)
                             x = a_exponents(l, r, rows + form.offset)
                             band = np.zeros((dim, interior), dtype=complex)
-                            band[rows, rows + form.offset] = form_weights(form, Q, x, form.q_exponent)
+                            band[rows, rows + form.offset] = array_form_weights(form, Q, x, form.q_exponent)
                             scale = np.maximum(np.abs(dense[:, :interior]), np.finfo(float).tiny)
                             error = np.max(np.abs(band - dense[:, :interior]) / scale)
                             assert error < 1e-13, (parity, l, r, rel.rid)
@@ -426,6 +446,46 @@ def test_mutated_forms_fail_exactly(capsys, monkeypatch, mutation, q):
             argv = ["rep-check", "--parity", parity, "--l", str(l), "--q", str(q), "--N", "64"]
             assert main(argv) == EXIT_CHECK_FAILED
             assert "all pass: NO" in capsys.readouterr().out
+
+
+# mistyped forms whose failing sides overflow at q = 1e-300
+OVERFLOWS = {
+    "a h=0": _form_mutation("a", lambda f: f._replace(h=0)),
+    "b h-1": _form_mutation("b", lambda f: f._replace(h=f.h - 1)),
+}
+
+
+@pytest.mark.parametrize("mutation", list(OVERFLOWS))
+def test_overflowing_measurement_reads_inf(capsys, monkeypatch, mutation):
+    # a side of a failing relation overflows: the verdict is exact and alone
+    # sets the exit code (4, not 3), and the measurement reads inf
+    monkeypatch.setattr(fockrep, *OVERFLOWS[mutation])
+    argv = ["rep-check", "--parity", "odd", "--l", "3", "--q", "1e-300", "--format", "json"]
+    assert main(argv) == EXIT_CHECK_FAILED
+    entries = json.loads(capsys.readouterr().out)["relation_residuals"]
+    assert float("inf") in {e["residual"] for e in entries if not e["pass"]}
+    assert all(e["residual"] == 0.0 for e in entries if e["pass"])
+
+
+@pytest.mark.parametrize("mutation", list(MUTATIONS) + list(OVERFLOWS))
+def test_failing_residuals_match_the_array_oracle(monkeypatch, mutation):
+    # a failing relation's residual on lists of floats against numpy's power
+    # on arrays.  At q = 0.999999 a factor 1 - q^2 cancels to 2e-6, and both
+    # measurements lie up to about 2e-9 from a 60-digit evaluation
+    patch, families = MUTATIONS[mutation][:2] if mutation in MUTATIONS else (OVERFLOWS[mutation], {"odd": (1, 2, 3)})
+    monkeypatch.setattr(fockrep, *patch)
+    checked = 0
+    for q, rtol in ((1e-300, 1e-9), (0.02, 1e-9), (0.5, 1e-9), (0.97, 1e-9), (0.999999, 1e-8)):
+        for parity, ls in families.items():
+            for l in ls:
+                sides = {rel.rid: (compose_side(rel.lhs, parity, l), compose_side(rel.rhs, parity, l))
+                         for rel in fockrep.relations_for(parity, l)}
+                for e in relation_residuals(parity, l, q, 64):
+                    if not e.passed:
+                        expected = array_relation_residual(*sides[e.rid], q, l, e.r, 64 - 2 * l)
+                        assert e.residual == pytest.approx(expected, rel=rtol, nan_ok=True), (parity, l, q, e)
+                        checked += 1
+    assert checked >= 30, checked
 
 
 @pytest.mark.parametrize("q", (0.02, 0.05, 0.1, 0.5, 0.9, 0.97, 0.995))

@@ -1,5 +1,6 @@
 """Index maps and lifts from integer exponents, K-group assembly from gcd(delta), pullbacks."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from qrwp import fockrep
 from qrwp.fockrep import RepInstance, kernel_conditions_exact, modulus_kernels, rep_generator
 from qrwp.qwrp import RelationSide
 
-from helpers import dense_kernel_dim, kernel_columns
+from helpers import array_form_weights, dense_kernel_dim, kernel_columns, make_rng
 
 Q = 0.5
 
@@ -309,13 +310,30 @@ def test_pullback_matches_the_dense_weights(q):
     for parity, ls in (("even", (1, 3, 5)), ("odd", (1, 2, 3, 4, 5))):
         for l in ls:
             report = pullback_check(parity, l, q, eps)
-            dim = report["N"] + 1
+            form = fockrep.generator_form(parity, l, "c")
             for entry in report["per_r"]:
-                c = rep_generator(RepInstance(parity, l, entry["r"], q, dim), "c")
-                defect = 1.0 - c.weights[:dim - c.offset]
+                x = fockrep.a_exponents(l, entry["r"], np.arange(form.offset, report["N"] + 1))
+                defect = 1.0 - array_form_weights(form, q, x)
                 first = int(np.flatnonzero(defect < eps)[0])
-                assert entry["n0"] == first + c.offset, (parity, l, entry)
+                assert entry["n0"] == first + form.offset, (parity, l, entry)
                 assert entry["tail_max"] == defect[first], (parity, l, entry)
+
+
+def test_pullback_verdict_is_the_q_power_of_c():
+    # why every pullback verdict reads h == 0: the search stops below eps,
+    # and past every label's stop two weights in (1 - eps, 1] differ by
+    # less than 2 eps (exactly, by Sterbenz's lemma, for eps <= 1/2)
+    rng = make_rng(40)
+    draws = [(5e-324, 5e-324), (1 - 2 ** -53, 5e-324), (5e-324, 0.9), (1 - 2 ** -53, 0.9)]
+    draws += [(10 ** rng.uniform(-323.3, -1e-4) if rng.random() < 0.5 else 1 - 10 ** rng.uniform(-15.95, -1e-4),
+               10 ** rng.uniform(-323.3, math.log10(0.9))) for _ in range(156)]
+    for i, (q, eps) in enumerate(draws):
+        parity = ("even", "odd")[i % 2]
+        l = rng.randrange(1, 30, 2) if parity == "even" else rng.randrange(1, 30)
+        report = pullback_check(parity, l, q, eps)
+        assert report["all_pass"], (parity, l, q, eps)
+        assert all(entry["pass"] and entry["tail_max"] < eps for entry in report["per_r"]), (parity, l, q, eps)
+        assert all(pair["pass"] and pair["tail_max"] < 2 * eps for pair in report["pairwise"]), (parity, l, q, eps)
 
 
 # -- assembled report --------------------------------------------------------

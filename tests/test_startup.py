@@ -1,9 +1,11 @@
-"""Start-up: the exact commands run without numpy.
+"""Start-up: no command loads numpy.
 
-numpy is imported only inside the functions that build arrays, so
-`import qrwp`, `import qrwp.cli` and every exact command work in an
-interpreter where any numpy import raises.  The package's records are
-named tuples, so `import qrwp.cli` loads no dataclasses either.
+Every weight is evaluated on Python floats, and numpy is imported only
+where the test-only dense API builds arrays (fockrep.WeightedShift), so
+`import qrwp`, `import qrwp.cli` and every command work in an interpreter
+where any numpy import raises, with the same output.  The package's
+records are named tuples, so `import qrwp.cli` loads no dataclasses
+either.
 """
 
 import json
@@ -14,17 +16,22 @@ from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-EXACT_COMMANDS = [
+COMMANDS = [
     ["normalize", "(z0 + z0s + z1)^3"],
     ["star", "z0 z1^2 xis + z0s"],
     ["degree", "--k", "2", "--l", "3", "z0^3 xi + z0"],
     ["generators", "--k", "1", "--l", "3"],
     ["verify-relations", "--parity", "odd", "--l", "3"],
     ["factorize", "--k", "2", "--l", "3", "z0^3 xi"],
+    ["rep-check", "--parity", "odd", "--l", "5", "--q", "1e-300"],
+    ["ktheory", "--parity", "odd", "--l", "12", "--q", "0.9999999999999999"],
+    ["report-all", "--lmax", "3"],
 ]
 
-# Runs every exact command through cli.main and prints one JSON list of
-# [exit code, stdout]; argv[1] == "block" makes any numpy import raise.
+# Runs each argv of the JSON list argv[2] through cli.main and prints one
+# JSON object: [exit code, stdout] per argv, and whether numpy was loaded.
+# argv[1] == "block" makes any numpy import raise; argv[3] == "a h=0"
+# first drops the q-power of a's weight form, so that relations fail.
 RUNNER = """
 import contextlib, io, json, sys
 if sys.argv[1] == "block":
@@ -32,13 +39,17 @@ if sys.argv[1] == "block":
 import qrwp
 from qrwp import *
 import qrwp.cli
+if sys.argv[3:] == ["a h=0"]:
+    generator_form = qrwp.fockrep.generator_form
+    qrwp.fockrep.generator_form = lambda parity, l, gen: (
+        generator_form(parity, l, gen)._replace(h=0) if gen == "a" else generator_form(parity, l, gen))
 results = []
 for argv in json.loads(sys.argv[2]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = qrwp.cli.main(argv)
     results.append([code, out.getvalue()])
-print(json.dumps(results))
+print(json.dumps({"results": results, "numpy": sys.modules.get("numpy") is not None}))
 """
 
 
@@ -49,6 +60,14 @@ def _python(*args: str) -> str:
     return done.stdout
 
 
+def _run(mode: str, argvs: list, *mutation: str) -> dict:
+    return json.loads(_python("-c", RUNNER, mode, json.dumps(argvs), *mutation))
+
+
+def _with_formats(commands: list) -> list:
+    return [argv + fmt for argv in commands for fmt in ([], ["--format", "json"])]
+
+
 def test_import_loads_no_numpy():
     # importing dataclasses would also pull in inspect, ast, dis and tokenize
     loaded = _python("-c", "import sys, qrwp.cli; print([m for m in ('numpy', 'dataclasses', 'inspect') "
@@ -57,8 +76,23 @@ def test_import_loads_no_numpy():
 
 
 def test_exact_commands_run_with_numpy_blocked():
-    argvs = [argv + fmt for argv in EXACT_COMMANDS for fmt in ([], ["--format", "json"])]
-    blocked = json.loads(_python("-c", RUNNER, "block", json.dumps(argvs)))
-    plain = json.loads(_python("-c", RUNNER, "plain", json.dumps(argvs)))
-    assert blocked == plain
-    assert all(code == 0 and out for code, out in blocked), blocked
+    argvs = _with_formats(COMMANDS)
+    blocked, plain = _run("block", argvs), _run("plain", argvs)
+    assert blocked["results"] == plain["results"]
+    assert all(code == 0 and out for code, out in plain["results"]), plain
+    assert not plain["numpy"]
+
+
+def test_report_all_loads_no_numpy():
+    done = _run("plain", [["report-all", "--lmax", "7"]])
+    assert done["results"][0][0] == 0 and not done["numpy"]
+
+
+def test_failing_rep_check_runs_with_numpy_blocked():
+    # with a's h = 0 relations fail, and at q = 1e-300 their sides overflow:
+    # measuring them needs no numpy either, and the verdict sets exit 4
+    argvs = _with_formats([["rep-check", "--parity", "odd", "--l", "3", "--q", "1e-300"]])
+    blocked, plain = _run("block", argvs, "a h=0"), _run("plain", argvs, "a h=0")
+    assert blocked["results"] == plain["results"]
+    assert [code for code, _ in plain["results"]] == [4, 4] and not plain["numpy"]
+    assert '"residual": Infinity' in plain["results"][1][1]
