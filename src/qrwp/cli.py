@@ -136,7 +136,8 @@ def _cmd_generators(args, cfg: RunConfig) -> int:
 def _cmd_verify_relations(args, cfg: RunConfig) -> int:
     w = Weights.canonical(args.parity, args.l)
     report = qwrp.verify_relations(w)
-    payload = {"schema": SCHEMA, "command": "verify-relations", **report.as_dict()}
+    # text mode prints no normal form, so it renders none
+    payload = {"schema": SCHEMA, "command": "verify-relations", **report.as_dict()} if cfg.fmt == "json" else {}
     lines = []
     for res in report.results:
         lines.append(f"{'PASS' if res.passed else 'FAIL'} {res.rid}: {res.statement}")
@@ -283,68 +284,70 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _expr(p: argparse.ArgumentParser) -> None:
+    p.add_argument("expr")
+
+
+def _weights(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--l", type=int, required=True)
+
+
+def _weights_expr(p: argparse.ArgumentParser) -> None:
+    _weights(p)
+    p.add_argument("expr")
+
+
+def _weights_monomial(p: argparse.ArgumentParser) -> None:
+    _weights(p)
+    p.add_argument("monomial")
+
+
+def _family(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--parity", choices=("even", "odd"), required=True)
+    p.add_argument("--l", type=int, required=True)
+
+
+def _lmax(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--lmax", type=int, default=5)
+
+
+# (name, help, handler, adds the command's own arguments), in help order
+COMMANDS = (
+    ("normalize", "normal form of an expression", _cmd_normal_form, _expr),
+    ("star", "involution of an expression", _cmd_normal_form, _expr),
+    ("degree", "grading degree and coinvariance", _cmd_degree, _weights_expr),
+    ("generators", "coinvariant generators for a weight pair", _cmd_generators, _weights),
+    ("verify-relations", "exact relation verification", _cmd_verify_relations, _family),
+    ("factorize", "factor a coinvariant basis word", _cmd_factorize, _weights_monomial),
+    ("rep-check", "representation residual checks", _cmd_rep_check, _family),
+    ("ktheory", "index map, K-groups, pullback checks", _cmd_ktheory, _family),
+    ("report-all", "assembled report over all families", _cmd_report_all, _lmax),
+)
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The qrwp parser.  When argv[0] names a command, only that command's
+    subparser is built; otherwise (help, no argument, an unknown command)
+    all of them are, so help and errors list every command."""
     ap = argparse.ArgumentParser(prog="qrwp", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("normalize", help="normal form of an expression")
-    p.add_argument("expr")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_normal_form)
-
-    p = sub.add_parser("star", help="involution of an expression")
-    p.add_argument("expr")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_normal_form)
-
-    p = sub.add_parser("degree", help="grading degree and coinvariance")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("expr")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_degree)
-
-    p = sub.add_parser("generators", help="coinvariant generators for a weight pair")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_generators)
-
-    p = sub.add_parser("verify-relations", help="exact relation verification")
-    p.add_argument("--parity", choices=("even", "odd"), required=True)
-    p.add_argument("--l", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_verify_relations)
-
-    p = sub.add_parser("factorize", help="factor a coinvariant basis word")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("monomial")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_factorize)
-
-    p = sub.add_parser("rep-check", help="representation residual checks")
-    p.add_argument("--parity", choices=("even", "odd"), required=True)
-    p.add_argument("--l", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_rep_check)
-
-    p = sub.add_parser("ktheory", help="index map, K-groups, pullback checks")
-    p.add_argument("--parity", choices=("even", "odd"), required=True)
-    p.add_argument("--l", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_ktheory)
-
-    p = sub.add_parser("report-all", help="assembled report over all families")
-    p.add_argument("--lmax", type=int, default=5)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_report_all)
-
+    chosen = [c for c in COMMANDS if argv and c[0] == argv[0]]
+    if chosen:
+        # usage lines name every command, as they do with all of them built
+        sub.metavar = "{" + ",".join(c[0] for c in COMMANDS) + "}"
+    for name, help_text, handler, add_arguments in chosen or COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        _add_common(p)
+        p.set_defaults(handler=handler)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         cfg = _config(args)
     except ValueError as exc:

@@ -199,7 +199,11 @@ def pullback_check(parity: str, l: int, q: float = 0.5, eps: float = 1e-10) -> d
         1 - w_n <= sum_{s in S} q^{2s + x_n} <= q^{2(ln-L+1)} sum_{i<L} q^{2i}
 
     taken at min(eps, 2^-54): there every factor is below 2^-55, each
-    radicand rounds to 1, and the computed defect is exactly 0.
+    radicand rounds to 1, and the computed defect is exactly 0.  The bound
+    is largest at q = 1 - 2^-53 and eps = 5e-324, where l hi is about
+    2^52 (744.4 + ln 2L), 3.4e18 for every l below 10^9.  The exponents
+    2(ln + r) reach 2^63 only when ln 2L exceeds 279, which no factor
+    tuple can hold, and they are Python ints in any case.
 
     So every verdict is h == 0.  The search stops on a column whose
     defect is below eps, so each tail_max is below eps, and at the
@@ -217,9 +221,6 @@ def pullback_check(parity: str, l: int, q: float = 0.5, eps: float = 1e-10) -> d
         total = sum(q ** (2 * i) for i in range(nfactors))
         bound = (math.log(min(eps, 2.0 ** -54)) - math.log(2 * total)) / (2 * math.log(q)) + nfactors - 1
         top = max(k, math.ceil(bound / l))
-        if 2 * (l * top + l) >= 2 ** 63:
-            raise ValueError(f"the pullback tail reaches column {top}, whose exponent "
-                             f"2(ln + r) overflows a 64-bit integer")
     labels = range(1, l + 1)
     n0s = []
     for r in labels:

@@ -156,8 +156,8 @@ class RelationResult(NamedTuple):
     rid: str
     statement: str
     passed: bool
-    lhs: str
-    rhs: str
+    lhs: AlgebraElement
+    rhs: AlgebraElement
 
 
 class RelationReport(NamedTuple):
@@ -171,6 +171,8 @@ class RelationReport(NamedTuple):
         return all(res.passed for res in self.results)
 
     def as_dict(self) -> dict:
+        """The report with both sides' normal forms rendered.  Equal elements
+        have the same canonical text, so a passing relation renders once."""
         return {
             "parity": self.parity,
             "l": self.l,
@@ -179,8 +181,8 @@ class RelationReport(NamedTuple):
                 {
                     "id": res.rid,
                     "statement": res.statement,
-                    "lhs_normal_form": res.lhs,
-                    "rhs_normal_form": res.rhs,
+                    "lhs_normal_form": (lhs := str(res.lhs)),
+                    "rhs_normal_form": lhs if res.passed else str(res.rhs),
                     "pass": res.passed,
                 }
                 for res in self.results
@@ -191,25 +193,14 @@ class RelationReport(NamedTuple):
 
 def verify_relations(w: Weights) -> RelationReport:
     """Check every defining relation of the family by exact equality of
-    normal forms; a failing relation is reported, not raised.  Equal
-    elements have the same canonical text, so a passing relation renders
-    its normal form once, as both sides."""
+    normal forms; a failing relation is reported, not raised.  The report
+    keeps both sides as elements; only RelationReport.as_dict renders them."""
     gens = generators(w)
     results = []
     for rel in relations_for(w.parity, w.l):
         lhs = eval_side(rel.lhs, gens)
         rhs = eval_side(rel.rhs, gens)
-        passed = lhs == rhs
-        lhs_text = str(lhs)
-        results.append(
-            RelationResult(
-                rid=rel.rid,
-                statement=rel.statement(w.parity),
-                passed=passed,
-                lhs=lhs_text,
-                rhs=lhs_text if passed else str(rhs),
-            )
-        )
+        results.append(RelationResult(rel.rid, rel.statement(w.parity), lhs == rhs, lhs, rhs))
     return RelationReport(parity=w.parity, l=w.l, k=w.k, results=tuple(results))
 
 

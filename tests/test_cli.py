@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from qrwp import fockrep
-from qrwp.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, main
-from qrwp.sigma3 import NormalMonomial
+from qrwp import Weights, basis_monomial, fockrep, qwrp
+from qrwp.cli import COMMANDS, EXIT_CHECK_FAILED, EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, build_parser, main
+from qrwp.sigma3 import AlgebraElement, NormalMonomial
 
 from helpers import faithfulness_probe
 
@@ -85,6 +85,35 @@ def test_verify_relations_json_is_byte_stable(capsys, parity, l, digest):
     code, out, _ = run(capsys, "verify-relations", "--parity", parity, "--l", l, "--format", "json")
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_text_mode_renders_no_normal_form(capsys, monkeypatch):
+    argv = ("verify-relations", "--parity", "odd", "--l", "5")
+    expected = run(capsys, *argv)
+    assert expected[0] == EXIT_OK
+
+    def refuse(self):
+        raise AssertionError("a normal form was rendered")
+
+    monkeypatch.setattr(AlgebraElement, "__str__", refuse)
+    assert run(capsys, *argv) == expected
+
+
+def test_json_renders_a_passing_relation_once(capsys, monkeypatch):
+    # one rendering per passing relation, two per failing one
+    rendered = []
+    text = AlgebraElement.__str__
+    monkeypatch.setattr(AlgebraElement, "__str__", lambda self: rendered.append(self) or text(self))
+    code, _, _ = run(capsys, "verify-relations", "--parity", "odd", "--l", "5", "--format", "json")
+    assert (code, len(rendered)) == (EXIT_OK, 11)
+    # c = z1 gives c c* = a, not 1 - a
+    broken = qwrp.GeneratorSet(weights=Weights(2, 1), a=basis_monomial(0, 2, 1), c=basis_monomial(0, 1, 0))
+    monkeypatch.setattr(qwrp, "generators", lambda w: broken)
+    rendered.clear()
+    code, out, _ = run(capsys, "verify-relations", "--parity", "even", "--l", "1", "--format", "json")
+    passes = [rel["pass"] for rel in json.loads(out)["relations"]]
+    assert code == EXIT_CHECK_FAILED and 0 < sum(passes) < len(passes)
+    assert len(rendered) == sum(passes) + 2 * passes.count(False)
 
 
 def test_factorize(capsys):
@@ -271,6 +300,43 @@ def test_readme_library_quick_start(capsys):
     with pytest.raises(ValueError) as raised:
         eval(code, namespace)
     assert str(raised.value) == message
+
+
+NAMES = [name for name, *_ in COMMANDS]
+
+
+def test_parser_builds_only_the_named_command():
+    def built(argv):
+        (sub,) = [action for action in build_parser(argv)._actions if action.dest == "command"]
+        return list(sub.choices)
+
+    assert built(None) == built([]) == built(["bogus"]) == built(["-h", "report-all"]) == NAMES
+    for name in NAMES:
+        assert built([name, "--help"]) == [name]
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"],
+    *([name, "-h"] for name in NAMES),
+    [],
+    ["bogus"],
+    ["--foo", "report-all"],
+    ["report-all", "--foo"],
+    ["report-all", "--lmax", "1", "extra"],
+    ["verify-relations", "--l", "5"],
+    ["degree", "--k", "1", "--l", "2", "z0", "--format", "xml"],
+], ids=lambda argv: " ".join(argv) or "no argument")
+def test_help_and_usage_errors_match_the_full_parser(capsys, monkeypatch, argv):
+    # main builds one subparser when argv names a command; its help and
+    # errors must read as they do from the parser with every command built
+    monkeypatch.setenv("COLUMNS", "80")
+    outcomes = []
+    for call in (lambda: main(list(argv)), lambda: build_parser().parse_args(argv)):
+        with pytest.raises(SystemExit) as exited:
+            call()
+        outcomes.append((exited.value.code, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == (0 if "-h" in argv else 2)
 
 
 def test_parse_error_exit_code(capsys):

@@ -92,23 +92,29 @@ def test_failed_relation_is_reported_not_raised(monkeypatch):
     res = report.results[2]
     assert res.rid == rel.rid == "even.3"
     assert res.passed is False and report.all_pass is False
-    assert res.lhs == str(eval_side(rel.lhs, broken))
-    assert res.rhs == str(eval_side(rel.rhs, broken))
+    assert res.lhs == eval_side(rel.lhs, broken)
+    assert res.rhs == eval_side(rel.rhs, broken)
     assert res.lhs != res.rhs
+    entry = report.as_dict()["relations"][2]
+    assert entry["lhs_normal_form"] == str(eval_side(rel.lhs, broken))
+    assert entry["rhs_normal_form"] == str(eval_side(rel.rhs, broken))
+    assert entry["lhs_normal_form"] != entry["rhs_normal_form"]
 
 
 def test_normal_forms_are_each_sides_own_text():
-    # a passing relation stores one rendering as both sides; it must be
+    # as_dict renders a passing relation once, as both sides; that must be
     # the text of each side evaluated on its own
     families = [("even", l) for l in (1, 3, 5, 7, 9)] + [("odd", l) for l in range(1, 9)]
     for parity, l in families:
         w = Weights.canonical(parity, l)
         gens = generators(w)
         report = verify_relations(w)
-        for rel, res in zip(relations_for(parity, l), report.results, strict=True):
-            assert res.rid == rel.rid
-            assert res.lhs == str(eval_side(rel.lhs, gens)), rel.rid
-            assert res.rhs == str(eval_side(rel.rhs, gens)), rel.rid
+        entries = report.as_dict()["relations"]
+        for rel, res, entry in zip(relations_for(parity, l), report.results, entries, strict=True):
+            assert res.rid == entry["id"] == rel.rid
+            assert res.lhs == eval_side(rel.lhs, gens) and res.rhs == eval_side(rel.rhs, gens), rel.rid
+            assert entry["lhs_normal_form"] == str(eval_side(rel.lhs, gens)), rel.rid
+            assert entry["rhs_normal_form"] == str(eval_side(rel.rhs, gens)), rel.rid
 
 
 def test_factorize_examples():
