@@ -55,7 +55,6 @@ from .ktheory import (
     IndexMap,
     KGroups,
     assemble_kgroups,
-    cokernel_map_check,
     expected_kgroups,
     index_map,
     ktheory_report,
@@ -80,7 +79,7 @@ __all__ = [
     "rep_generator", "intertwiner_check", "rep_report",
     "GroupDescriptor", "IndexMap", "KGroups",
     "index_map", "assemble_kgroups",
-    "expected_kgroups", "cokernel_map_check", "pullback_check",
+    "expected_kgroups", "pullback_check",
     "ktheory_report",
     "lower_text", "render", "ParseError",
 ]

@@ -239,17 +239,18 @@ def _cmd_report_all(args, cfg: RunConfig) -> int:
         fact = _factorize_section(w)
         section_ok = relations.all_pass and reps.all_pass and kth.all_pass and fact["pass"]
         ok = ok and section_ok
-        sections.append(
-            {
-                "parity": parity,
-                "l": l,
-                "relations": relations.as_dict(),
-                "representations": reps.as_dict(),
-                "ktheory": kth.as_dict(),
-                "factorization": fact,
-                "pass": section_ok,
-            }
-        )
+        if cfg.fmt == "json":  # text mode prints no section, so it renders no normal form
+            sections.append(
+                {
+                    "parity": parity,
+                    "l": l,
+                    "relations": relations.as_dict(),
+                    "representations": reps.as_dict(),
+                    "ktheory": kth.as_dict(),
+                    "factorization": fact,
+                    "pass": section_ok,
+                }
+            )
         lines.append(
             f"{'PASS' if section_ok else 'FAIL'} {parity} l={l}: "
             f"relations {sum(r.passed for r in relations.results)}/{len(relations.results)}, "

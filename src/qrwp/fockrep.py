@@ -37,9 +37,10 @@ whole circle and at every q exactly when both sides are 0 or both have
 equal (E, w) (scalar_relations_exact).
 
 Every weight is evaluated one column at a time on Python ints and floats
-(form_weights), so no command loads numpy.  Only WeightedShift, the
-operators compressed to span{e_0, ..., e_{N-1}}, builds arrays; it is
-built only by tests, and imports numpy when it is.
+(form_weights), and no module of the package imports numpy.  A
+WeightedShift, a generator compressed to span{e_0, ..., e_{N-1}}, holds
+its weights as a tuple of Python floats (rep_generator); only tests build
+one, and their dense oracles turn it into a matrix.
 """
 
 from __future__ import annotations
@@ -47,57 +48,20 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter, namedtuple
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .qwrp import Relation, RelationSide, generators, relations_for
 from .grading import Weights
 from .sigma3 import NormalMonomial
 
-if TYPE_CHECKING:
-    import numpy as np
 
+class WeightedShift(NamedTuple):
+    """The operator M[i, i + offset] = weights[i] on span{e_0, ..., e_{N-1}},
+    N = len(weights).  rep_generator writes 0.0 in every row whose column
+    i + offset lies outside 0..N-1."""
 
-class WeightedShift(namedtuple("WeightedShift", "offset weights")):
-    """The operator M[i, i + offset] = weights[i] on span{e_0, ..., e_{N-1}};
-    weights whose column i + offset lies outside 0..N-1 are zero.  The
-    weights are a read-only copy, and a shift compares and hashes by
-    identity, as an array has no tuple equality."""
-
-    __slots__ = ()
-    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
-
-    def __new__(cls, offset: int, weights: np.ndarray):
-        import numpy as np
-
-        w = np.array(weights)
-        if w.ndim != 1:
-            raise ValueError("weights of a weighted shift form a vector")
-        if offset > 0:
-            w[max(0, w.size - offset):] = 0
-        elif offset < 0:
-            w[:-offset] = 0
-        w.setflags(write=False)
-        return tuple.__new__(cls, (offset, w))
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make, so both zero and freeze the weights
-        return cls(*iterable)
-
-    @property
-    def dim(self) -> int:
-        return self.weights.size
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense N x N matrix, built on demand (for tests)."""
-        import numpy as np
-
-        rows = np.arange(self.dim)
-        keep = (rows + self.offset >= 0) & (rows + self.offset < self.dim)
-        mat = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        mat[rows[keep], rows[keep] + self.offset] = self.weights[keep]
-        return mat
+    offset: int
+    weights: tuple[float, ...]
 
 
 def _check_label(parity: str, l: int, r: int) -> None:
@@ -155,8 +119,9 @@ def ambient_form(mono: NormalMonomial) -> WeightForm:
     return WeightForm(mono.m, mono.p, _down(mono.m))
 
 
-def a_exponents(l: int, r: int | np.ndarray, columns: int | np.ndarray) -> int | np.ndarray:
-    """x_n = 2(ln + r) on each column n (l = r = 1: the ambient one)."""
+def a_exponents(l: int, r, columns):
+    """x_n = 2(ln + r) on each column n (l = r = 1: the ambient one); r and
+    columns may also be arrays."""
     return 2 * (l * columns + r)
 
 
@@ -196,9 +161,9 @@ def form_weights(form: WeightForm | SideForm, q: float, x: int, q_exponent: int 
 
 def _weighted_shift(form: WeightForm, q: float, l: int, r: int, dim: int) -> WeightedShift:
     """The weighted shift of a weight form on e_0..e_{N-1}: row n reads
-    column n + offset."""
-    return WeightedShift(form.offset, [form_weights(form, q, a_exponents(l, r, n + form.offset))
-                                       for n in range(dim)])
+    column n + offset, and is 0.0 where that column lies outside 0..N-1."""
+    return WeightedShift(form.offset, tuple(form_weights(form, q, a_exponents(l, r, n + form.offset))
+                                            if 0 <= n + form.offset < dim else 0.0 for n in range(dim)))
 
 
 def rep_generator(inst: RepInstance, gen: str) -> WeightedShift:

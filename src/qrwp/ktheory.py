@@ -110,62 +110,15 @@ def expected_kgroups(parity: str, l: int) -> KGroups:
     raise ValueError(f"unknown parity {parity!r}")
 
 
-def cokernel_map_check(parity: str, l: int, box: int = 3) -> bool:
-    """Validate the explicit cokernel isomorphism by finite enumeration.
-
-    Vectors in [-box, box]^l are grouped into cosets of the image of
-    the index map (steps along the constant vector (1,..,1) or
-    (2,..,2)); the candidate map
+def _cokernel_map_ok(delta: IndexMap) -> bool:
+    """Whether the candidate map
 
         even: (n_1,..,n_l) -> (n_2 - n_1, ..., n_l - n_1)
         odd:  (n_1,..,n_l) -> (n_1 mod 2, n_2 - n_1, ..., n_l - n_1)
 
-    must be constant on each coset and distinct across cosets.  This is
-    the test oracle for _cokernel_map_ok, which ktheory_report reads off
-    the computed index map instead."""
-    step = 1 if parity == "even" else 2
-    vectors = list(itertools.product(range(-box, box + 1), repeat=l))
-    index = {v: i for i, v in enumerate(vectors)}
-    parent = list(range(len(vectors)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-
-    for v in vectors:
-        moved = tuple(x + step for x in v)
-        if moved in index:
-            union(index[v], index[moved])
-
-    def image(v: tuple[int, ...]) -> tuple[int, ...]:
-        diffs = tuple(x - v[0] for x in v[1:])
-        if parity == "even":
-            return diffs
-        return (v[0] % 2,) + diffs
-
-    class_image: dict[int, tuple[int, ...]] = {}
-    for v in vectors:
-        root = find(index[v])
-        img = image(v)
-        if root in class_image:
-            if class_image[root] != img:
-                return False  # not well defined on cosets
-        else:
-            class_image[root] = img
-    # injectivity across cosets
-    return len(set(class_image.values())) == len(class_image)
-
-
-def _cokernel_map_ok(delta: IndexMap) -> bool:
-    """Whether the candidate map of cokernel_map_check induces coker(delta)
-    = Z^l / Z delta  ~=  Z^{l-1} (even) or Z2 (+) Z^{l-1} (odd).
+    induces coker(delta) = Z^l / Z delta  ~=  Z^{l-1} (even) or
+    Z2 (+) Z^{l-1} (odd); tests/helpers.py::cokernel_map_check is its
+    brute-force oracle.
 
     The candidate map phi is onto: (0, d_2, .., d_l) hits (d_2, .., d_l),
     and in the odd family (e, e + d_2, .., e + d_l) hits (e, d_2, .., d_l).

@@ -4,6 +4,7 @@ All randomized suites use SEED so failures reproduce exactly.
 """
 
 import cmath
+import itertools
 import math
 import random
 from collections import Counter
@@ -142,6 +143,18 @@ def count_products(monkeypatch, cls) -> list:
 # -- dense oracle for the weighted-shift operators ---------------------------
 
 
+def dense(op) -> np.ndarray:
+    """The dense N x N matrix of a fockrep.WeightedShift: M[i, i + offset]
+    = weights[i], with the entries whose column lies outside 0..N-1 left
+    out."""
+    dim = len(op.weights)
+    rows = np.arange(dim)
+    keep = (rows + op.offset >= 0) & (rows + op.offset < dim)
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    mat[rows[keep], rows[keep] + op.offset] = np.asarray(op.weights)[keep]
+    return mat
+
+
 def array_form_weights(form, q: float, x: np.ndarray, q_exponent: int = 0) -> np.ndarray:
     """fockrep.form_weights vectorised over an array of a-exponents x, with
     numpy's power: the independent oracle of the scalar evaluation.  An
@@ -207,7 +220,7 @@ def faithfulness_probe(monomials, q: float = 0.5, dim: int = 128, tol: float = 1
         return True
     rows = []
     for mono in monomials:
-        v = rep_sigma(mono, q, dim).matrix.reshape(-1)
+        v = dense(rep_sigma(mono, q, dim)).reshape(-1)
         norm = np.linalg.norm(v)
         if norm == 0.0:
             return False
@@ -273,7 +286,7 @@ def kernel_columns(inst, gen: str) -> tuple[np.ndarray, int]:
     diag = np.full(inst.dim, inst.q ** side.q_exponent)
     for f in side.factors:
         if f[0] == "gen":
-            factors = [fockrep.rep_generator(inst, f[1]).weights]   # only a, which is diagonal
+            factors = [np.asarray(fockrep.rep_generator(inst, f[1]).weights)]   # only a, which is diagonal
         else:
             with np.errstate(over="ignore"):
                 factors = [1.0 - inst.q ** (2 * e + x) for e in f[1]]
@@ -316,15 +329,71 @@ def dense_intertwiner_error(parity: str, l: int, q: float, dim: int) -> dict[str
     small = dim // l
     errors = {}
     for name in ("a", "c") if parity == "even" else ("a", "b", "c"):
-        big = rep_sigma(gens.named(name).sole_monomial(), q, dim).matrix
+        big = dense(rep_sigma(gens.named(name).sole_monomial(), q, dim))
         worst = 0.0
         for r in range(1, l + 1):
             phi = np.zeros((dim, small))
             phi[l * np.arange(small) + r - 1, np.arange(small)] = 1.0
             cols = np.flatnonzero(l * np.arange(small) + r - 1 < dim - 2 * l)
-            here = (phi @ fockrep.rep_generator(fockrep.RepInstance(parity, l, r, q, small), name).matrix)[:, cols]
+            here = (phi @ dense(fockrep.rep_generator(fockrep.RepInstance(parity, l, r, q, small), name)))[:, cols]
             there = (big @ phi)[:, cols]
             scale = np.maximum(np.maximum(np.abs(here), np.abs(there)), np.finfo(float).tiny)
             worst = max(worst, float(np.max(np.abs(here - there) / scale, initial=0.0)))
         errors[name] = worst
     return errors
+
+
+# -- brute-force cokernel map ------------------------------------------------
+
+
+def cokernel_map_check(parity: str, l: int, box: int = 3) -> bool:
+    """Validate the explicit cokernel isomorphism by finite enumeration.
+
+    Vectors in [-box, box]^l are grouped into cosets of the image of
+    the index map (steps along the constant vector (1,..,1) or
+    (2,..,2)); the candidate map
+
+        even: (n_1,..,n_l) -> (n_2 - n_1, ..., n_l - n_1)
+        odd:  (n_1,..,n_l) -> (n_1 mod 2, n_2 - n_1, ..., n_l - n_1)
+
+    must be constant on each coset and distinct across cosets.  This is
+    the oracle of ktheory._cokernel_map_ok, which reads the verdict off
+    the computed index map instead."""
+    step = 1 if parity == "even" else 2
+    vectors = list(itertools.product(range(-box, box + 1), repeat=l))
+    index = {v: i for i, v in enumerate(vectors)}
+    parent = list(range(len(vectors)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i: int, j: int):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+
+    for v in vectors:
+        moved = tuple(x + step for x in v)
+        if moved in index:
+            union(index[v], index[moved])
+
+    def image(v: tuple[int, ...]) -> tuple[int, ...]:
+        diffs = tuple(x - v[0] for x in v[1:])
+        if parity == "even":
+            return diffs
+        return (v[0] % 2,) + diffs
+
+    class_image: dict[int, tuple[int, ...]] = {}
+    for v in vectors:
+        root = find(index[v])
+        img = image(v)
+        if root in class_image:
+            if class_image[root] != img:
+                return False  # not well defined on cosets
+        else:
+            class_image[root] = img
+    # injectivity across cosets
+    return len(set(class_image.values())) == len(class_image)

@@ -30,9 +30,10 @@ from qrwp import (
     word_element,
 )
 from qrwp.fockrep import kernel_conditions_exact, relation_residuals
-from qrwp.ktheory import assemble_kgroups, cokernel_map_check, expected_kgroups, ktheory_report
+from qrwp.ktheory import assemble_kgroups, expected_kgroups, ktheory_report
 
-from helpers import faithfulness_probe, make_rng, random_basis_element, random_element, random_laurent, random_monomial
+from helpers import (cokernel_map_check, faithfulness_probe, make_rng, random_basis_element, random_element,
+                     random_laurent, random_monomial)
 
 Q = 0.5
 N = 256

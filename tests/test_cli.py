@@ -88,15 +88,15 @@ def test_verify_relations_json_is_byte_stable(capsys, parity, l, digest):
 
 
 def test_text_mode_renders_no_normal_form(capsys, monkeypatch):
-    argv = ("verify-relations", "--parity", "odd", "--l", "5")
-    expected = run(capsys, *argv)
-    assert expected[0] == EXIT_OK
+    argvs = (("verify-relations", "--parity", "odd", "--l", "5"), ("report-all", "--lmax", "3"))
+    expected = [run(capsys, *argv) for argv in argvs]
+    assert [code for code, _, _ in expected] == [EXIT_OK, EXIT_OK]
 
     def refuse(self):
         raise AssertionError("a normal form was rendered")
 
     monkeypatch.setattr(AlgebraElement, "__str__", refuse)
-    assert run(capsys, *argv) == expected
+    assert [run(capsys, *argv) for argv in argvs] == expected
 
 
 def test_json_renders_a_passing_relation_once(capsys, monkeypatch):

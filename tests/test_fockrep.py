@@ -36,9 +36,9 @@ from qrwp.fockrep import (
 )
 from qrwp.qwrp import RelationSide
 
-from helpers import (SEED, array_form_weights, array_relation_residual, array_words_independent, dense_interior_max,
-                     dense_intertwiner_error, dense_side, faithfulness_probe, kernel_columns, make_rng, rep_scalar,
-                     rep_sigma, scalar_relation_residual)
+from helpers import (SEED, array_form_weights, array_relation_residual, array_words_independent, dense,
+                     dense_interior_max, dense_intertwiner_error, dense_side, faithfulness_probe, kernel_columns,
+                     make_rng, rep_scalar, rep_sigma, scalar_relation_residual)
 
 Q = 0.5
 
@@ -54,7 +54,7 @@ def test_instance_validation():
 
 def test_diagonal_generator():
     inst = RepInstance("even", 3, 2, Q, 8)
-    a = rep_generator(inst, "a").matrix
+    a = dense(rep_generator(inst, "a"))
     assert a[0, 0] == Q ** 4                 # q^{2(l*0+r)} with r=2
     diag = np.diag(a).real
     assert np.all(diag > 0) and np.all(diag < 1)
@@ -63,11 +63,11 @@ def test_diagonal_generator():
 
 def test_kernel_columns_are_exact_zeros():
     inst = RepInstance("even", 3, 1, Q, 8)
-    c = rep_generator(inst, "c").matrix
+    c = dense(rep_generator(inst, "c"))
     assert np.all(c[:, 0] == 0)
     inst = RepInstance("odd", 2, 1, Q, 8)
-    cm = rep_generator(inst, "c").matrix
-    b = rep_generator(inst, "b").matrix
+    cm = dense(rep_generator(inst, "c"))
+    b = dense(rep_generator(inst, "b"))
     assert np.all(cm[:, 0] == 0) and np.all(cm[:, 1] == 0)
     assert np.all(b[:, 0] == 0)
     assert kernel_conditions_exact("odd", 5)
@@ -81,7 +81,7 @@ def test_kernel_columns_read_the_modulus_relation():
             inst = RepInstance(parity, l, r, Q, 32)
             diag, k = kernel_columns(inst, "c")
             assert k == kernel and np.all(diag[k:] > 0), (parity, r)
-            c = rep_generator(inst, "c").matrix
+            c = dense(rep_generator(inst, "c"))
             assert np.max(np.abs(np.diag(c.conj().T @ c) - diag)) < 1e-14
     # b*b = a prod(1 - q^{-2m} a): a underflows to 0.0 deep in the tail,
     # and only the leading zeros count
@@ -106,8 +106,24 @@ def test_generators_are_banded():
         names = ["a", "c"] if parity == "even" else ["a", "b", "c"]
         for name in names:
             op = rep_generator(inst, name)
-            rows, cols = np.nonzero(op.matrix)
+            rows, cols = np.nonzero(dense(op))
             assert abs(op.offset) <= 2 and np.all(cols - rows == op.offset)
+
+
+def test_rep_generator_zeroes_the_rows_outside():
+    # row n reads column n + offset: 0.0 where that column lies outside
+    # 0..N-1, the weight form's value on it everywhere else
+    dim = 8
+    for parity, ls in (("even", (1, 3)), ("odd", (1, 2))):
+        for l in ls:
+            for gen in ("a", "c") if parity == "even" else ("a", "b", "c"):
+                form = fockrep.generator_form(parity, l, gen)
+                for r in range(1, l + 1):
+                    weights = rep_generator(RepInstance(parity, l, r, Q, dim), gen).weights
+                    assert type(weights) is tuple and all(type(w) is float for w in weights)
+                    assert weights == tuple(form_weights(form, Q, a_exponents(l, r, n + form.offset))
+                                            if 0 <= n + form.offset < dim else 0.0
+                                            for n in range(dim)), (parity, l, gen, r)
 
 
 def test_b_rejected_in_even_family():
@@ -163,13 +179,13 @@ def test_circle_check_fails_a_winding_mutation(monkeypatch):
 
 def test_ambient_rep_examples():
     # xi acts as the identity
-    op = rep_sigma(NormalMonomial(0, 0, 1), Q, 8).matrix
+    op = dense(rep_sigma(NormalMonomial(0, 0, 1), Q, 8))
     assert np.array_equal(op, np.eye(8))
     # z1 on e_0 has weight q^{p(n+1)} = q
-    op = rep_sigma(NormalMonomial(0, 1, 0), Q, 8).matrix
+    op = dense(rep_sigma(NormalMonomial(0, 1, 0), Q, 8))
     assert op[0, 0] == Q
     # z0 annihilates e_0
-    op = rep_sigma(NormalMonomial(1, 0, 0), Q, 8).matrix
+    op = dense(rep_sigma(NormalMonomial(1, 0, 0), Q, 8))
     assert np.all(op[:, 0] == 0)
     with pytest.raises(ValueError):
         rep_sigma(NormalMonomial(-1, 0, 0), Q, 8)
@@ -183,8 +199,8 @@ def test_ambient_rep_is_multiplicative_on_interior():
         y = basis_monomial(rng.randint(0, 3), rng.randint(0, 3), rng.randint(-2, 2))
         # z0-family words multiply to one word times a q-power
         mono, coef = (x * y).sole_term()
-        lhs = coef.evaluate(Q) * rep_sigma(mono, Q, dim).matrix
-        rhs = rep_sigma(x.sole_monomial(), Q, dim).matrix @ rep_sigma(y.sole_monomial(), Q, dim).matrix
+        lhs = coef.evaluate(Q) * dense(rep_sigma(mono, Q, dim))
+        rhs = dense(rep_sigma(x.sole_monomial(), Q, dim)) @ dense(rep_sigma(y.sole_monomial(), Q, dim))
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -345,15 +361,17 @@ def test_rep_report_aggregates():
 
 
 def test_weighted_shift_algebra_matches_dense():
+    # the dense oracle keeps the band M[i, i + offset] inside the N x N block
     rng = np.random.default_rng(SEED + 31)
     dim = 9
     for _ in range(40):
         ka = int(rng.integers(-4, 5))
-        a = WeightedShift(ka, rng.normal(size=dim) + 1j * rng.normal(size=dim))
-        rows, cols = np.nonzero(a.matrix)
+        weights = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        mat = dense(WeightedShift(ka, tuple(weights.tolist())))
+        rows, cols = np.nonzero(mat)
         assert rows.size == dim - abs(ka) and np.all(cols - rows == ka)
-        assert np.array_equal(a.matrix[rows, cols], a.weights[rows])
-    assert not np.any(WeightedShift(dim + 2, np.ones(dim)).matrix)   # shifts everything out
+        assert np.array_equal(mat[rows, cols], weights[rows])
+    assert not np.any(dense(WeightedShift(dim + 2, (1.0,) * dim)))   # shifts everything out
 
 
 def test_banded_relations_match_dense_oracle():
@@ -367,22 +385,22 @@ def test_banded_relations_match_dense_oracle():
                 entries = iter(relation_residuals(parity, l, Q, dim))
                 for r in range(1, l + 1):
                     inst = RepInstance(parity, l, r, Q, dim)
-                    mats = {name: rep_generator(inst, name).matrix
+                    mats = {name: dense(rep_generator(inst, name))
                             for name in (("a", "c") if parity == "even" else ("a", "b", "c"))}
                     for rel in relations_for(parity, l):
                         entry = next(entries)
                         assert (entry.r, entry.rid, entry.residual, entry.passed) == (r, rel.rid, 0.0, True)
                         lhs, rhs = dense_side(rel.lhs, mats, Q), dense_side(rel.rhs, mats, Q)
                         assert dense_interior_max(lhs - rhs, interior) < 1e-12, (parity, l, r, rel.rid)
-                        for side, dense in ((rel.lhs, lhs), (rel.rhs, rhs)):
+                        for side, product in ((rel.lhs, lhs), (rel.rhs, rhs)):
                             form = compose_side(side, parity, l)
                             # rows below form.lowest are 0, in the dense product too
                             rows = np.arange(form.lowest, interior - form.offset)
                             x = a_exponents(l, r, rows + form.offset)
                             band = np.zeros((dim, interior), dtype=complex)
                             band[rows, rows + form.offset] = array_form_weights(form, Q, x, form.q_exponent)
-                            scale = np.maximum(np.abs(dense[:, :interior]), np.finfo(float).tiny)
-                            error = np.max(np.abs(band - dense[:, :interior]) / scale)
+                            scale = np.maximum(np.abs(product[:, :interior]), np.finfo(float).tiny)
+                            error = np.max(np.abs(band - product[:, :interior]) / scale)
                             assert error < 1e-13, (parity, l, r, rel.rid)
 
 

@@ -11,7 +11,6 @@ from qrwp import (
     IndexMap,
     KGroups,
     assemble_kgroups,
-    cokernel_map_check,
     expected_kgroups,
     index_map,
     ktheory_report,
@@ -21,7 +20,7 @@ from qrwp import fockrep
 from qrwp.fockrep import RepInstance, kernel_conditions_exact, modulus_kernels, rep_generator
 from qrwp.qwrp import RelationSide
 
-from helpers import array_form_weights, dense_kernel_dim, kernel_columns, make_rng
+from helpers import array_form_weights, cokernel_map_check, dense, dense_kernel_dim, kernel_columns, make_rng
 
 Q = 0.5
 
@@ -36,7 +35,7 @@ def test_shift_structure():
     for parity, l, kernel in (("even", 3, (0,)), ("odd", 2, (0, 1))):
         for r in range(1, l + 1):
             assert modulus_kernels(parity, l, "c")[r - 1] == kernel, (parity, r)
-            c = rep_generator(RepInstance(parity, l, r, Q, 32), "c").matrix
+            c = dense(rep_generator(RepInstance(parity, l, r, Q, 32), "c"))
             assert tuple(np.flatnonzero(~c.any(axis=0))) == kernel, (parity, r)
 
 
@@ -49,7 +48,7 @@ def test_formula_reconstruction_agrees_with_shift():
         for r in range(1, l + 1):
             inst = RepInstance(parity, l, r, Q, 128)
             diag, k = kernel_columns(inst, "c")
-            quotient = rep_generator(inst, "c").weights[:128 - k] / np.sqrt(diag[k:])
+            quotient = np.asarray(rep_generator(inst, "c").weights[:128 - k]) / np.sqrt(diag[k:])
             assert np.max(np.abs(quotient - 1.0)) < 1e-10, (parity, l, r)
 
 
@@ -79,7 +78,7 @@ def test_index_map_matches_dense_svd_rank():
     for dim in (16, 48):
         for parity, ls in (("even", (1, 3, 5)), ("odd", (1, 2, 3, 4, 5))):
             for l in ls:
-                ranks = tuple(dense_kernel_dim(rep_generator(RepInstance(parity, l, r, Q, dim), "c").matrix, 1e-8)
+                ranks = tuple(dense_kernel_dim(dense(rep_generator(RepInstance(parity, l, r, Q, dim), "c")), 1e-8)
                               for r in range(1, l + 1))
                 assert index_map(parity, l).entries == ranks, (parity, l, dim)
 

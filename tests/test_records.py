@@ -1,7 +1,6 @@
 """Records are immutable named tuples; the validated ones check every
 construction path: positional, keyword, _make and _replace."""
 
-import numpy as np
 import pytest
 
 from qrwp import RepInstance, WeightedShift, Weights
@@ -62,23 +61,9 @@ def test_records_are_named_tuples():
     assert w._replace(l=3) == Weights(1, 3) and w == Weights(1, 2)
 
 
-def test_weighted_shift_compares_by_identity():
-    a, b = WeightedShift(1, np.ones(4)), WeightedShift(1, np.ones(4))
-    assert a == a and a != b and not a == b
-    assert len({a, b}) == 2 and hash(a) == object.__hash__(a)
-
-
-def test_weighted_shift_weights_reject_writes():
-    source = np.ones(4)
-    shift = WeightedShift(1, source)
-    source[0] = 5.0       # the shift keeps its own copy
-    assert shift.weights.tolist() == [1.0, 1.0, 1.0, 0.0]
-    with pytest.raises(ValueError):
-        shift.weights[0] = 2.0
+def test_weighted_shift_is_a_value():
+    a, b = WeightedShift(1, (1.0, 1.0, 0.0)), WeightedShift(1, (1.0, 1.0, 0.0))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != a._replace(offset=0)
     with pytest.raises(AttributeError):
-        shift.weights = np.zeros(4)
-    # _replace normalizes again: the new offset zeroes its own columns
-    moved = shift._replace(offset=-2)
-    assert moved.weights.tolist() == [0.0, 0.0, 1.0, 0.0] and not moved.weights.flags.writeable
-    with pytest.raises(ValueError, match="form a vector"):
-        shift._replace(weights=np.ones((2, 2)))
+        a.weights = (0.0, 0.0, 0.0)

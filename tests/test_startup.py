@@ -1,13 +1,13 @@
-"""Start-up: no command loads numpy.
+"""Start-up: no module of qrwp imports numpy.
 
-Every weight is evaluated on Python floats, and numpy is imported only
-where the test-only dense API builds arrays (fockrep.WeightedShift), so
-`import qrwp`, `import qrwp.cli` and every command work in an interpreter
-where any numpy import raises, with the same output.  The package's
-records are named tuples, so `import qrwp.cli` loads no dataclasses
-either.
+Every weight is evaluated on Python floats, and a WeightedShift holds a
+tuple of them, so `import qrwp`, `import qrwp.cli` and every command work
+in an interpreter where any numpy import raises, with the same output.
+Only the tests' dense oracles use numpy.  The package's records are named
+tuples, so `import qrwp.cli` loads no dataclasses either.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -66,6 +66,21 @@ def _run(mode: str, argvs: list, *mutation: str) -> dict:
 
 def _with_formats(commands: list) -> list:
     return [argv + fmt for argv in commands for fmt in ([], ["--format", "json"])]
+
+
+def test_no_module_imports_numpy():
+    # function bodies too: a lazy import would load numpy only when called
+    modules = sorted(Path(SRC, "qrwp").glob("*.py"))
+    assert len(modules) >= 9
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "numpy" for name in names), (path.name, node.lineno)
 
 
 def test_import_loads_no_numpy():
