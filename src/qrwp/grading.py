@@ -65,12 +65,12 @@ def degree(w: Weights, mono: NormalMonomial) -> int:
 
 def element_degrees(w: Weights, x: AlgebraElement) -> list[int]:
     """Sorted distinct degrees occurring among the terms of x."""
-    return sorted({degree(w, mono) for mono, _ in x.terms()})
+    return sorted({degree(w, mono) for mono in x._terms})
 
 
 def coinvariant_part(w: Weights, x: AlgebraElement) -> AlgebraElement:
     """Projection of x onto its degree-zero terms."""
-    return AlgebraElement({mono: coef for mono, coef in x.terms() if degree(w, mono) == 0})
+    return AlgebraElement({mono: coef for mono, coef in x._terms.items() if degree(w, mono) == 0})
 
 
 def is_coinvariant(w: Weights, x: AlgebraElement) -> bool:

@@ -14,6 +14,11 @@ Grammar (whitespace-insensitive, ASCII only):
 eliminated on lowering: z1s becomes z1 xi and xis becomes xi^-1.
 
 lower_text parses and evaluates in one pass; no syntax tree is built.
+One regex findall splits the text into token strings, and the descent
+reads them by index; a position is worked out only for an error.  A
+power of a named generator is looked up in a bounded cache keyed by
+(name, exponent), so every "z0^2" read shares one product.
+
 Errors come in reading order: the tokenizer rejects unknown names and
 characters first, then a non-invertible base under a negative power
 raises LoweringError where it is read, ahead of any later ParseError
@@ -24,6 +29,7 @@ trailing syntax error is evaluated before that error is raised.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from .qlaurent import qpow
 from .sigma3 import XI, XIS, Z0, Z0S, Z1, Z1S, AlgebraElement
@@ -48,28 +54,38 @@ class LoweringError(ExpressionError):
 
 # -- tokenizer ----------------------------------------------------------
 
-_PUNCT = {"^": "CARET", "*": "STAR", "+": "PLUS", "-": "MINUS", "(": "LPAREN", ")": "RPAREN"}
+# ASCII classes only: str.isdigit/isalpha would admit "٣" or "²".  Every
+# character but ASCII whitespace belongs to a token, so one the grammar
+# does not know is a one-character token of its own.
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z][A-Za-z0-9_]*|[^ \t\n\r\f\v]")
+_WORDS = frozenset(NAMES + tuple("^*+-()"))   # every valid token but an integer
+_SIGNS = ("+", "-")
+_TERM_ENDS = frozenset(("+", "-", ")", "^", ""))   # tokens that cannot start a factor
 
-# ASCII classes only: str.isdigit/isalpha would admit "٣" or "²"
-_TOKEN = re.compile(r"(?P<SPACE>[ \t\n\r\f\v]+)|(?P<INT>[0-9]+)|(?P<NAME>[A-Za-z][A-Za-z0-9_]*)"
-                    r"|(?P<PUNCT>[-^*+()])|(?P<BAD>.)", re.DOTALL)
 
+def _tokenize(text: str) -> list[str]:
+    """The token texts of text in one findall, then "" for the end.
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    for match in _TOKEN.finditer(text):
-        kind, value, i = match.lastgroup, match.group(), match.start()
-        if kind == "SPACE":
-            continue
-        if kind == "PUNCT":
-            kind = _PUNCT[value]
-        elif kind == "NAME" and value not in NAMES:
-            raise ParseError(f"unknown name {value!r}", i)
-        elif kind == "BAD":
-            raise ParseError(f"unexpected character {value!r}", i)
-        tokens.append((kind, value, i))
-    tokens.append(("END", "", len(text)))
+    A token's kind is read off its text: once the tokens are checked,
+    one that str.isdigit accepts is an integer and any other is a name
+    or a punctuation character.  Positions are not kept; _position
+    finds one again when an error needs it.
+    """
+    tokens = _TOKEN.findall(text)
+    unknown = [tok for tok in set(tokens).difference(_WORDS) if not "0" <= tok[0] <= "9"]
+    if unknown:
+        i = min(map(tokens.index, unknown))
+        tok = tokens[i]
+        what = "unknown name" if tok.isascii() and tok[0].isalpha() else "unexpected character"
+        raise ParseError(f"{what} {tok!r}", _position(text, i))
+    tokens.append("")
     return tokens
+
+
+def _position(text: str, i: int) -> int:
+    """Where token i of text starts; the end token sits at len(text)."""
+    starts = [match.start() for match in _TOKEN.finditer(text)]
+    return starts[i] if i < len(starts) else len(text)
 
 
 _GENERATORS = {
@@ -82,96 +98,89 @@ _GENERATORS = {
 }
 
 
-class _Parser:
-    """Recursive descent that evaluates while it reads: each rule
-    returns the normal-form element of the text it consumed."""
+def _power(base: AlgebraElement, exponent: int) -> AlgebraElement:
+    if exponent >= 0:
+        return base ** exponent
+    try:
+        inv = base.try_inverse()
+    except ValueError as exc:
+        raise LoweringError(f"cannot raise a non-invertible element to the power {exponent}") from exc
+    return inv ** -exponent
 
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
+@lru_cache(maxsize=256)
+def _generator_power(name: str, exponent: int) -> AlgebraElement:
+    """A named generator to a power, computed once and then looked up.
+    Elements are immutable, so every reader may share the result; a
+    LoweringError is not cached and is raised again on every read."""
+    return _power(_GENERATORS[name], exponent)
 
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
 
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
-        return self.advance()
+# -- recursive descent --------------------------------------------------
+#
+# Each rule takes the text, its tokens and the index of its first token,
+# and returns the normal-form element of what it read with the index of
+# the next token.  The text is only read to place an error.
 
-    def parse_expr(self) -> AlgebraElement:
-        value = self.parse_term()
-        while self.peek()[0] in ("PLUS", "MINUS"):
-            op = self.advance()
-            term = self.parse_term()
-            value = value - term if op[0] == "MINUS" else value + term
-        return value
 
-    def parse_term(self) -> AlgebraElement:
-        negate = False
-        while self.peek()[0] in ("PLUS", "MINUS"):
-            if self.advance()[0] == "MINUS":
-                negate = not negate
-        value = self.parse_primary()
-        while True:
-            kind = self.peek()[0]
-            if kind == "STAR":
-                self.advance()
-            elif kind not in ("INT", "NAME", "LPAREN"):
-                break
-            value = value * self.parse_primary()
-        return -value if negate else value
+def _expr(text: str, tokens: list[str], i: int) -> tuple[AlgebraElement, int]:
+    value, i = _term(text, tokens, i)
+    while (tok := tokens[i]) in _SIGNS:
+        term, i = _term(text, tokens, i + 1)
+        value = value - term if tok == "-" else value + term
+    return value, i
 
-    def parse_primary(self) -> AlgebraElement:
-        base = self.parse_atom()
-        if self.peek()[0] != "CARET":
-            return base
-        self.advance()
-        sign = 1
-        if self.peek()[0] in ("PLUS", "MINUS"):
-            if self.advance()[0] == "MINUS":
-                sign = -1
-        tok = self.expect("INT")
-        exponent = sign * int(tok[1])
-        if abs(exponent) > MAX_EXPONENT:
-            raise ParseError(f"exponent {exponent} exceeds the supported range", tok[2])
-        if exponent >= 0:
-            return base ** exponent
-        try:
-            inv = base.try_inverse()
-        except ValueError as exc:
-            raise LoweringError(f"cannot raise a non-invertible element to the power {exponent}") from exc
-        return inv ** -exponent
 
-    def parse_atom(self) -> AlgebraElement:
-        tok = self.peek()
-        if tok[0] == "INT":
-            self.advance()
-            return AlgebraElement.scalar(int(tok[1]))
-        if tok[0] == "NAME":
-            self.advance()
-            # q is built when read, so a replaced qpow takes effect
-            return AlgebraElement.scalar(qpow(1)) if tok[1] == "q" else _GENERATORS[tok[1]]
-        if tok[0] == "LPAREN":
-            self.advance()
-            inner = self.parse_expr()
-            self.expect("RPAREN")
-            return inner
-        raise ParseError(f"expected a value, found {tok[1]!r}" if tok[1] else "unexpected end of input", tok[2])
+def _term(text: str, tokens: list[str], i: int) -> tuple[AlgebraElement, int]:
+    negate = False
+    while (tok := tokens[i]) in _SIGNS:
+        negate ^= tok == "-"
+        i += 1
+    value, i = _primary(text, tokens, i)
+    while (tok := tokens[i]) not in _TERM_ENDS:
+        factor, i = _primary(text, tokens, i + 1 if tok == "*" else i)
+        value = value * factor
+    return (-value if negate else value), i
+
+
+def _primary(text: str, tokens: list[str], i: int) -> tuple[AlgebraElement, int]:
+    tok = tokens[i]
+    if tok in _GENERATORS:
+        base = _GENERATORS[tok]
+    elif tok == "q":
+        # q is built when read, so a replaced qpow takes effect
+        base = AlgebraElement.scalar(qpow(1))
+    elif tok.isdigit():
+        base = AlgebraElement.scalar(int(tok))
+    elif tok == "(":
+        base, i = _expr(text, tokens, i + 1)
+        if tokens[i] != ")":
+            raise ParseError(f"expected RPAREN, found {tokens[i]!r}", _position(text, i))
+    else:
+        raise ParseError(f"expected a value, found {tok!r}" if tok else "unexpected end of input",
+                         _position(text, i))
+    i += 1
+    if tokens[i] != "^":
+        return base, i
+    sign = tokens[i + 1]
+    i += 2 if sign in _SIGNS else 1
+    digits = tokens[i]
+    if not digits.isdigit():
+        raise ParseError(f"expected INT, found {digits!r}", _position(text, i))
+    exponent = -int(digits) if sign == "-" else int(digits)
+    if abs(exponent) > MAX_EXPONENT:
+        raise ParseError(f"exponent {exponent} exceeds the supported range", _position(text, i))
+    if tok in _GENERATORS:
+        return _generator_power(tok, exponent), i + 1
+    return _power(base, exponent), i + 1
 
 
 def lower_text(text: str) -> AlgebraElement:
     """Parse text and evaluate it to a normal-form element in one pass."""
-    parser = _Parser(text)
-    value = parser.parse_expr()
-    tok = parser.peek()
-    if tok[0] != "END":
-        raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
+    tokens = _tokenize(text)
+    value, i = _expr(text, tokens, 0)
+    if tokens[i]:
+        raise ParseError(f"unexpected trailing input {tokens[i]!r}", _position(text, i))
     return value
 
 

@@ -109,9 +109,11 @@ class LaurentPoly:
             if other is None:
                 return NotImplemented
         # times a single term c q^e: shift and scale; nonzero ints have nonzero products
-        if len(other._coeffs) == 1 or len(self._coeffs) == 1:
-            poly, term = (self, other) if len(other._coeffs) == 1 else (other, self)
-            (e, c), = term._coeffs.items()
+        single = len(other._coeffs) == 1
+        if single or len(self._coeffs) == 1:
+            poly, term = (self, other._coeffs) if single else (other, self._coeffs)
+            e, = term
+            c = term[e]
             if e == 0 and c == 1:
                 return poly  # instances are immutable, so times 1 may share
             return LaurentPoly._canonical({e1 + e: c1 * c for e1, c1 in poly._coeffs.items()})

@@ -297,10 +297,12 @@ class AlgebraElement:
         """The involution.  On a basis word:
         (z0^m z1^p xi^r)* = q^{pm} z0*^m z1^p xi^{p-r}, uniformly in signed m.
         """
-        # distinct words have distinct images, so no two terms meet
+        # distinct words have distinct images, so no two terms meet; p is
+        # unchanged, so an image word needs no p >= 0 check
+        word = tuple.__new__
         return AlgebraElement._canonical({
-            NormalMonomial(-mono.m, mono.p, mono.p - mono.r): coef * qpow(mono.p * mono.m)
-            for mono, coef in self._terms.items()})
+            word(NormalMonomial, (-m, p, p - r)): coef * qpow(p * m) if p and m else coef
+            for (m, p, r), coef in self._terms.items()})
 
     def try_inverse(self) -> "AlgebraElement":
         """Inverse of a unit, i.e. a single term +-q^e xi^r."""

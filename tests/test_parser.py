@@ -4,8 +4,11 @@ import pytest
 
 from qrwp import (
     XI,
+    XIS,
     Z0,
+    Z0S,
     Z1,
+    Z1S,
     AlgebraElement,
     ParseError,
     basis_monomial,
@@ -13,7 +16,8 @@ from qrwp import (
     qpow,
     render,
 )
-from qrwp.parser import LoweringError
+from qrwp import parser
+from qrwp.parser import ExpressionError, LoweringError
 
 from helpers import make_rng, random_element, reference_text
 
@@ -135,3 +139,60 @@ def test_errors_reported_in_reading_order():
     # the tokenizer reads the whole text first
     with pytest.raises(ParseError):
         lower_text("z1^-1 @")
+
+
+# (class, message, position) of each failure, pinned so that a change in how
+# text is read keeps every error as it was; LoweringError has no position
+@pytest.mark.parametrize("text, cls, message, position", [
+    ("", ParseError, "unexpected end of input (at position 0)", 0),
+    ("   ", ParseError, "unexpected end of input (at position 3)", 3),
+    ("z0 + ", ParseError, "unexpected end of input (at position 5)", 5),
+    ("z0 ^ z1", ParseError, "expected INT, found 'z1' (at position 5)", 5),
+    ("(z0", ParseError, "expected RPAREN, found '' (at position 3)", 3),
+    (")", ParseError, "expected a value, found ')' (at position 0)", 0),
+    ("z0^", ParseError, "expected INT, found '' (at position 3)", 3),
+    ("z0 + @", ParseError, "unexpected character '@' (at position 5)", 5),
+    ("z9", ParseError, "unknown name 'z9' (at position 0)", 0),
+    ("z0\u00e9", ParseError, "unexpected character '\u00e9' (at position 2)", 2),
+    ("z0^10000000", ParseError, "exponent 10000000 exceeds the supported range (at position 3)", 3),
+    ("q^-99999999", ParseError, "exponent -99999999 exceeds the supported range (at position 3)", 3),
+    ("z1^-1 )", LoweringError, "cannot raise a non-invertible element to the power -1", None),
+    ("z1^-1 @", ParseError, "unexpected character '@' (at position 6)", 6),
+    (") z1^-1", ParseError, "expected a value, found ')' (at position 0)", 0),
+    ("2^-1", LoweringError, "cannot raise a non-invertible element to the power -1", None),
+])
+def test_error_table(text, cls, message, position):
+    with pytest.raises(ExpressionError) as err:
+        lower_text(text)
+    assert type(err.value) is cls
+    assert str(err.value) == message
+    assert getattr(err.value, "position", None) == position
+
+
+@pytest.mark.parametrize("name, generator", [
+    ("z0", Z0), ("z0s", Z0S), ("z1", Z1), ("z1s", Z1S), ("xi", XI), ("xis", XIS)])
+def test_generator_powers_match_the_algebra(name, generator):
+    for e in [*range(-4, 9), 1000]:
+        text = f"{name}^{e}"
+        try:
+            expected = generator ** e if e >= 0 else generator.try_inverse() ** -e
+        except ValueError:
+            # raised on every read, not only the first
+            for _ in range(2):
+                with pytest.raises(LoweringError):
+                    lower_text(text)
+            continue
+        assert lower_text(text) == expected == lower_text(text), text
+
+
+def test_q_is_built_when_read(monkeypatch):
+    calls = []
+
+    def traced_qpow(e):
+        calls.append(e)
+        return qpow(e)
+
+    monkeypatch.setattr(parser, "qpow", traced_qpow)
+    for _ in range(2):
+        assert lower_text("q^2") == AlgebraElement.scalar(qpow(2))
+    assert calls == [1, 1]
