@@ -27,6 +27,18 @@ relation holds exactly when its two sides are one operator
 floats only measure how far apart the sides of a failing relation are.
 Failing relations are measured on the N - 2l interior columns (N > 2l).
 
+Every verdict that reads no q comes from one table per family
+(family_table): it composes each relation side once and holds the
+composed pairs, the same_operator verdict per relation and label, the
+modulus kernels per generator and the circle verdict.
+relation_residuals, kernel_conditions_exact, modulus_kernels,
+scalar_relations_exact and ktheory's index map and lift read it, so only
+a failing relation's residual and ktheory.pullback_check evaluate
+weights at q.  The table is memoised in a bounded lru_cache keyed by the
+values it is read from, relations_for(parity, l) and the generator
+forms, looked up through this module's names on every call; nothing
+memoised reads q, N or a tolerance.
+
 The relabeling Phi_r e_n = e_{ln+r-1} intertwines pi_r(g) with the
 ambient pi(j(g)) exactly when the ambient form of j(g) is (lk, h, S) for
 g's form (k, h, S): row n of pi_r(g) and row ln+r-1 of pi(j(g)) read the
@@ -103,13 +115,15 @@ def _down(count: int) -> tuple[int, ...]:
 
 def generator_form(parity: str, l: int, gen: str) -> WeightForm:
     """The weight form of one generator in the family representations."""
-    if gen == "b" and parity != "odd":
-        raise ValueError("generator b exists only in the odd family")
-    forms = {"a": WeightForm(0, 2, ()), "b": WeightForm(1, 1, _down(l)),
-             "c": WeightForm(1, 0, _down(l)) if parity == "even" else WeightForm(2, 0, _down(2 * l))}
-    if gen not in forms:
-        raise ValueError(f"unknown generator {gen!r}")
-    return forms[gen]
+    if gen == "a":
+        return WeightForm(0, 2, ())
+    if gen == "b":
+        if parity != "odd":
+            raise ValueError("generator b exists only in the odd family")
+        return WeightForm(1, 1, _down(l))
+    if gen == "c":
+        return WeightForm(1, 0, _down(l)) if parity == "even" else WeightForm(2, 0, _down(2 * l))
+    raise ValueError(f"unknown generator {gen!r}")
 
 
 def ambient_form(mono: NormalMonomial) -> WeightForm:
@@ -225,19 +239,72 @@ class ResidualEntry(NamedTuple):
     passed: bool
 
 
+# The relation whose right side states g* g as a product in a.
+_MODULUS_RELATION = {("even", "c"): "even.4", ("odd", "b"): "odd.7", ("odd", "c"): "odd.11"}
+
+
+class FamilyTable(NamedTuple):
+    """What one family's relations say on the weight table, at every q."""
+
+    sides: tuple[tuple[str, SideForm, SideForm], ...]  # (rid, lhs, rhs) in relations_for order
+    same: tuple[tuple[bool, ...], ...]  # same[r - 1][i]: relation i is one operator for label r
+    # (g, modulus_kernels) for each g with a modulus relation, in
+    # _MODULUS_RELATION order; the kernels are the message of the
+    # ArithmeticError that reading them raises when a factor is negative
+    kernels: tuple[tuple[str, tuple[tuple[int, ...], ...] | str], ...]
+    circle: bool  # scalar_relations_exact
+
+    def holds(self, rid: str) -> bool:
+        """Whether relation rid's two sides are one operator for every label."""
+        i = [side[0] for side in self.sides].index(rid)
+        return all(row[i] for row in self.same)
+
+
+def family_table(parity: str, l: int) -> FamilyTable:
+    """The family's table, composed once for each value of what it is
+    read from: relations_for(parity, l) and the generator forms, both
+    looked up through this module's names on every call, so a replaced
+    function gets a table of its own.  Nothing in it reads q, N or a
+    tolerance."""
+    Weights.canonical(parity, l)
+    gens = ("a", "c") if parity == "even" else ("a", "b", "c")
+    return _family_table(parity, l, relations_for(parity, l), tuple(generator_form(parity, l, g) for g in gens))
+
+
+@functools.lru_cache(maxsize=64)
+def _family_table(parity: str, l: int, relations: tuple[Relation, ...],
+                  forms: tuple[WeightForm, ...]) -> FamilyTable:
+    # compose_side reads generator_form itself; forms is only part of the key
+    sides = tuple((rel.rid, compose_side(rel.lhs, parity, l), compose_side(rel.rhs, parity, l))
+                  for rel in relations)
+    same = tuple(tuple(same_operator(lhs, rhs, l, r) for _, lhs, rhs in sides) for r in range(1, l + 1))
+    kernels = []
+    for (family, gen), rid in _MODULUS_RELATION.items():
+        if family == parity:
+            rel = next(rel for rel in relations if rel.rid == rid)
+            try:
+                kernels.append((gen, _modulus_kernels(rel, l)))
+            except ArithmeticError as exc:
+                kernels.append((gen, str(exc)))
+    circle = all(_circle_value(rel.lhs) == _circle_value(rel.rhs) for rel in relations)
+    return FamilyTable(sides, same, tuple(kernels), circle)
+
+
 def relation_residuals(parity: str, l: int, q: float = 0.5, dim: int = 256) -> list[ResidualEntry]:
     """Every defining relation, per label r.  It passes when its two sides
-    are one operator, with residual 0.0; otherwise the residual is the
-    largest difference of the sides' entries on the N - 2l interior
-    columns, in the rows where both sides reach every column."""
+    are one operator (family_table), with residual 0.0; otherwise the
+    residual is the largest difference of the sides' entries on the
+    N - 2l interior columns, in the rows where both sides reach every
+    column.  Only a failing relation evaluates a weight at q."""
     _check_label(parity, l, 1)
+    if not 0.0 < q < 1.0:
+        raise ValueError("q must lie in (0, 1)")
+    table = family_table(parity, l)
     interior = max(0, dim - 2 * l)
-    forms = [(rel.rid, compose_side(rel.lhs, parity, l), compose_side(rel.rhs, parity, l))
-             for rel in relations_for(parity, l)]
     entries: list[ResidualEntry] = []
-    for r in range(1, l + 1):
-        for rid, lhs, rhs in forms:
-            passed, res = same_operator(lhs, rhs, l, r), 0.0
+    for r, verdicts in enumerate(table.same, 1):
+        for (rid, lhs, rhs), passed in zip(table.sides, verdicts):
+            res = 0.0
             if not passed:
                 first = max(lhs.lowest, rhs.lowest)  # each side reads columns first + offset onwards
                 left, right = ([form_weights(f, q, a_exponents(l, r, n), f.q_exponent)
@@ -247,34 +314,26 @@ def relation_residuals(parity: str, l: int, q: float = 0.5, dim: int = 256) -> l
                 sizes = [abs(d) for d in diff]
                 # a nan (inf - inf, inf * 0) wins, as in numpy's max
                 res = math.nan if any(d != d for d in sizes) else max(sizes, default=0.0)
-            entries.append(ResidualEntry(r=r, rid=rid, residual=res, passed=passed))
+            entries.append(ResidualEntry(r, rid, res, passed))
     return entries
 
 
-# The relation whose right side states g* g as a product in a.
-_MODULUS_RELATION = {("even", "c"): "even.4", ("odd", "b"): "odd.7", ("odd", "c"): "odd.11"}
+def _modulus_rid(parity: str, gen: str) -> str:
+    rid = _MODULUS_RELATION.get((parity, gen))
+    if rid is None:
+        raise ValueError(f"no relation states g* g for generator {gen!r} in the {parity} family")
+    return rid
 
 
 def modulus_relation(parity: str, l: int, gen: str) -> Relation:
     """The relation g* g = (a product in a): even.4 for c+, odd.7 for b,
     odd.11 for c-."""
-    rid = _MODULUS_RELATION.get((parity, gen))
-    if rid is None:
-        raise ValueError(f"no relation states g* g for generator {gen!r} in the {parity} family")
+    rid = _modulus_rid(parity, gen)
     return next(rel for rel in relations_for(parity, l) if rel.rid == rid)
 
 
-def modulus_kernels(parity: str, l: int, gen: str) -> tuple[tuple[int, ...], ...]:
-    """For each label r = 1..l, the columns n >= 0 on which g* g
-    vanishes, read off integers: a factor (1 - q^{2e} a) of
-    modulus_relation is zero on e_n exactly where e + ln + r = 0, whatever
-    q is.  A factor is negative where e + ln + r < 0, which g* g >= 0
-    allows only on a kernel column; anywhere else it is a hard error.
-    Past column (-min e - r) / l every factor is positive, so only the
-    columns below it are read.  The relation list is built once for all
-    labels."""
-    Weights.canonical(parity, l)
-    exps = [e for f in modulus_relation(parity, l, gen).rhs.factors if f[0] == "prod" for e in f[1]]
+def _modulus_kernels(rel: Relation, l: int) -> tuple[tuple[int, ...], ...]:
+    exps = [e for f in rel.rhs.factors if f[0] == "prod" for e in f[1]]
     kernels = []
     for r in range(1, l + 1):
         kernel = []
@@ -289,13 +348,38 @@ def modulus_kernels(parity: str, l: int, gen: str) -> tuple[tuple[int, ...], ...
     return tuple(kernels)
 
 
+def _kernel_columns(kernels: tuple[tuple[int, ...], ...] | str) -> tuple[tuple[int, ...], ...]:
+    if isinstance(kernels, str):
+        raise ArithmeticError(kernels)
+    return kernels
+
+
+def modulus_kernels(parity: str, l: int, gen: str) -> tuple[tuple[int, ...], ...]:
+    """For each label r = 1..l, the columns n >= 0 on which g* g
+    vanishes, read off integers: a factor (1 - q^{2e} a) of
+    modulus_relation is zero on e_n exactly where e + ln + r = 0, whatever
+    q is.  A factor is negative where e + ln + r < 0, which g* g >= 0
+    allows only on a kernel column; anywhere else it is a hard error.
+    Past column (-min e - r) / l every factor is positive, so only the
+    columns below it are read.  They are read once per family_table."""
+    Weights.canonical(parity, l)
+    _modulus_rid(parity, gen)
+    return _kernel_columns(dict(family_table(parity, l).kernels)[gen])
+
+
 def kernel_conditions_exact(parity: str, l: int) -> bool:
     """The displayed kernels c+ e_0 = 0, b e_0 = 0, c- e_0 = c- e_1 = 0:
     for every label, the columns on which the relations make g* g vanish
     must be exactly the columns that g's shift lowers out of the space."""
-    names = ("c",) if parity == "even" else ("b", "c")
-    return all(kernel == tuple(range(generator_form(parity, l, name).offset))
-               for name in names for kernel in modulus_kernels(parity, l, name))
+    return all(kernel == tuple(range(generator_form(parity, l, gen).offset))
+               for gen, kernels in family_table(parity, l).kernels for kernel in _kernel_columns(kernels))
+
+
+def _circle_value(side: RelationSide) -> tuple[int, int] | None:
+    gens = [f for f in side.factors if f[0] == "gen"]
+    if any(f[1] != "c" for f in gens):
+        return None
+    return side.q_exponent, sum(-1 if f[2] else 1 for f in gens)
 
 
 def scalar_relations_exact(parity: str, l: int) -> bool:
@@ -303,15 +387,8 @@ def scalar_relations_exact(parity: str, l: int) -> bool:
     representations, at every q: a = 0 makes every product
     factor 1, so a side with a or b in it is 0 and any other side is
     q^E u^w, w = #c - #c*, on c = u.  Both sides must be 0, or both have
-    one (E, w)."""
-
-    def value(side: RelationSide) -> tuple[int, int] | None:
-        gens = [f for f in side.factors if f[0] == "gen"]
-        if any(f[1] != "c" for f in gens):
-            return None
-        return side.q_exponent, sum(-1 if f[2] else 1 for f in gens)
-
-    return all(value(rel.lhs) == value(rel.rhs) for rel in relations_for(parity, l))
+    one (E, w).  Read off family_table."""
+    return family_table(parity, l).circle
 
 
 # -- intertwiner and faithfulness ------------------------------------

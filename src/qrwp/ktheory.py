@@ -25,8 +25,7 @@ import math
 from typing import NamedTuple
 
 from . import fockrep
-from .fockrep import (RepInstance, a_exponents, compose_side, form_weights, modulus_kernels, modulus_relation,
-                      same_operator)
+from .fockrep import RepInstance, a_exponents, family_table, form_weights, modulus_kernels, modulus_relation
 # not called here; perfbench/tests/test_perfbench.py checks that tracing patches this name too
 from .fockrep import rep_generator
 from .qlaurent import power_text
@@ -78,11 +77,10 @@ def index_map(parity: str, l: int) -> IndexMap:
 def _lift_deviation(parity: str, l: int) -> float:
     """Max |c (c* c)^{-1/2} - shift| past the kernel, over every column and
     every q: 0.0 when c* c and the modulus side (even.4, odd.11) compose to
-    one operator for every label, so that the quotient is 1 on every
-    column; 1.0 otherwise."""
-    rel = modulus_relation(parity, l, "c")
-    lhs, rhs = compose_side(rel.lhs, parity, l), compose_side(rel.rhs, parity, l)
-    return 0.0 if all(same_operator(lhs, rhs, l, r) for r in range(1, l + 1)) else 1.0
+    one operator for every label (fockrep.family_table), so that the
+    quotient is 1 on every column; 1.0 otherwise."""
+    rid = modulus_relation(parity, l, "c").rid
+    return 0.0 if family_table(parity, l).holds(rid) else 1.0
 
 
 # -- K-group assembly ----------------------------------------------------

@@ -19,6 +19,10 @@ reads them by index; a position is worked out only for an error.  A
 power of a named generator is looked up in a bounded cache keyed by
 (name, exponent), so every "z0^2" read shares one product.
 
+An integer literal of more than MAX_DIGITS digits, leading zeros aside,
+is a ParseError at its token rather than a conversion error, and an
+exponent longer than MAX_EXPONENT is out of range without being read.
+
 Errors come in reading order: the tokenizer rejects unknown names and
 characters first, then a non-invertible base under a negative power
 raises LoweringError where it is read, ahead of any later ParseError
@@ -36,6 +40,8 @@ from .sigma3 import XI, XIS, Z0, Z0S, Z1, Z1S, AlgebraElement
 
 NAMES = ("q", "z0", "z0s", "z1", "z1s", "xi", "xis")
 MAX_EXPONENT = 10**6
+_EXPONENT_DIGITS = len(str(MAX_EXPONENT))
+MAX_DIGITS = 4300   # the longest integer literal read, leading zeros aside: int() refuses more by default
 
 
 class ExpressionError(ValueError):
@@ -151,7 +157,13 @@ def _primary(text: str, tokens: list[str], i: int) -> tuple[AlgebraElement, int]
         # q is built when read, so a replaced qpow takes effect
         base = AlgebraElement.scalar(qpow(1))
     elif tok.isdigit():
-        base = AlgebraElement.scalar(int(tok))
+        digits = tok
+        if len(digits) > MAX_DIGITS:
+            digits = digits.lstrip("0") or "0"
+            if len(digits) > MAX_DIGITS:
+                raise ParseError(f"integer literal of {len(digits)} digits exceeds the supported length "
+                                 f"of {MAX_DIGITS}", _position(text, i))
+        base = AlgebraElement.scalar(int(digits))
     elif tok == "(":
         base, i = _expr(text, tokens, i + 1)
         if tokens[i] != ")":
@@ -167,6 +179,11 @@ def _primary(text: str, tokens: list[str], i: int) -> tuple[AlgebraElement, int]
     digits = tokens[i]
     if not digits.isdigit():
         raise ParseError(f"expected INT, found {digits!r}", _position(text, i))
+    if len(digits) > _EXPONENT_DIGITS:
+        digits = digits.lstrip("0") or "0"
+        if len(digits) > _EXPONENT_DIGITS:  # out of range, and maybe too long for int()
+            raise ParseError(f"exponent {'-' if sign == '-' else ''}{digits} exceeds the supported range",
+                             _position(text, i))
     exponent = -int(digits) if sign == "-" else int(digits)
     if abs(exponent) > MAX_EXPONENT:
         raise ParseError(f"exponent {exponent} exceeds the supported range", _position(text, i))

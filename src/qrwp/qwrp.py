@@ -14,6 +14,7 @@ that the reordering produces).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import NamedTuple
 
@@ -58,7 +59,13 @@ def relations_for(parity: str, l: int) -> tuple[Relation, ...]:
 
     Even: 4 relations; odd: 11 relations.  Products run over
     prod_{m=0}^{L-1}(1 - q^{2m} a) or prod_{m=1}^{L}(1 - q^{-2m} a).
+    The list is immutable, so it is built once per (parity, l) and shared.
     """
+    return _relations(parity, l)
+
+
+@functools.lru_cache(maxsize=128)
+def _relations(parity: str, l: int) -> tuple[Relation, ...]:
     if parity == "even":
         return (
             Relation("even.1", _side(0, _gen("a", True)), _side(0, _gen("a"))),

@@ -360,6 +360,13 @@ def test_precondition_exit_codes(capsys):
     assert code == EXIT_PRECONDITION
 
 
+def test_long_literal_is_a_parse_error(capsys):
+    # more digits than int() reads: exit 2 with the range message, not exit 3
+    code, out, err = run(capsys, "normalize", "z0^" + "1" * 5000)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith("parse error: exponent 111") and err.endswith("exceeds the supported range (at position 3)\n")
+
+
 def test_check_failure_exit_code(capsys, monkeypatch):
     # a tolerance below rounding is no failure: the relation verdicts are exact
     argv = ("rep-check", "--parity", "odd", "--l", "2", "--N", "64")

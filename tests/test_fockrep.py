@@ -530,3 +530,101 @@ def test_large_truncations_stay_banded():
             tracemalloc.stop()
         assert report.all_pass
         assert peak < 8 * dim * dim / 4
+
+
+# -- the family table --------------------------------------------------
+
+
+def test_a_q_sweep_composes_each_relation_side_once(monkeypatch):
+    # the sides are q-independent, so a sweep over q composes them once,
+    # whichever report reads them first
+    fockrep._family_table.cache_clear()
+    composed = []
+    original = fockrep.compose_side
+
+    def counting(side, parity, l):
+        composed.append(side)
+        return original(side, parity, l)
+
+    monkeypatch.setattr(fockrep, "compose_side", counting)
+    for q in (0.02, 0.5, 0.97):
+        rep_report("odd", 2, q, 160)
+        ktheory_report("odd", 2, q, 160)
+    assert composed == [side for rel in relations_for("odd", 2) for side in (rel.lhs, rel.rhs)]
+
+
+def _odd11_shift():
+    """fockrep.relations_for with odd.11's factors moved to m = 0..2l-1."""
+    original = fockrep.relations_for
+
+    def mutated(parity, l):
+        shifted = RelationSide(0, (("prod", tuple(range(0, -2 * l, -1))),))
+        return tuple(rel._replace(rhs=shifted) if rel.rid == "odd.11" else rel for rel in original(parity, l))
+    return "relations_for", mutated
+
+
+@pytest.mark.parametrize("patch, rep_verdicts, k_verdicts", [
+    # b h+1: odd.4..odd.9 fail at every label; the kernels and the lift still hold
+    (MUTATIONS["b h+1"][0], ({f"odd.{i}" for i in range(4, 10)}, True), ([2, 2], 0.0, True)),
+    # odd.11 shifted: it fails, the kernel of c- moves and the lift fails
+    (_odd11_shift(), ({"odd.11"}, False), ([2, 1], 1.0, False)),
+])
+def test_a_replaced_function_gets_its_own_table(monkeypatch, patch, rep_verdicts, k_verdicts):
+    # no cache is cleared: the table is keyed by the values it reads
+    clean_rep, clean_k = rep_report("odd", 2, Q, 64).as_dict(), ktheory_report("odd", 2, Q, 64).as_dict()
+    assert clean_rep["all_pass"] and clean_k["all_pass"]
+    monkeypatch.setattr(fockrep, *patch)
+    rep, kth = rep_report("odd", 2, Q, 64).as_dict(), ktheory_report("odd", 2, Q, 64).as_dict()
+    failed = {e["id"] for e in rep["relation_residuals"] if not e["pass"]}
+    assert (failed, rep["kernel_conditions_exact"]) == rep_verdicts
+    assert (kth["index_map"], kth["coisometry_max_deviation"], kth["all_pass"]) == k_verdicts
+    assert not rep["all_pass"]
+    # and the clean table is still there once the patch is gone
+    monkeypatch.undo()
+    assert rep_report("odd", 2, Q, 64).as_dict() == clean_rep
+    assert ktheory_report("odd", 2, Q, 64).as_dict() == clean_k
+
+
+def test_cached_reports_match_uncached(monkeypatch):
+    # the reports read one table per family across every q, and build a
+    # fresh one on every read once the memo is bypassed
+    qs = (5e-324, 0.02, 0.5, 0.97, 1 - 2 ** -53)
+    families = [("even", l) for l in range(1, 13, 2)] + [("odd", l) for l in range(1, 13)]
+
+    def reports():
+        return [(rep_report(parity, l, q, 64).as_dict(), ktheory_report(parity, l, q, 64).as_dict())
+                for parity, l in families for q in qs]
+
+    cached = reports()
+    monkeypatch.setattr(fockrep, "_family_table", fockrep._family_table.__wrapped__)
+    assert reports() == cached
+
+
+def test_q_is_checked_on_every_call():
+    with pytest.raises(ValueError, match=r"q must lie in \(0, 1\)"):
+        relation_residuals("odd", 2, 1.5)
+    assert rep_report("odd", 2, Q, 160).all_pass and ktheory_report("odd", 2, Q, 160).all_pass
+    for q in (1.5, 0.0, 1.0, float("nan")):
+        for report in (rep_report, ktheory_report):
+            with pytest.raises(ValueError, match=r"q must lie in \(0, 1\)"):
+                report("odd", 2, q, 160)
+
+
+def test_a_negative_modulus_factor_raises_only_where_kernels_are_read(monkeypatch):
+    # c-* c- with an extra factor (1 - q^{-2(2l+2)} a), negative on e_2 of
+    # label 1: the table still holds every other verdict, and each read of
+    # c-'s kernels raises again
+    original = fockrep.relations_for
+
+    def mutated(parity, l):
+        longer = RelationSide(0, (("prod", tuple(range(-1, -2 * l - 1, -1)) + (-2 * l - 2,)),))
+        return tuple(rel._replace(rhs=longer) if rel.rid == "odd.11" else rel for rel in original(parity, l))
+
+    monkeypatch.setattr(fockrep, "relations_for", mutated)
+    assert {e.rid for e in relation_residuals("odd", 2, Q, 64) if not e.passed} == {"odd.11"}
+    assert scalar_relations_exact("odd", 2)
+    assert modulus_kernels("odd", 2, "b") == ((0,), (0,))
+    for read in (lambda: modulus_kernels("odd", 2, "c"), lambda: kernel_conditions_exact("odd", 2),
+                 lambda: rep_report("odd", 2, Q, 64), lambda: ktheory_report("odd", 2, Q, 64)):
+        with pytest.raises(ArithmeticError, match="non-kernel column 2"):
+            read()

@@ -196,3 +196,20 @@ def test_q_is_built_when_read(monkeypatch):
     for _ in range(2):
         assert lower_text("q^2") == AlgebraElement.scalar(qpow(2))
     assert calls == [1, 1]
+
+
+def test_literals_too_long_for_int_are_parse_errors():
+    # int() refuses more than 4300 digits: such a literal is a ParseError at
+    # its token, an exponent with the range message it always had
+    ones = "1" * 5000
+    for text, message, position in (
+            (f"z0 + z0^{ones}", f"exponent {ones} exceeds the supported range", 8),
+            (f"q^-{ones}", f"exponent -{ones} exceeds the supported range", 3),
+            (f"z0 - {ones} z1", "integer literal of 5000 digits exceeds the supported length of 4300", 5)):
+        with pytest.raises(ParseError) as err:
+            lower_text(text)
+        assert (str(err.value), err.value.position) == (f"{message} (at position {position})", position)
+    # leading zeros do not count, and 4300 digits are read
+    zeros = "0" * 5000
+    assert lower_text(f"{zeros}7 z0^{zeros}2") == lower_text("7 z0^2")
+    assert lower_text("9" * 4300) == AlgebraElement.scalar(10 ** 4300 - 1)
