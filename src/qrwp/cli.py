@@ -17,7 +17,7 @@ from collections import namedtuple
 
 from . import fockrep, ktheory, qwrp
 from .grading import Weights, coinvariant_part, element_degrees, is_coinvariant
-from .parser import ExpressionError, lower_text, render
+from .parser import MAX_DIGITS, ExpressionError, LoweringError, lower_text, render
 from .sigma3 import AlgebraElement, NormalMonomial
 
 SCHEMA = "qrwp-report/1"
@@ -71,12 +71,27 @@ def _emit(payload: dict, fmt: str, text_lines: list[str]) -> None:
             print(line)
 
 
+def _render(element: AlgebraElement) -> str:
+    """render(element), or a LoweringError (exit 2) that names the digit
+    count when a coefficient has more than MAX_DIGITS digits, which
+    int-to-text conversion refuses."""
+    bound = 10 ** MAX_DIGITS
+    for _, coef in element.terms():
+        for _, c in coef.items_sorted():
+            c = abs(c)
+            if c >= bound:
+                digits = int(c.bit_length() * math.log10(2)) + 1  # the digit count or one more
+                digits -= c < 10 ** (digits - 1)
+                raise LoweringError(f"coefficient of {digits} digits exceeds the supported length of {MAX_DIGITS}")
+    return render(element)
+
+
 # -- command handlers -----------------------------------------------------
 
 
 def _cmd_normal_form(args, cfg: RunConfig) -> int:
     element = lower_text(args.expr)
-    text = render(element.star() if args.command == "star" else element)
+    text = _render(element.star() if args.command == "star" else element)
     _emit({"schema": SCHEMA, "command": args.command, "input": args.expr, "normal_form": text}, cfg.fmt, [text])
     return EXIT_OK
 
@@ -95,7 +110,7 @@ def _cmd_degree(args, cfg: RunConfig) -> int:
         "degrees": degrees,
         "homogeneous": len(degrees) <= 1,
         "coinvariant": coinv,
-        "coinvariant_part": render(coinvariant_part(w, element)),
+        "coinvariant_part": _render(coinvariant_part(w, element)),
     }
     if not degrees:
         lines = ["degree: 0 (zero element)"]

@@ -30,14 +30,16 @@ Failing relations are measured on the N - 2l interior columns (N > 2l).
 Every verdict that reads no q comes from one table per family
 (family_table): it composes each relation side once and holds the
 composed pairs, the same_operator verdict per relation and label, the
-modulus kernels per generator and the circle verdict.
+modulus kernels per generator, the circle verdict and the intertwiner
+verdict per generator.
 relation_residuals, kernel_conditions_exact, modulus_kernels,
-scalar_relations_exact and ktheory's index map and lift read it, so only
-a failing relation's residual and ktheory.pullback_check evaluate
-weights at q.  The table is memoised in a bounded lru_cache keyed by the
-values it is read from, relations_for(parity, l) and the generator
-forms, looked up through this module's names on every call; nothing
-memoised reads q, N or a tolerance.
+scalar_relations_exact, intertwiner_check and ktheory's index map and
+lift read it, so only a failing relation's residual and
+ktheory.pullback_check evaluate weights at q.  The table is memoised in
+a bounded lru_cache keyed by what it is read from: the values
+relations_for(parity, l) and the generator forms, and the functions
+generators and ambient_form, all looked up through this module's names
+on every call; nothing memoised reads q, N or a tolerance.
 
 The relabeling Phi_r e_n = e_{ln+r-1} intertwines pi_r(g) with the
 ambient pi(j(g)) exactly when the ambient form of j(g) is (lk, h, S) for
@@ -253,6 +255,7 @@ class FamilyTable(NamedTuple):
     # ArithmeticError that reading them raises when a factor is negative
     kernels: tuple[tuple[str, tuple[tuple[int, ...], ...] | str], ...]
     circle: bool  # scalar_relations_exact
+    intertwines: tuple[tuple[str, bool], ...]  # (g, Phi_r pi_r(g) = pi(j(g)) Phi_r) per generator
 
     def holds(self, rid: str) -> bool:
         """Whether relation rid's two sides are one operator for every label."""
@@ -260,21 +263,28 @@ class FamilyTable(NamedTuple):
         return all(row[i] for row in self.same)
 
 
+def _generator_names(parity: str) -> tuple[str, ...]:
+    return ("a", "c") if parity == "even" else ("a", "b", "c")
+
+
 def family_table(parity: str, l: int) -> FamilyTable:
     """The family's table, composed once for each value of what it is
-    read from: relations_for(parity, l) and the generator forms, both
+    read from: relations_for(parity, l), the generator forms, and the
+    generators and ambient_form that the intertwiner verdict reads, all
     looked up through this module's names on every call, so a replaced
     function gets a table of its own.  Nothing in it reads q, N or a
     tolerance."""
     Weights.canonical(parity, l)
-    gens = ("a", "c") if parity == "even" else ("a", "b", "c")
-    return _family_table(parity, l, relations_for(parity, l), tuple(generator_form(parity, l, g) for g in gens))
+    forms = tuple(generator_form(parity, l, g) for g in _generator_names(parity))
+    return _family_table(parity, l, relations_for(parity, l), forms, generators, ambient_form)
 
 
 @functools.lru_cache(maxsize=64)
-def _family_table(parity: str, l: int, relations: tuple[Relation, ...],
-                  forms: tuple[WeightForm, ...]) -> FamilyTable:
-    # compose_side reads generator_form itself; forms is only part of the key
+def _family_table(parity: str, l: int, relations: tuple[Relation, ...], forms: tuple[WeightForm, ...],
+                  generators, ambient_form) -> FamilyTable:
+    # compose_side reads generator_form itself, so forms is only read by the
+    # intertwiner verdict; generators and ambient_form are this module's,
+    # passed in so that a replaced one keys a table of its own
     sides = tuple((rel.rid, compose_side(rel.lhs, parity, l), compose_side(rel.rhs, parity, l))
                   for rel in relations)
     same = tuple(tuple(same_operator(lhs, rhs, l, r) for _, lhs, rhs in sides) for r in range(1, l + 1))
@@ -287,7 +297,12 @@ def _family_table(parity: str, l: int, relations: tuple[Relation, ...],
             except ArithmeticError as exc:
                 kernels.append((gen, str(exc)))
     circle = all(_circle_value(rel.lhs) == _circle_value(rel.rhs) for rel in relations)
-    return FamilyTable(sides, same, tuple(kernels), circle)
+    gens = generators(Weights.canonical(parity, l))
+    intertwines = []
+    for name, (k, h, factors) in zip(_generator_names(parity), forms):
+        big = ambient_form(gens.named(name).sole_monomial())
+        intertwines.append((name, (big.offset, big.h, sorted(big.factors)) == (l * k, h, sorted(factors))))
+    return FamilyTable(sides, same, tuple(kernels), circle, tuple(intertwines))
 
 
 def relation_residuals(parity: str, l: int, q: float = 0.5, dim: int = 256) -> list[ResidualEntry]:
@@ -400,15 +415,10 @@ def intertwiner_check(parity: str, l: int, q: float = 0.5, dim: int = 256) -> di
     exactly when ambient_form(j(g)) is (lk, h, S) for generator_form
     (k, h, S), since row n of pi_r(g) and row ln+r-1 of pi(j(g)) read the
     same exponent x = 2(ln + r).  Each generator reads 0.0 when it
-    intertwines, 1.0 when not; q and dim are only echoed."""
+    intertwines, 1.0 when not, off family_table; q and dim are checked
+    on every call and only echoed."""
     RepInstance(parity, l, 1, q, dim)  # validates parity, l, q and dim
-    gens = generators(Weights.canonical(parity, l))
-    per_generator: dict[str, float] = {}
-    for name in ["a", "c"] if parity == "even" else ["a", "b", "c"]:
-        k, h, factors = generator_form(parity, l, name)
-        big = ambient_form(gens.named(name).sole_monomial())
-        same = (big.offset, big.h, sorted(big.factors)) == (l * k, h, sorted(factors))
-        per_generator[name] = 0.0 if same else 1.0
+    per_generator = {name: 0.0 if same else 1.0 for name, same in family_table(parity, l).intertwines}
     return {
         "parity": parity,
         "l": l,

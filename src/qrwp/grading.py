@@ -65,7 +65,8 @@ def degree(w: Weights, mono: NormalMonomial) -> int:
 
 def element_degrees(w: Weights, x: AlgebraElement) -> list[int]:
     """Sorted distinct degrees occurring among the terms of x."""
-    return sorted({degree(w, mono) for mono in x._terms})
+    k, l = w
+    return sorted({k * m + (p - 2 * r) * l for m, p, r in x._terms})
 
 
 def coinvariant_part(w: Weights, x: AlgebraElement) -> AlgebraElement:

@@ -108,21 +108,7 @@ class LaurentPoly:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        # times a single term c q^e: shift and scale; nonzero ints have nonzero products
-        single = len(other._coeffs) == 1
-        if single or len(self._coeffs) == 1:
-            poly, term = (self, other._coeffs) if single else (other, self._coeffs)
-            e, = term
-            c = term[e]
-            if e == 0 and c == 1:
-                return poly  # instances are immutable, so times 1 may share
-            return LaurentPoly._canonical({e1 + e: c1 * c for e1, c1 in poly._coeffs.items()})
-        out: dict[int, int] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly._canonical({e: c for e, c in out.items() if c})
+        return _times(self, other)
 
     __rmul__ = __mul__
 
@@ -209,6 +195,32 @@ def _binary_power(x, n: int):
             result = result * x
         n >>= 1
     return result
+
+
+def _times(x: LaurentPoly, y: LaurentPoly, shift: int = 0) -> LaurentPoly:
+    """x * y * q^shift, built in one pass over the coefficients.
+
+    Times a single term c q^e, a factor is shifted by e + shift and
+    scaled by c; a shift and scale by nothing shares that factor, since
+    instances are immutable.  Nonzero ints have nonzero products, so only
+    a product of two longer factors can cancel, and it drops what does.
+    """
+    a, b = x._coeffs, y._coeffs
+    if len(b) != 1:
+        if len(a) != 1:
+            out: dict[int, int] = {}
+            for e1, c1 in a.items():
+                e1 += shift
+                for e2, c2 in b.items():
+                    e = e1 + e2
+                    out[e] = out.get(e, 0) + c1 * c2
+            return LaurentPoly._canonical({e: c for e, c in out.items() if c})
+        x, a, b = y, b, a
+    (e, c), = b.items()
+    e += shift
+    if e == 0 and c == 1:
+        return x
+    return LaurentPoly._canonical({e1 + e: c1 * c for e1, c1 in a.items()})
 
 
 def qpow(e: int) -> LaurentPoly:

@@ -13,6 +13,14 @@ r in Z).  A single signed integer m encodes the z0/z0* dichotomy.
 Products of basis words reduce to this basis via the closed forms for
 z0^a z0*^b and z0*^a z0^b, which are polynomials in the self-adjoint
 element A = z1^2 xi satisfying z0 A = q^2 A z0 and z0* A = q^-2 A z0*.
+
+AlgebraElement.__mul__ takes the terms pair by pair.  When the z0 parts
+of two words do not meet (either is 0, or both have one sign) their
+product is the one word (m1 + m2, p1 + p2, r1 + r2) times q^(-p1 m2),
+the cost of moving z1^p1 past z0^m2, and its coefficient is built
+inline in one pass (qlaurent._times).  Only a z0/z0* meet is expanded,
+by _mono_product, whose bounded cache therefore holds meet expansions
+alone.  A word's text is built once and then looked up (_word_text).
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from itertools import accumulate
 from operator import neg
 from typing import Mapping, Sequence
 
-from .qlaurent import ONE, ZERO, LaurentPoly, _binary_power, power_text, qpow, sum_text
+from .qlaurent import ONE, ZERO, LaurentPoly, _binary_power, _times, power_text, qpow, sum_text
 
 
 class NormalMonomial(namedtuple("NormalMonomial", "m p r")):
@@ -52,12 +60,21 @@ class NormalMonomial(namedtuple("NormalMonomial", "m p r")):
         return self == (0, 0, 0)
 
     def __str__(self) -> str:
-        parts = (power_text("z0" if self.m > 0 else "z0s", abs(self.m)),
-                 power_text("z1", self.p), power_text("xi", self.r))
-        return " ".join(filter(None, parts)) or "1"
+        return _word_text(self)[1:] or "1"
 
 
 IDENTITY_MONOMIAL = NormalMonomial(0, 0, 0)
+# a word without the p >= 0 check, for products and images whose p is known to be >= 0
+_word = tuple.__new__
+
+
+@lru_cache(maxsize=4096)
+def _word_text(word: NormalMonomial) -> str:
+    """The letters of a word after a space, as they follow a coefficient;
+    "" for the identity.  Built once per word, then looked up."""
+    m, p, r = word
+    parts = (power_text("z0" if m > 0 else "z0s", abs(m)), power_text("z1", p), power_text("xi", r))
+    return "".join(" " + part for part in parts if part)
 
 
 @lru_cache(maxsize=None)
@@ -116,7 +133,10 @@ def _run_product(e0: int, d: int, n: int) -> tuple[tuple[int, LaurentPoly], ...]
 
 @lru_cache(maxsize=262144)
 def _mono_product(w1: NormalMonomial, w2: NormalMonomial):
-    """Normal form of w1 * w2 as a tuple of (monomial, nonzero coeff).
+    """Normal form of w1 * w2 as a tuple of (monomial, nonzero coeff), for
+    words whose z0 parts meet: m1 and m2 nonzero, of opposite signs.
+    AlgebraElement.__mul__ computes every other pair inline, so the cache
+    holds meet expansions only.
 
     Steps: move z1^p1 past the z0-part of the right word (cost q^{-p1*m2},
     valid for both families thanks to the signed encoding), resolve the
@@ -129,8 +149,6 @@ def _mono_product(w1: NormalMonomial, w2: NormalMonomial):
     p = p1 + p2
     r = r1 + r2
     d = m1 + m2
-    if m1 == 0 or m2 == 0 or (m1 > 0) == (m2 > 0):
-        return ((NormalMonomial(d, p, r), qpow(cost)),)
     terms = []
     if m1 > 0:
         # z0^a z0s^b -> [z0^d] prod_{j=0}^{w-1}(1 - q^{2j} A) [z0s^{-d}]
@@ -147,6 +165,21 @@ def _mono_product(w1: NormalMonomial, w2: NormalMonomial):
             shift = cost if d <= 0 else cost - 2 * j * d
             terms.append((NormalMonomial(d, p + 2 * j, r + j), coef * qpow(shift)))
     return tuple(terms)
+
+
+def _term_product(w1: NormalMonomial, c1: LaurentPoly, w2: NormalMonomial, c2: LaurentPoly):
+    """The terms of (c1 w1)(c2 w2): distinct words, nonzero coefficients.
+
+    When the z0 parts do not meet (m1 == 0, m2 == 0 or one sign) this is
+    the one word (m1 + m2, p1 + p2, r1 + r2) with the coefficient
+    c1 c2 q^(-p1 m2); a meet is expanded by _mono_product.
+    """
+    m1, p1, r1 = w1
+    m2, p2, r2 = w2
+    if not m1 or not m2 or (m1 > 0) == (m2 > 0):
+        return ((_word(NormalMonomial, (m1 + m2, p1 + p2, r1 + r2)), _times(c1, c2, -p1 * m2)),)
+    c12 = _times(c1, c2)
+    return [(mono, _times(c12, coef)) for mono, coef in _mono_product(w1, w2)]
 
 
 class AlgebraElement:
@@ -196,7 +229,12 @@ class AlgebraElement:
 
     @classmethod
     def scalar(cls, value: LaurentPoly | int) -> "AlgebraElement":
-        return cls({IDENTITY_MONOMIAL: value if isinstance(value, LaurentPoly) else LaurentPoly({0: value})})
+        # the parser's path: every literal and q is a plain int or a LaurentPoly
+        if type(value) is int:
+            value = LaurentPoly._canonical({0: value} if value else {})
+        elif not isinstance(value, LaurentPoly):
+            value = LaurentPoly({0: value})
+        return cls._canonical({IDENTITY_MONOMIAL: value} if value else {})
 
     # -- inspection --------------------------------------------------
 
@@ -269,12 +307,16 @@ class AlgebraElement:
             return AlgebraElement._canonical({mono: coef * c for mono, coef in self._terms.items()})
         if not isinstance(other, AlgebraElement):
             return NotImplemented
+        left, right = self._terms, other._terms
+        if len(left) == 1 == len(right):
+            # the terms of one pair are distinct words with nonzero coefficients
+            (w1, c1), = left.items()
+            (w2, c2), = right.items()
+            return AlgebraElement._canonical(dict(_term_product(w1, c1, w2, c2)))
         out: dict[NormalMonomial, LaurentPoly] = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                c12 = c1 * c2
-                for mono, coef in _mono_product(w1, w2):
-                    c = c12 * coef
+        for w1, c1 in left.items():
+            for w2, c2 in right.items():
+                for mono, c in _term_product(w1, c1, w2, c2):
                     if mono in out:
                         c = out[mono] + c
                         if not c:
@@ -299,9 +341,8 @@ class AlgebraElement:
         """
         # distinct words have distinct images, so no two terms meet; p is
         # unchanged, so an image word needs no p >= 0 check
-        word = tuple.__new__
         return AlgebraElement._canonical({
-            word(NormalMonomial, (-m, p, p - r)): coef * qpow(p * m) if p and m else coef
+            _word(NormalMonomial, (-m, p, p - r)): _times(coef, ONE, p * m) if p and m else coef
             for (m, p, r), coef in self._terms.items()})
 
     def try_inverse(self) -> "AlgebraElement":
@@ -326,7 +367,7 @@ class AlgebraElement:
         pieces = []
         for mono, coef in self.terms():
             terms = coef.signed_terms()
-            word = "" if mono.is_identity() else f" {mono}"
+            word = _word_text(mono)
             if len(terms) > 1:
                 pieces.append(f" + ({sum_text(terms)}){word}")
             elif word and terms[0] in (" + 1", " - 1"):

@@ -11,7 +11,7 @@ from collections import Counter
 
 import numpy as np
 
-from qrwp import AlgebraElement, LaurentPoly, NormalMonomial, Weights, degree, generators
+from qrwp import AlgebraElement, LaurentPoly, NormalMonomial, Weights, degree, generators, powers_oracle
 from qrwp import fockrep
 
 SEED = 31415926
@@ -101,6 +101,46 @@ def reference_text(x) -> str:
     if isinstance(x, LaurentPoly):
         return _signed_sum((c < 0, _coefficient(abs(c), e)) for e, c in x.items_sorted())
     return _signed_sum(_term(mono, coef) for mono, coef in x.terms())
+
+
+# -- product oracle ------------------------------------------------------------
+
+
+def _poly_product(x: LaurentPoly, y: LaurentPoly) -> LaurentPoly:
+    """x * y term by term, without LaurentPoly's product."""
+    out = Counter()
+    for e1, c1 in x.items_sorted():
+        for e2, c2 in y.items_sorted():
+            out[e1 + e2] += c1 * c2
+    return LaurentPoly(out)
+
+
+def word_product_oracle(w1: NormalMonomial, w2: NormalMonomial) -> AlgebraElement:
+    """w1 * w2 from the defining rules, independently of AlgebraElement's
+    product: z1^p1 moves past z0^m2 at a cost of q^(-p1 m2) (xi is
+    central), a z0/z0* meet is the closed form powers_oracle, and
+    z1^p xi^r, p = p1 + p2 and r = r1 + r2, is appended to each of its
+    words."""
+    (m1, p1, r1), (m2, p2, r2) = w1, w2
+    if m1 > 0 > m2:
+        z0_part = powers_oracle(m1, -m2).terms()
+    elif m2 > 0 > m1:
+        z0_part = powers_oracle(m2, -m1, conjugate_first=True).terms()
+    else:
+        z0_part = [(NormalMonomial(m1 + m2, 0, 0), LaurentPoly({0: 1}))]
+    cost = LaurentPoly({-p1 * m2: 1})
+    return AlgebraElement({NormalMonomial(m, p + p1 + p2, r + r1 + r2): _poly_product(coef, cost)
+                           for (m, p, r), coef in z0_part})
+
+
+def product_oracle(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+    """x * y as the sum over term pairs of c1 c2 word_product_oracle(w1, w2)."""
+    total: dict[NormalMonomial, LaurentPoly] = {}
+    for w1, c1 in x.terms():
+        for w2, c2 in y.terms():
+            for mono, coef in word_product_oracle(w1, w2).terms():
+                total[mono] = total.get(mono, LaurentPoly()) + _poly_product(_poly_product(c1, c2), coef)
+    return AlgebraElement(total)
 
 
 # -- brute-force scan of the degree-zero box --------------------------------

@@ -367,6 +367,22 @@ def test_long_literal_is_a_parse_error(capsys):
     assert err.startswith("parse error: exponent 111") and err.endswith("exceeds the supported range (at position 3)\n")
 
 
+def test_coefficient_too_long_to_print_is_a_parse_error(capsys):
+    # a value with more digits than int-to-text conversion writes: exit 2
+    # with the digit count, not exit 3, and nothing on stdout
+    message = "parse error: coefficient of {} digits exceeds the supported length of 4300\n"
+    for argv, digits in ((("normalize", "2^20000"), 6021), (("star", "z0 - 2^20000 z1"), 6021),
+                         (("normalize", "10^4300"), 4301), (("degree", "--k", "1", "--l", "2", "3 - 2^20000"), 6021),
+                         (("normalize", "2^20000", "--format", "json"), 6021)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (EXIT_PARSE, "", message.format(digits)), argv
+    # 4300 digits print, and a long coefficient outside the coinvariant part is not rendered
+    code, out, _ = run(capsys, "normalize", "10^4300 - 1")
+    assert (code, out) == (EXIT_OK, "9" * 4300 + "\n")
+    code, out, _ = run(capsys, "degree", "--k", "1", "--l", "2", "2^20000 z1")
+    assert (code, out) == (EXIT_OK, "degree: 2\ncoinvariant: no\n")
+
+
 def test_check_failure_exit_code(capsys, monkeypatch):
     # a tolerance below rounding is no failure: the relation verdicts are exact
     argv = ("rep-check", "--parity", "odd", "--l", "2", "--N", "64")

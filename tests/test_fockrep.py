@@ -553,6 +553,37 @@ def test_a_q_sweep_composes_each_relation_side_once(monkeypatch):
     assert composed == [side for rel in relations_for("odd", 2) for side in (rel.lhs, rel.rhs)]
 
 
+def test_the_intertwiner_verdict_is_read_off_the_table(monkeypatch):
+    # a q sweep builds the generators once per family, and q and dim are
+    # still checked on every call
+    built = []
+    original = fockrep.generators
+
+    def counting(w):
+        built.append(w)
+        return original(w)
+
+    monkeypatch.setattr(fockrep, "generators", counting)
+    reports = [intertwiner_check("odd", 3, q, 64) for q in (0.02, 0.5, 0.97)]
+    assert len(built) == 1
+    assert [r["per_generator"] for r in reports] == [{"a": 0.0, "b": 0.0, "c": 0.0}] * 3
+    for q, dim in ((1.5, 64), (0.5, 0)):
+        with pytest.raises(ValueError):
+            intertwiner_check("odd", 3, q, dim)
+
+
+def test_a_replaced_ambient_form_gets_its_own_intertwiner_verdict(monkeypatch):
+    # no cache is cleared: a table built under the replaced ambient_form
+    # is not read once it is put back
+    assert intertwiner_check("even", 3, Q, 64)["max_residual"] == 0.0
+    monkeypatch.setattr(fockrep, "ambient_form", lambda mono: fockrep.WeightForm(mono.m, 0, ()))
+    assert intertwiner_check("even", 5, Q, 64)["per_generator"] == {"a": 1.0, "c": 1.0}
+    assert intertwiner_check("even", 3, Q, 64)["per_generator"] == {"a": 1.0, "c": 1.0}
+    monkeypatch.undo()
+    for l in (3, 5):
+        assert intertwiner_check("even", l, Q, 64)["max_residual"] == 0.0
+
+
 def _odd11_shift():
     """fockrep.relations_for with odd.11's factors moved to m = 0..2l-1."""
     original = fockrep.relations_for

@@ -1,6 +1,7 @@
 """Normal-form multiplication, involution, and the closed-form oracle."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -24,9 +25,11 @@ from helpers import (
     count_products,
     make_rng,
     power_product_count,
+    product_oracle,
     random_basis_element,
     random_element,
     random_monomial,
+    word_product_oracle,
 )
 
 A = basis_monomial(0, 2, 1)  # the self-adjoint quasi-central element z1^2 xi
@@ -230,6 +233,60 @@ def test_mono_product_keeps_its_cache_counters():
     Z0 * Z0S
     after = sigma3._mono_product.cache_info()
     assert after.hits + after.misses == before.hits + before.misses + 1
+
+
+def test_word_oracle_on_the_defining_relations():
+    q = qpow(1)
+    assert word_product_oracle((0, 1, 0), (1, 0, 0)) == AlgebraElement.monomial(1, 1, 0, q ** -1)
+    assert word_product_oracle((1, 0, 0), (-1, 0, 0)) == ONE_EL - A
+    assert word_product_oracle((-1, 0, 0), (1, 0, 0)) == ONE_EL - A * q ** -2
+    assert word_product_oracle((0, 0, 2), (0, 1, -3)) == basis_monomial(0, 1, -1)
+
+
+def _pair_kind(w1, w2) -> str:
+    if w1.m > 0 > w2.m:
+        return "z0 z0s"
+    if w1.m < 0 < w2.m:
+        return "z0s z0"
+    return "z0 z0" if w1.m > 0 and w2.m > 0 else "z0s z0s" if w1.m < 0 and w2.m < 0 else "no z0"
+
+
+def test_products_match_the_word_oracle():
+    # 1-4-term elements with multi-term coefficients and negative xi powers,
+    # in both families, with and without a z0/z0* meet
+    rng = make_rng(17)
+    seen = Counter()
+    for _ in range(300):
+        x = random_element(rng, max_terms=4)
+        y = random_element(rng, max_terms=4)
+        xy = x * y
+        assert xy == product_oracle(x, y), (x, y)
+        assert all(type(mono) is NormalMonomial for mono in xy._terms)
+        assert xy.star() == y.star() * x.star(), (x, y)
+        seen.update(_pair_kind(w1, w2) for w1 in x._terms for w2 in y._terms)
+        seen["one by one"] += len(x) == len(y) == 1
+        seen["long coefficient"] += any(len(c._coeffs) > 1 for c in (*x._terms.values(), *y._terms.values()))
+        seen["negative xi"] += any(w.r < 0 for w in (*x._terms, *y._terms))
+    kinds = ("z0 z0s", "z0s z0", "z0 z0", "z0s z0s", "no z0", "one by one", "long coefficient", "negative xi")
+    assert all(seen[kind] >= 10 for kind in kinds), seen
+
+
+def test_products_of_elements_associate():
+    rng = make_rng(18)
+    for _ in range(150):
+        x, y, z = (random_element(rng, max_terms=3) for _ in range(3))
+        assert (x * y) * z == x * (y * z), (x, y, z)
+
+
+def test_a_product_without_a_meet_leaves_the_cache_alone():
+    # only a z0/z0* meet is expanded by _mono_product
+    x = Z0 * XIS + 3 * Z1 - Z0 ** 2 * Z1
+    y = Z0 ** 2 * Z1S + XI - 2
+    before = sigma3._mono_product.cache_info()
+    for left, right in ((Z1, Z0), (Z0S, Z0S * Z1), (Z0 * Z1, x), (x, y), (Z0S, A + 1), (A - 1, Z0S)):
+        left * right
+    x.star()
+    assert sigma3._mono_product.cache_info() == before
 
 
 def test_identity_monomial():
