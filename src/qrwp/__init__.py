@@ -43,7 +43,6 @@ from .qwrp import (
     word_element,
 )
 from .fockrep import (
-    RepInstance,
     RepReport,
     WeightedShift,
     intertwiner_check,
@@ -75,7 +74,7 @@ __all__ = [
     "generators", "relations_for", "verify_relations",
     "factorize", "factorize_with_conjugates", "word_element",
     "degree_zero_monomials", "enumerate_word_monomials",
-    "RepInstance", "RepReport", "WeightedShift",
+    "RepReport", "WeightedShift",
     "rep_generator", "intertwiner_check", "rep_report",
     "GroupDescriptor", "IndexMap", "KGroups",
     "index_map", "assemble_kgroups",

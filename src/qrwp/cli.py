@@ -190,8 +190,8 @@ def _cmd_rep_check(args, cfg: RunConfig) -> int:
     for e in report.residuals:
         lines.append(f"{'PASS' if e.passed else 'FAIL'} r={e.r} {e.rid}: residual {e.residual:.3e}")
     lines.append(f"kernel conditions exact: {'yes' if report.kernel_exact else 'NO'}")
-    lines.append(f"scalar representation residual: {report.scalar_residual:.3e}")
-    lines.append(f"intertwiner residual: {report.intertwiner_residual:.3e}")
+    lines.append(f"scalar representation residual: {payload['scalar_representation_residual']:.3e}")
+    lines.append(f"intertwiner residual: {payload['intertwiner_residual']:.3e}")
     lines.append(f"all pass: {'yes' if report.all_pass else 'NO'}")
     _emit(payload, cfg.fmt, lines)
     return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
@@ -202,7 +202,7 @@ def _cmd_ktheory(args, cfg: RunConfig) -> int:
     payload = {"schema": SCHEMA, "command": "ktheory", **report.as_dict()}
     lines = [
         f"index map: {list(report.delta.entries)} (stable under doubling: yes)",
-        f"coisometry max interior deviation: {report.coisometry_max_deviation:.3e}",
+        f"coisometry max interior deviation: {payload['coisometry_max_deviation']:.3e}",
         f"smith diagonal: {list(report.smith_diagonal)}",
         f"K0 = {report.kgroups.k0} (expected {report.expected.k0})",
         f"K1 = {report.kgroups.k1} (expected {report.expected.k1})",

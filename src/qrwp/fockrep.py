@@ -25,7 +25,8 @@ the exponent of the column that the product reads (compose_side).  A
 relation holds exactly when its two sides are one operator
 (same_operator), so its verdict is exact at every q and on every column;
 floats only measure how far apart the sides of a failing relation are.
-Failing relations are measured on the N - 2l interior columns (N > 2l).
+Failing relations are measured on the N - 2l interior columns when N > 2l,
+and on all N columns otherwise.
 
 Every verdict that reads no q comes from one table per family
 (family_table): it composes each relation side once and holds the
@@ -61,7 +62,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter, namedtuple
+from collections import Counter
 from typing import NamedTuple, Sequence
 
 from .qwrp import Relation, RelationSide, generators, relations_for
@@ -78,29 +79,10 @@ class WeightedShift(NamedTuple):
     weights: tuple[float, ...]
 
 
-def _check_label(parity: str, l: int, r: int) -> None:
+def _check_family(parity: str, l: int, q: float) -> None:
     Weights.canonical(parity, l)  # parity and l, with the family's messages
-    if not 1 <= r <= l:
-        raise ValueError(f"label r must lie in 1..{l}")
-
-
-class RepInstance(namedtuple("RepInstance", "parity l r q dim")):
-    """One infinite-dimensional representation label, truncated to dim."""
-
-    __slots__ = ()
-
-    def __new__(cls, parity: str, l: int, r: int, q: float, dim: int):
-        _check_label(parity, l, r)
-        if not 0.0 < q < 1.0:
-            raise ValueError("q must lie in (0, 1)")
-        if dim < 1:
-            raise ValueError("dim must be positive")
-        return tuple.__new__(cls, (parity, l, r, q, dim))
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make, so both keep the checks
-        return cls(*iterable)
+    if not 0.0 < q < 1.0:
+        raise ValueError("q must lie in (0, 1)")
 
 
 class WeightForm(NamedTuple):
@@ -182,9 +164,13 @@ def _weighted_shift(form: WeightForm, q: float, l: int, r: int, dim: int) -> Wei
                                             if 0 <= n + form.offset < dim else 0.0 for n in range(dim)))
 
 
-def rep_generator(inst: RepInstance, gen: str) -> WeightedShift:
-    """One generator in the representation inst, as a weighted shift."""
-    return _weighted_shift(generator_form(inst.parity, inst.l, gen), inst.q, inst.l, inst.r, inst.dim)
+def rep_generator(parity: str, l: int, r: int, q: float, dim: int, gen: str) -> WeightedShift:
+    """One generator in the representation of label r, truncated to dim, as
+    a weighted shift."""
+    _check_family(parity, l, q)
+    if not 1 <= r <= l:
+        raise ValueError(f"label r must lie in 1..{l}")
+    return _weighted_shift(generator_form(parity, l, gen), q, l, r, dim)
 
 
 # -- relation residuals ----------------------------------------------
@@ -309,13 +295,12 @@ def relation_residuals(parity: str, l: int, q: float = 0.5, dim: int = 256) -> l
     """Every defining relation, per label r.  It passes when its two sides
     are one operator (family_table), with residual 0.0; otherwise the
     residual is the largest difference of the sides' entries on the
-    N - 2l interior columns, in the rows where both sides reach every
-    column.  Only a failing relation evaluates a weight at q."""
-    _check_label(parity, l, 1)
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must lie in (0, 1)")
+    N - 2l interior columns (all N columns when N <= 2l), in the rows where
+    both sides reach every column.  Only a failing relation evaluates a
+    weight at q."""
+    _check_family(parity, l, q)
     table = family_table(parity, l)
-    interior = max(0, dim - 2 * l)
+    interior = dim - 2 * l if dim > 2 * l else dim
     entries: list[ResidualEntry] = []
     for r, verdicts in enumerate(table.same, 1):
         for (rid, lhs, rhs), passed in zip(table.sides, verdicts):
@@ -409,24 +394,13 @@ def scalar_relations_exact(parity: str, l: int) -> bool:
 # -- intertwiner and faithfulness ------------------------------------
 
 
-def intertwiner_check(parity: str, l: int, q: float = 0.5, dim: int = 256) -> dict:
-    """Whether Phi_r pi_r(g) = pi(j(g)) Phi_r for every generator g and
+def intertwiner_check(parity: str, l: int) -> dict[str, bool]:
+    """Per generator g, whether Phi_r pi_r(g) = pi(j(g)) Phi_r for every
     label r, with Phi_r e_n = e_{ln+r-1}: on every column, at every q,
     exactly when ambient_form(j(g)) is (lk, h, S) for generator_form
     (k, h, S), since row n of pi_r(g) and row ln+r-1 of pi(j(g)) read the
-    same exponent x = 2(ln + r).  Each generator reads 0.0 when it
-    intertwines, 1.0 when not, off family_table; q and dim are checked
-    on every call and only echoed."""
-    RepInstance(parity, l, 1, q, dim)  # validates parity, l, q and dim
-    per_generator = {name: 0.0 if same else 1.0 for name, same in family_table(parity, l).intertwines}
-    return {
-        "parity": parity,
-        "l": l,
-        "q": q,
-        "N": dim,
-        "per_generator": per_generator,
-        "max_residual": max(per_generator.values()),
-    }
+    same exponent x = 2(ln + r).  Read off family_table."""
+    return dict(family_table(parity, l).intertwines)
 
 
 def words_independent(monomials: Sequence[NormalMonomial], dim: int) -> bool:
@@ -452,20 +426,15 @@ class RepReport(NamedTuple):
     l: int
     q: float
     dim: int
-    tolerance: float
+    tolerance: float  # only echoed: every verdict is exact
     residuals: tuple[ResidualEntry, ...]
     kernel_exact: bool
-    scalar_residual: float       # 0.0 when the circle check holds, 1.0 when not
-    intertwiner_residual: float  # the same for the intertwiner; tolerance is only echoed
+    circle: bool       # scalar_relations_exact
+    intertwines: bool  # intertwiner_check, for every generator
 
     @property
     def all_pass(self) -> bool:
-        return (
-            all(e.passed for e in self.residuals)
-            and self.kernel_exact
-            and self.scalar_residual == 0.0
-            and self.intertwiner_residual == 0.0
-        )
+        return all(e.passed for e in self.residuals) and self.kernel_exact and self.circle and self.intertwines
 
     def as_dict(self) -> dict:
         return {
@@ -479,30 +448,26 @@ class RepReport(NamedTuple):
                 for e in self.residuals
             ],
             "kernel_conditions_exact": self.kernel_exact,
-            "scalar_representation_residual": self.scalar_residual,
-            "intertwiner_residual": self.intertwiner_residual,
+            # the exact verdicts keep their float fields: 0.0 holds, 1.0 fails
+            "scalar_representation_residual": 0.0 if self.circle else 1.0,
+            "intertwiner_residual": 0.0 if self.intertwines else 1.0,
             "all_pass": self.all_pass,
         }
 
 
 def rep_report(parity: str, l: int, q: float = 0.5, dim: int = 256,
                tol: float = 1e-10) -> RepReport:
-    _check_label(parity, l, 1)
-    if dim <= 2 * l:
-        raise ValueError(f"truncation too small: l={l} needs N >= {2 * l + 1} "
-                         f"(the checks read the N - 2l interior columns)")
-    residuals = tuple(relation_residuals(parity, l, q, dim))
-    kernel = kernel_conditions_exact(parity, l)
-    scalar = 0.0 if scalar_relations_exact(parity, l) else 1.0
-    inter = intertwiner_check(parity, l, q, dim)["max_residual"]
+    _check_family(parity, l, q)
+    if dim < 1:
+        raise ValueError("dim must be positive")
     return RepReport(
         parity=parity,
         l=l,
         q=q,
         dim=dim,
         tolerance=tol,
-        residuals=residuals,
-        kernel_exact=kernel,
-        scalar_residual=scalar,
-        intertwiner_residual=inter,
+        residuals=tuple(relation_residuals(parity, l, q, dim)),
+        kernel_exact=kernel_conditions_exact(parity, l),
+        circle=scalar_relations_exact(parity, l),
+        intertwines=all(intertwiner_check(parity, l).values()),
     )

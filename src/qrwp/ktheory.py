@@ -25,7 +25,7 @@ import math
 from typing import NamedTuple
 
 from . import fockrep
-from .fockrep import RepInstance, a_exponents, family_table, form_weights, modulus_kernels, modulus_relation
+from .fockrep import _check_family, a_exponents, family_table, form_weights, modulus_kernels, modulus_relation
 # not called here; perfbench/tests/test_perfbench.py checks that tracing patches this name too
 from .fockrep import rep_generator
 from .qlaurent import power_text
@@ -74,13 +74,12 @@ def index_map(parity: str, l: int) -> IndexMap:
                     entries=tuple(len(kernel) for kernel in modulus_kernels(parity, l, "c")))
 
 
-def _lift_deviation(parity: str, l: int) -> float:
-    """Max |c (c* c)^{-1/2} - shift| past the kernel, over every column and
-    every q: 0.0 when c* c and the modulus side (even.4, odd.11) compose to
-    one operator for every label (fockrep.family_table), so that the
-    quotient is 1 on every column; 1.0 otherwise."""
-    rid = modulus_relation(parity, l, "c").rid
-    return 0.0 if family_table(parity, l).holds(rid) else 1.0
+def _lift_exact(parity: str, l: int) -> bool:
+    """Whether c (c* c)^{-1/2} is the bare shift past the kernel, on every
+    column and at every q: exactly when c* c and the modulus side (even.4,
+    odd.11) compose to one operator for every label (fockrep.family_table),
+    so that the quotient is 1 on every column."""
+    return family_table(parity, l).holds(modulus_relation(parity, l, "c").rid)
 
 
 # -- K-group assembly ----------------------------------------------------
@@ -164,7 +163,7 @@ def pullback_check(parity: str, l: int, q: float = 0.5, eps: float = 1e-10) -> d
     two weights in [0, 1] is at most 1, also below 2 eps."""
     if not 0.0 < eps < math.inf:
         raise ValueError("eps must be finite and positive")
-    RepInstance(parity, l, 1, q, 1)  # validates parity, l and q
+    _check_family(parity, l, q)
     form = fockrep.generator_form(parity, l, "c")  # the one table every check reads
     k, nfactors, decays = form.offset, len(form.factors), form.h == 0
     top = k
@@ -213,7 +212,7 @@ class KReport(NamedTuple):
     dim: int
     tolerance: float
     delta: IndexMap
-    coisometry_max_deviation: float
+    lift_exact: bool
     smith_diagonal: tuple[int, ...]
     kgroups: KGroups
     expected: KGroups
@@ -223,7 +222,7 @@ class KReport(NamedTuple):
     @property
     def all_pass(self) -> bool:
         return (
-            self.coisometry_max_deviation == 0.0  # exact: tolerance is only the pullback's eps
+            self.lift_exact  # exact: tolerance is only the pullback's eps
             and self.kgroups == self.expected
             and self.cokernel_map_ok
             and bool(self.pullback["all_pass"])
@@ -238,7 +237,7 @@ class KReport(NamedTuple):
             "tolerance": self.tolerance,
             "index_map": list(self.delta.entries),
             "index_map_stable": True,  # the map reads no truncation, so doubling N cannot move it
-            "coisometry_max_deviation": self.coisometry_max_deviation,
+            "coisometry_max_deviation": 0.0 if self.lift_exact else 1.0,
             "smith_diagonal": list(self.smith_diagonal),
             "k0": self.kgroups.k0.as_dict(),
             "k1": self.kgroups.k1.as_dict(),
@@ -264,7 +263,7 @@ def ktheory_report(parity: str, l: int, q: float = 0.5, dim: int = 128,
         dim=dim,
         tolerance=tol,
         delta=delta,
-        coisometry_max_deviation=_lift_deviation(parity, l),
+        lift_exact=_lift_exact(parity, l),
         smith_diagonal=(delta.gcd,),
         kgroups=groups,
         expected=expected_kgroups(parity, l),

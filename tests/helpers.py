@@ -313,25 +313,27 @@ def array_words_independent(monomials, dim: int) -> bool:
     return True
 
 
-def kernel_columns(inst, gen: str) -> tuple[np.ndarray, int]:
-    """The diagonal of g* g on e_0..e_{N-1}, and its run of leading exact
-    zeros: the modulus relation's right side evaluated in floats, the
-    numeric oracle of fockrep.modulus_kernels.  The side holds a (in odd.7)
-    and factors (1 - q^{2e} a), each evaluated from its integer exponent.
+def kernel_columns(parity: str, l: int, r: int, q: float, dim: int, gen: str) -> tuple[np.ndarray, int]:
+    """The diagonal of g* g on e_0..e_{N-1} for label r, and its run of
+    leading exact zeros: the modulus relation's right side evaluated in
+    floats, the numeric oracle of fockrep.modulus_kernels.  The side holds
+    a (in odd.7) and factors (1 - q^{2e} a), each evaluated from its
+    integer exponent.
     At tiny q a kernel column's factor overflows to -inf, and the column's
     exact zero factor wins over it.  The factor a underflows to 0.0 deep in
     the tail, so later zeros do not count."""
-    side = fockrep.modulus_relation(inst.parity, inst.l, gen).rhs
-    x = fockrep.a_exponents(inst.l, inst.r, np.arange(inst.dim))
-    diag = np.full(inst.dim, inst.q ** side.q_exponent)
+    side = fockrep.modulus_relation(parity, l, gen).rhs
+    x = fockrep.a_exponents(l, r, np.arange(dim))
+    diag = np.full(dim, q ** side.q_exponent)
     for f in side.factors:
         if f[0] == "gen":
-            factors = [np.asarray(fockrep.rep_generator(inst, f[1]).weights)]   # only a, which is diagonal
+            # only a, which is diagonal
+            factors = [np.asarray(fockrep.rep_generator(parity, l, r, q, dim, f[1]).weights)]
         else:
             with np.errstate(over="ignore"):
-                factors = [1.0 - inst.q ** (2 * e + x) for e in f[1]]
+                factors = [1.0 - q ** (2 * e + x) for e in f[1]]
         for factor in factors:
-            out = np.zeros(inst.dim)
+            out = np.zeros(dim)
             np.multiply(diag, factor, out=out, where=(diag != 0) & (factor != 0))
             diag = out
     nonzero = np.flatnonzero(diag)
@@ -375,7 +377,7 @@ def dense_intertwiner_error(parity: str, l: int, q: float, dim: int) -> dict[str
             phi = np.zeros((dim, small))
             phi[l * np.arange(small) + r - 1, np.arange(small)] = 1.0
             cols = np.flatnonzero(l * np.arange(small) + r - 1 < dim - 2 * l)
-            here = (phi @ dense(fockrep.rep_generator(fockrep.RepInstance(parity, l, r, q, small), name)))[:, cols]
+            here = (phi @ dense(fockrep.rep_generator(parity, l, r, q, small, name)))[:, cols]
             there = (big @ phi)[:, cols]
             scale = np.maximum(np.maximum(np.abs(here), np.abs(there)), np.finfo(float).tiny)
             worst = max(worst, float(np.max(np.abs(here - there) / scale, initial=0.0)))

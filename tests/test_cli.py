@@ -12,6 +12,7 @@ import pytest
 
 from qrwp import Weights, basis_monomial, fockrep, qwrp
 from qrwp.cli import COMMANDS, EXIT_CHECK_FAILED, EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, build_parser, main
+from qrwp.qwrp import RelationSide
 from qrwp.sigma3 import AlgebraElement, NormalMonomial
 
 from helpers import faithfulness_probe
@@ -147,15 +148,26 @@ def test_rep_check(capsys):
         assert "all pass: yes" in out
 
 
-def test_rep_check_rejects_an_empty_interior(capsys):
-    # the checks read the N - 2l interior columns; with none every residual is 0.0
-    for n in ("4", "10"):
-        code, out, err = run(capsys, "rep-check", "--parity", "odd", "--l", "5", "--N", n)
-        assert code == EXIT_PRECONDITION, n
-        assert "N >= 11" in err and not out
-    code, out, _ = run(capsys, "rep-check", "--parity", "odd", "--l", "5", "--N", "11")
-    assert code == EXIT_OK
-    assert "all pass: yes" in out
+def test_rep_check_accepts_every_truncation(capsys, monkeypatch):
+    # no verdict reads N, so N <= 2l is accepted; a failing relation is then
+    # measured on all N columns instead of the N - 2l interior ones
+    for argv in (("rep-check", "--parity", "odd", "--l", "5", "--N", "4"), ("report-all", "--lmax", "3", "--N", "4")):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, ""), argv
+        assert out.endswith("all pass: yes\n" if argv[0] == "rep-check" else "overall: PASS\n"), argv
+    generator_form = fockrep.generator_form
+
+    def mutated(parity, l, gen):
+        form = generator_form(parity, l, gen)
+        return form._replace(h=form.h + 1) if gen == "b" else form
+
+    monkeypatch.setattr(fockrep, "generator_form", mutated)
+    code, out, _ = run(capsys, "rep-check", "--parity", "odd", "--l", "5", "--N", "4")
+    assert code == EXIT_CHECK_FAILED
+    assert "all pass: NO" in out
+    for r in range(1, 6):
+        failed = {line.split()[2].rstrip(":") for line in out.splitlines() if line.startswith(f"FAIL r={r} ")}
+        assert failed == {f"odd.{i}" for i in range(4, 10)}, r
 
 
 def test_rep_check_accepts_every_q(capsys):
@@ -403,6 +415,45 @@ def test_check_failure_exit_code(capsys, monkeypatch):
     assert "all pass: NO" in out
     failed = {line.split()[2].rstrip(":") for line in out.splitlines() if line.startswith("FAIL r=")}
     assert failed == {f"odd.{i}" for i in range(4, 10)}
+
+
+def _twenty_cs(monkeypatch):
+    # odd.10's left side c c* read as twenty c's: u^20 != 1 on the circle
+    relations_for = fockrep.relations_for
+    twenty = RelationSide(0, (("gen", "c", False),) * 20)
+    monkeypatch.setattr(fockrep, "relations_for", lambda parity, l: tuple(
+        rel._replace(lhs=twenty) if rel.rid == "odd.10" else rel for rel in relations_for(parity, l)))
+
+
+def _flat_ambient_form(monkeypatch):
+    # j(g) loses its q-power and its half-factors, so no generator intertwines
+    monkeypatch.setattr(fockrep, "ambient_form", lambda mono: fockrep.WeightForm(mono.m, 0, ()))
+
+
+@pytest.mark.parametrize("mutate, field", [
+    (None, None),
+    (_twenty_cs, "scalar_representation_residual"),
+    (_flat_ambient_form, "intertwiner_residual"),
+])
+def test_exact_rep_verdicts_print_as_zero_or_one(capsys, monkeypatch, mutate, field):
+    # the circle and intertwiner verdicts are exact: 0.0 when they hold and
+    # 1.0 when not, in text and in JSON
+    argv = ("rep-check", "--parity", "odd", "--l", "2", "--N", "64")
+    if mutate:
+        mutate(monkeypatch)
+    expected = {"scalar_representation_residual": 0.0, "intertwiner_residual": 0.0}
+    if field:
+        expected[field] = 1.0
+    code, out, _ = run(capsys, *argv)
+    assert code == (EXIT_CHECK_FAILED if field else EXIT_OK)
+    assert f"scalar representation residual: {expected['scalar_representation_residual']:.3e}\n" in out
+    assert f"intertwiner residual: {expected['intertwiner_residual']:.3e}\n" in out
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == (EXIT_CHECK_FAILED if field else EXIT_OK)
+    payload = json.loads(out)
+    for name, value in expected.items():
+        assert type(payload[name]) is float and payload[name] == value, name
+        assert f'"{name}": {value}' in out, name
 
 
 def test_lift_verdict_reads_no_tolerance(capsys, monkeypatch):

@@ -9,9 +9,9 @@ import pytest
 
 from qrwp import (
     NormalMonomial,
-    RepInstance,
     WeightedShift,
     ktheory_report,
+    pullback_check,
     relations_for,
     basis_monomial,
     intertwiner_check,
@@ -45,16 +45,42 @@ Q = 0.5
 
 def test_instance_validation():
     with pytest.raises(ValueError):
-        RepInstance("even", 2, 1, Q, 16)     # even family needs odd l
+        rep_generator("even", 2, 1, Q, 16, "a")     # even family needs odd l
     with pytest.raises(ValueError):
-        RepInstance("odd", 2, 3, Q, 16)      # r out of range
+        rep_generator("odd", 2, 3, Q, 16, "a")      # r out of range
     with pytest.raises(ValueError):
-        RepInstance("odd", 2, 1, 1.5, 16)    # q out of range
+        rep_generator("odd", 2, 1, 1.5, 16, "a")    # q out of range
+
+
+# (what breaks a valid call, message, the functions that check it)
+FAMILY_CHECKS = {
+    "label parity": ({"parity": "even"}, "the even family requires odd l",
+                     ("rep_report", "relation_residuals", "pullback_check")),
+    "label l": ({"l": 0}, "l must be a positive integer", ("rep_report", "relation_residuals", "pullback_check")),
+    "label q": ({"q": 1.0}, r"q must lie in \(0, 1\)", ("rep_report", "relation_residuals", "pullback_check")),
+    "label r": ({"r": 3}, r"label r must lie in 1\.\.2", ("rep_generator",)),
+    "label dim": ({"dim": 0}, "dim must be positive", ("rep_report",)),
+}
+CHECKED_CALLS = {
+    "rep_report": (rep_report, {"parity": "odd", "l": 2, "q": Q, "dim": 16}),
+    "relation_residuals": (relation_residuals, {"parity": "odd", "l": 2, "q": Q, "dim": 16}),
+    "pullback_check": (pullback_check, {"parity": "odd", "l": 2, "q": Q}),
+    "rep_generator": (rep_generator, {"parity": "odd", "l": 2, "r": 1, "q": Q, "dim": 16, "gen": "c"}),
+}
+
+
+@pytest.mark.parametrize("case, name", [(case, name) for case, (*_, names) in FAMILY_CHECKS.items()
+                                        for name in names])
+def test_every_family_function_validates(case, name):
+    bad, message, _ = FAMILY_CHECKS[case]
+    function, fields = CHECKED_CALLS[name]
+    function(**fields)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        function(**{**fields, **bad})
 
 
 def test_diagonal_generator():
-    inst = RepInstance("even", 3, 2, Q, 8)
-    a = dense(rep_generator(inst, "a"))
+    a = dense(rep_generator("even", 3, 2, Q, 8, "a"))
     assert a[0, 0] == Q ** 4                 # q^{2(l*0+r)} with r=2
     diag = np.diag(a).real
     assert np.all(diag > 0) and np.all(diag < 1)
@@ -62,12 +88,10 @@ def test_diagonal_generator():
 
 
 def test_kernel_columns_are_exact_zeros():
-    inst = RepInstance("even", 3, 1, Q, 8)
-    c = dense(rep_generator(inst, "c"))
+    c = dense(rep_generator("even", 3, 1, Q, 8, "c"))
     assert np.all(c[:, 0] == 0)
-    inst = RepInstance("odd", 2, 1, Q, 8)
-    cm = dense(rep_generator(inst, "c"))
-    b = dense(rep_generator(inst, "b"))
+    cm = dense(rep_generator("odd", 2, 1, Q, 8, "c"))
+    b = dense(rep_generator("odd", 2, 1, Q, 8, "b"))
     assert np.all(cm[:, 0] == 0) and np.all(cm[:, 1] == 0)
     assert np.all(b[:, 0] == 0)
     assert kernel_conditions_exact("odd", 5)
@@ -78,34 +102,31 @@ def test_kernel_columns_read_the_modulus_relation():
     # c*c vanishes on e_0 (even) or e_0, e_1 (odd) and nowhere after
     for parity, l, kernel in (("even", 3, 1), ("odd", 2, 2)):
         for r in range(1, l + 1):
-            inst = RepInstance(parity, l, r, Q, 32)
-            diag, k = kernel_columns(inst, "c")
+            diag, k = kernel_columns(parity, l, r, Q, 32, "c")
             assert k == kernel and np.all(diag[k:] > 0), (parity, r)
-            c = dense(rep_generator(inst, "c"))
+            c = dense(rep_generator(parity, l, r, Q, 32, "c"))
             assert np.max(np.abs(np.diag(c.conj().T @ c) - diag)) < 1e-14
     # b*b = a prod(1 - q^{-2m} a): a underflows to 0.0 deep in the tail,
     # and only the leading zeros count
-    diag, k = kernel_columns(RepInstance("odd", 5, 1, Q, 256), "b")
+    diag, k = kernel_columns("odd", 5, 1, Q, 256, "b")
     assert k == 1 and diag[1] > 0 and diag[200] == 0.0
     with pytest.raises(ValueError):
-        kernel_columns(RepInstance("even", 3, 1, Q, 8), "b")
+        kernel_columns("even", 3, 1, Q, 8, "b")
     # the integer kernel agrees with the float scan's leading zeros
     for q in (0.02, 0.5, 0.97):
         for parity, ls in (("even", (1, 3, 5, 7)), ("odd", range(1, 8))):
             for l in ls:
                 for r in range(1, l + 1):
-                    inst = RepInstance(parity, l, r, q, 64)
                     for gen in ("c",) if parity == "even" else ("b", "c"):
-                        k = kernel_columns(inst, gen)[1]
+                        k = kernel_columns(parity, l, r, q, 64, gen)[1]
                         assert modulus_kernels(parity, l, gen)[r - 1] == tuple(range(k)), (q, parity, l, r, gen)
 
 
 def test_generators_are_banded():
     for parity, l in (("even", 3), ("odd", 2)):
-        inst = RepInstance(parity, l, 1, Q, 32)
         names = ["a", "c"] if parity == "even" else ["a", "b", "c"]
         for name in names:
-            op = rep_generator(inst, name)
+            op = rep_generator(parity, l, 1, Q, 32, name)
             rows, cols = np.nonzero(dense(op))
             assert abs(op.offset) <= 2 and np.all(cols - rows == op.offset)
 
@@ -119,7 +140,7 @@ def test_rep_generator_zeroes_the_rows_outside():
             for gen in ("a", "c") if parity == "even" else ("a", "b", "c"):
                 form = fockrep.generator_form(parity, l, gen)
                 for r in range(1, l + 1):
-                    weights = rep_generator(RepInstance(parity, l, r, Q, dim), gen).weights
+                    weights = rep_generator(parity, l, r, Q, dim, gen).weights
                     assert type(weights) is tuple and all(type(w) is float for w in weights)
                     assert weights == tuple(form_weights(form, Q, a_exponents(l, r, n + form.offset))
                                             if 0 <= n + form.offset < dim else 0.0
@@ -128,7 +149,7 @@ def test_rep_generator_zeroes_the_rows_outside():
 
 def test_b_rejected_in_even_family():
     with pytest.raises(ValueError):
-        rep_generator(RepInstance("even", 3, 1, Q, 8), "b")
+        rep_generator("even", 3, 1, Q, 8, "b")
 
 
 def test_scalar_representation():
@@ -174,7 +195,7 @@ def test_circle_check_fails_a_winding_mutation(monkeypatch):
         assert max(scalar_relation_residual("odd", l, theta, Q) for theta in (0.0, 0.25, 0.5, 0.8)) < 1e-10
         assert max(scalar_relation_residual("odd", l, i / 101, Q) for i in range(101)) > 1.0
         report = rep_report("odd", l, Q, 64)
-        assert report.scalar_residual == 1.0 and not report.all_pass
+        assert not report.circle and report.intertwines and not report.all_pass
 
 
 def test_ambient_rep_examples():
@@ -238,7 +259,6 @@ def test_relation_residuals_small_config():
         assert entries
         assert all(e.passed for e in entries)
         assert max(e.residual for e in entries) == 0.0
-    # no RepInstance is built, so the label is checked here
     with pytest.raises(ValueError, match="the even family requires odd l"):
         relation_residuals("even", 2)
 
@@ -255,20 +275,16 @@ def test_one_operator_needs_exact_zeros_where_one_side_stops():
 
 
 def test_intertwiner_even_a_is_exact():
-    report = intertwiner_check("even", 3, Q, 240)
-    assert report["per_generator"]["a"] == 0.0
-    assert report["max_residual"] < 1e-12
+    assert intertwiner_check("even", 3) == {"a": True, "c": True}
 
 
 def test_intertwiner_relabeling_for_l1():
     # l = 1: the relabeling e_n^1 -> e_n is the identity
-    report = intertwiner_check("even", 1, Q, 64)
-    assert report["max_residual"] < 1e-14
+    assert all(intertwiner_check("even", 1).values())
 
 
 def test_intertwiner_odd_b():
-    report = intertwiner_check("odd", 2, Q, 240)
-    assert report["per_generator"]["b"] < 1e-12
+    assert intertwiner_check("odd", 2)["b"] is True
 
 
 @pytest.mark.parametrize("q", (0.02, 0.5, 0.97))
@@ -276,7 +292,7 @@ def test_intertwiner_matches_the_dense_oracle(q):
     # Phi_r pi_r(g) = pi(j(g)) Phi_r with Phi_r a dense 0/1 matrix
     for parity, ls in (("even", (1, 3, 5)), ("odd", (1, 2, 3, 4, 5))):
         for l in ls:
-            assert set(intertwiner_check(parity, l, q, 64)["per_generator"].values()) == {0.0}, (parity, l)
+            assert set(intertwiner_check(parity, l).values()) == {True}, (parity, l)
             errors = dense_intertwiner_error(parity, l, q, 64)
             assert max(errors.values()) < 1e-13, (parity, l, errors)
 
@@ -384,8 +400,7 @@ def test_banded_relations_match_dense_oracle():
                 interior = dim - 2 * l
                 entries = iter(relation_residuals(parity, l, Q, dim))
                 for r in range(1, l + 1):
-                    inst = RepInstance(parity, l, r, Q, dim)
-                    mats = {name: dense(rep_generator(inst, name))
+                    mats = {name: dense(rep_generator(parity, l, r, Q, dim, name))
                             for name in (("a", "c") if parity == "even" else ("a", "b", "c"))}
                     for rel in relations_for(parity, l):
                         entry = next(entries)
@@ -424,17 +439,17 @@ def _odd4_mutation():
     return "relations_for", mutated
 
 
-# name: (patch, families, relations that fail, lift deviation, generators that do not intertwine)
+# name: (patch, families, relations that fail, whether the lift holds, generators that do not intertwine)
 MUTATIONS = {
     # odd.2 has one b on each side, so b's h cancels there
     "b h+1": (_form_mutation("b", lambda f: f._replace(h=f.h + 1)), {"odd": (1, 2, 3)},
-              {"odd": {f"odd.{i}" for i in range(4, 10)}}, 0.0, {"b"}),
-    "odd.4 q^(3l+1)": (_odd4_mutation(), {"odd": (1, 2, 3)}, {"odd": {"odd.4"}}, 0.0, set()),
+              {"odd": {f"odd.{i}" for i in range(4, 10)}}, True, {"b"}),
+    "odd.4 q^(3l+1)": (_odd4_mutation(), {"odd": (1, 2, 3)}, {"odd": {"odd.4"}}, True, set()),
     # c's last half-factor s moved by -1; a has no half-factor, so a c = q^-4l c a still holds
     "c s-1": (_form_mutation("c", lambda f: f._replace(factors=f.factors[:-1] + (f.factors[-1] - 1,))),
               {"even": (1, 3), "odd": (1, 2, 3)},
               {"even": {"even.3", "even.4"}, "odd": {"odd.4", "odd.5", "odd.8", "odd.9", "odd.10", "odd.11"}},
-              1.0, {"c"}),
+              False, {"c"}),
 }
 
 
@@ -444,8 +459,8 @@ def test_mutated_forms_fail_exactly(capsys, monkeypatch, mutation, q):
     # the relations with the mutated piece fail at every label and every q,
     # the others still pass, and rep-check reports a failed check (exit 4),
     # not a negative radicand (exit 3).  The mutated generator no longer
-    # intertwines, also at q = 1e-6 and 1e-300, where a float difference of
-    # the weights reads below 1e-10
+    # intertwines, a verdict that reads no q: at q = 1e-6 or 1e-300 a float
+    # difference of the weights would read below 1e-10
     patch, families, failing, lift, tangled = MUTATIONS[mutation]
     monkeypatch.setattr(fockrep, *patch)
     for parity, ls in families.items():
@@ -455,10 +470,8 @@ def test_mutated_forms_fail_exactly(capsys, monkeypatch, mutation, q):
                 failed = {e.rid for e in entries if e.r == r and not e.passed}
                 assert failed == failing[parity], (parity, l, r)
             assert all(e.residual == 0.0 for e in entries if e.passed)
-            assert ktheory_report(parity, l, q, 64).coisometry_max_deviation == lift, (parity, l)
-            for q_inter in (q, 1e-6, 1e-300):
-                per_generator = intertwiner_check(parity, l, q_inter, 64)["per_generator"]
-                assert {g for g, res in per_generator.items() if res} == tangled, (parity, l, q_inter)
+            assert ktheory_report(parity, l, q, 64).lift_exact is lift, (parity, l)
+            assert {g for g, ok in intertwiner_check(parity, l).items() if not ok} == tangled, (parity, l)
             errors = dense_intertwiner_error(parity, l, q, 64)
             assert {g for g, err in errors.items() if err > 1e-13} == tangled, (parity, l, errors)
             argv = ["rep-check", "--parity", parity, "--l", str(l), "--q", str(q), "--N", "64"]
@@ -513,7 +526,7 @@ def test_q_sweep_residuals(q):
         for l in ls:
             entries = relation_residuals(parity, l, q, 256)
             assert all(e.passed for e in entries), (parity, l, [e for e in entries if not e.passed])
-            assert intertwiner_check(parity, l, q, 256)["max_residual"] < 1e-10, (parity, l)
+            assert all(intertwiner_check(parity, l).values()), (parity, l)
             theta = rng.random()
             assert scalar_relation_residual(parity, l, theta, q) < 1e-10, (parity, l, theta)
 
@@ -555,7 +568,7 @@ def test_a_q_sweep_composes_each_relation_side_once(monkeypatch):
 
 def test_the_intertwiner_verdict_is_read_off_the_table(monkeypatch):
     # a q sweep builds the generators once per family, and q and dim are
-    # still checked on every call
+    # still checked on every report
     built = []
     original = fockrep.generators
 
@@ -564,24 +577,25 @@ def test_the_intertwiner_verdict_is_read_off_the_table(monkeypatch):
         return original(w)
 
     monkeypatch.setattr(fockrep, "generators", counting)
-    reports = [intertwiner_check("odd", 3, q, 64) for q in (0.02, 0.5, 0.97)]
+    reports = [rep_report("odd", 3, q, 64) for q in (0.02, 0.5, 0.97)]
     assert len(built) == 1
-    assert [r["per_generator"] for r in reports] == [{"a": 0.0, "b": 0.0, "c": 0.0}] * 3
+    assert [r.intertwines for r in reports] == [True] * 3
+    assert intertwiner_check("odd", 3) == {"a": True, "b": True, "c": True} and len(built) == 1
     for q, dim in ((1.5, 64), (0.5, 0)):
         with pytest.raises(ValueError):
-            intertwiner_check("odd", 3, q, dim)
+            rep_report("odd", 3, q, dim)
 
 
 def test_a_replaced_ambient_form_gets_its_own_intertwiner_verdict(monkeypatch):
     # no cache is cleared: a table built under the replaced ambient_form
     # is not read once it is put back
-    assert intertwiner_check("even", 3, Q, 64)["max_residual"] == 0.0
+    assert all(intertwiner_check("even", 3).values())
     monkeypatch.setattr(fockrep, "ambient_form", lambda mono: fockrep.WeightForm(mono.m, 0, ()))
-    assert intertwiner_check("even", 5, Q, 64)["per_generator"] == {"a": 1.0, "c": 1.0}
-    assert intertwiner_check("even", 3, Q, 64)["per_generator"] == {"a": 1.0, "c": 1.0}
+    assert intertwiner_check("even", 5) == {"a": False, "c": False}
+    assert intertwiner_check("even", 3) == {"a": False, "c": False}
     monkeypatch.undo()
     for l in (3, 5):
-        assert intertwiner_check("even", l, Q, 64)["max_residual"] == 0.0
+        assert all(intertwiner_check("even", l).values())
 
 
 def _odd11_shift():

@@ -17,7 +17,7 @@ from qrwp import (
     pullback_check,
 )
 from qrwp import fockrep
-from qrwp.fockrep import RepInstance, kernel_conditions_exact, modulus_kernels, rep_generator
+from qrwp.fockrep import kernel_conditions_exact, modulus_kernels, rep_generator
 from qrwp.qwrp import RelationSide
 
 from helpers import array_form_weights, cokernel_map_check, dense, dense_kernel_dim, kernel_columns, make_rng
@@ -35,7 +35,7 @@ def test_shift_structure():
     for parity, l, kernel in (("even", 3, (0,)), ("odd", 2, (0, 1))):
         for r in range(1, l + 1):
             assert modulus_kernels(parity, l, "c")[r - 1] == kernel, (parity, r)
-            c = dense(rep_generator(RepInstance(parity, l, r, Q, 32), "c"))
+            c = dense(rep_generator(parity, l, r, Q, 32, "c"))
             assert tuple(np.flatnonzero(~c.any(axis=0))) == kernel, (parity, r)
 
 
@@ -44,11 +44,10 @@ def test_formula_reconstruction_agrees_with_shift():
     # c (c* c)^{-1/2} is the bare shift; numerically: c's weights divided
     # by the square root of c* c evaluated in floats are 1 past the kernel
     for parity, l in (("even", 3), ("even", 5), ("odd", 3)):
-        assert ktheory_report(parity, l, Q, 128).coisometry_max_deviation == 0.0, (parity, l)
+        assert ktheory_report(parity, l, Q, 128).lift_exact, (parity, l)
         for r in range(1, l + 1):
-            inst = RepInstance(parity, l, r, Q, 128)
-            diag, k = kernel_columns(inst, "c")
-            quotient = np.asarray(rep_generator(inst, "c").weights[:128 - k]) / np.sqrt(diag[k:])
+            diag, k = kernel_columns(parity, l, r, Q, 128, "c")
+            quotient = np.asarray(rep_generator(parity, l, r, Q, 128, "c").weights[:128 - k]) / np.sqrt(diag[k:])
             assert np.max(np.abs(quotient - 1.0)) < 1e-10, (parity, l, r)
 
 
@@ -78,7 +77,7 @@ def test_index_map_matches_dense_svd_rank():
     for dim in (16, 48):
         for parity, ls in (("even", (1, 3, 5)), ("odd", (1, 2, 3, 4, 5))):
             for l in ls:
-                ranks = tuple(dense_kernel_dim(dense(rep_generator(RepInstance(parity, l, r, Q, dim), "c")), 1e-8)
+                ranks = tuple(dense_kernel_dim(dense(rep_generator(parity, l, r, Q, dim, "c")), 1e-8)
                               for r in range(1, l + 1))
                 assert index_map(parity, l).entries == ranks, (parity, l, dim)
 
@@ -107,7 +106,7 @@ def test_kernel_checks_follow_the_modulus_relation(monkeypatch):
     assert not kernel_conditions_exact("odd", 2)
     assert index_map("odd", 2).entries == (2, 1)
     report = ktheory_report("odd", 2, Q, 64)
-    assert report.coisometry_max_deviation == 1.0
+    assert not report.lift_exact
     assert not report.all_pass
     assert not report.cokernel_map_ok
 
@@ -126,7 +125,7 @@ def test_lift_check_reads_the_weight_form(monkeypatch):
     monkeypatch.setattr(fockrep, "generator_form", mutated)
     for parity, l in (("even", 3), ("odd", 2)):
         report = ktheory_report(parity, l, Q, 64)
-        assert report.coisometry_max_deviation == 1.0, parity
+        assert not report.lift_exact, parity
         assert report.pullback["all_pass"] and report.cokernel_map_ok, parity
         # the pullback reads the mutated table: its weight defects move
         assert report.pullback["per_r"] != before[parity]["per_r"], parity
@@ -253,7 +252,7 @@ def test_ktheory_at_tiny_q(q):
             assert report.all_pass, (parity, l)
             assert report.delta.entries == (1 if parity == "even" else 2,) * l
             for r in range(1, l + 1):
-                assert kernel_columns(RepInstance(parity, l, r, q, 128), "c")[1] == report.delta.entries[r - 1]
+                assert kernel_columns(parity, l, r, q, 128, "c")[1] == report.delta.entries[r - 1]
 
 
 def test_pullback_near_q_one_allocates_no_tail():
@@ -276,7 +275,7 @@ def test_pullback_at_the_smallest_tolerance():
     report = ktheory_report("odd", 1, 0.5, 128, 5e-324)
     assert report.pullback["all_pass"]
     # the lift check is exact, so no tolerance is below its rounding
-    assert report.coisometry_max_deviation == 0.0
+    assert report.lift_exact
     assert report.all_pass
     for eps in (0.0, -1e-10, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="eps must be finite and positive"):
@@ -293,7 +292,7 @@ def test_pullback_gate_reads_the_weight_form(monkeypatch):
 
     monkeypatch.setattr(fockrep, "generator_form", mutated)
     report = ktheory_report("odd", 2, Q, 64)
-    assert report.coisometry_max_deviation == 1.0
+    assert not report.lift_exact
     for entry in report.pullback["per_r"]:
         assert entry == {"r": entry["r"], "monotone_decay": False, "n0": None,
                          "tail_max": 1.0, "pass": False}

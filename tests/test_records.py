@@ -3,22 +3,17 @@ construction path: positional, keyword, _make and _replace."""
 
 import pytest
 
-from qrwp import RepInstance, WeightedShift, Weights
+from qrwp import WeightedShift, Weights
 from qrwp.cli import RunConfig
+from qrwp.fockrep import WeightForm
 from qrwp.qwrp import RelationSide
 
-ODD_LABEL = {"parity": "odd", "l": 2, "r": 1, "q": 0.5, "dim": 16}
 RUN = {"q": 0.5, "dim": 256, "tolerance": 1e-10, "fmt": "text"}
 
 # name: (record, valid fields, fields that break it, message)
 INVALID = {
     "weights l": (Weights, {"k": 1, "l": 2}, {"l": 0}, "weight l must be a positive integer"),
     "weights coprime": (Weights, {"k": 1, "l": 2}, {"k": 4}, r"weights \(4, 2\) are not coprime"),
-    "label parity": (RepInstance, ODD_LABEL, {"parity": "even"}, "the even family requires odd l"),
-    "label l": (RepInstance, ODD_LABEL, {"l": 0}, "l must be a positive integer"),
-    "label r": (RepInstance, ODD_LABEL, {"r": 3}, r"label r must lie in 1\.\.2"),
-    "label q": (RepInstance, ODD_LABEL, {"q": 1.0}, r"q must lie in \(0, 1\)"),
-    "label dim": (RepInstance, ODD_LABEL, {"dim": 0}, "dim must be positive"),
     "run q": (RunConfig, RUN, {"q": 0.0}, r"q must lie in \(0, 1\)"),
     "run N": (RunConfig, RUN, {"dim": 3}, "N must be at least 4"),
     "run tolerance": (RunConfig, RUN, {"tolerance": float("inf")}, "tolerance must be finite and positive"),
@@ -43,7 +38,7 @@ def test_every_construction_path_validates(case, path):
         build(cls, fields, bad)
 
 
-@pytest.mark.parametrize("record", [Weights(1, 2), RepInstance(**ODD_LABEL), RunConfig(**RUN),
+@pytest.mark.parametrize("record", [Weights(1, 2), WeightForm(0, 2, ()), RunConfig(**RUN),
                                     RelationSide(0, ())])
 def test_records_reject_assignment(record):
     with pytest.raises(AttributeError):
