@@ -11,7 +11,6 @@ from qrwp import (
     NormalMonomial,
     WeightedShift,
     ktheory_report,
-    pullback_check,
     relations_for,
     basis_monomial,
     intertwiner_check,
@@ -50,33 +49,6 @@ def test_instance_validation():
         rep_generator("odd", 2, 3, Q, 16, "a")      # r out of range
     with pytest.raises(ValueError):
         rep_generator("odd", 2, 1, 1.5, 16, "a")    # q out of range
-
-
-# (what breaks a valid call, message, the functions that check it)
-FAMILY_CHECKS = {
-    "label parity": ({"parity": "even"}, "the even family requires odd l",
-                     ("rep_report", "relation_residuals", "pullback_check")),
-    "label l": ({"l": 0}, "l must be a positive integer", ("rep_report", "relation_residuals", "pullback_check")),
-    "label q": ({"q": 1.0}, r"q must lie in \(0, 1\)", ("rep_report", "relation_residuals", "pullback_check")),
-    "label r": ({"r": 3}, r"label r must lie in 1\.\.2", ("rep_generator",)),
-    "label dim": ({"dim": 0}, "dim must be positive", ("rep_report",)),
-}
-CHECKED_CALLS = {
-    "rep_report": (rep_report, {"parity": "odd", "l": 2, "q": Q, "dim": 16}),
-    "relation_residuals": (relation_residuals, {"parity": "odd", "l": 2, "q": Q, "dim": 16}),
-    "pullback_check": (pullback_check, {"parity": "odd", "l": 2, "q": Q}),
-    "rep_generator": (rep_generator, {"parity": "odd", "l": 2, "r": 1, "q": Q, "dim": 16, "gen": "c"}),
-}
-
-
-@pytest.mark.parametrize("case, name", [(case, name) for case, (*_, names) in FAMILY_CHECKS.items()
-                                        for name in names])
-def test_every_family_function_validates(case, name):
-    bad, message, _ = FAMILY_CHECKS[case]
-    function, fields = CHECKED_CALLS[name]
-    function(**fields)
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        function(**{**fields, **bad})
 
 
 def test_diagonal_generator():

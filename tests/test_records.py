@@ -1,11 +1,15 @@
 """Records are immutable named tuples; the validated ones check every
-construction path: positional, keyword, _make and _replace."""
+construction path: positional, keyword, _make and _replace.  The label of
+a representation (parity, l, r, q, dim) is no record: the functions that
+take it check it, along the same four paths."""
+
+import functools
 
 import pytest
 
-from qrwp import WeightedShift, Weights
+from qrwp import WeightedShift, Weights, pullback_check, rep_generator, rep_report
 from qrwp.cli import RunConfig
-from qrwp.fockrep import WeightForm
+from qrwp.fockrep import WeightForm, relation_residuals
 from qrwp.qwrp import RelationSide
 
 RUN = {"q": 0.5, "dim": 256, "tolerance": 1e-10, "fmt": "text"}
@@ -19,17 +23,49 @@ INVALID = {
     "run tolerance": (RunConfig, RUN, {"tolerance": float("inf")}, "tolerance must be finite and positive"),
 }
 
+# name: (fields that break a valid call, message, the functions that check it)
+LABELS = {
+    "label parity": ({"parity": "even"}, "the even family requires odd l",
+                     (rep_report, relation_residuals, pullback_check)),
+    "label l": ({"l": 0}, "l must be a positive integer", (rep_report, relation_residuals, pullback_check)),
+    "label r": ({"r": 3}, r"label r must lie in 1\.\.2", (rep_generator,)),
+    "label q": ({"q": 1.0}, r"q must lie in \(0, 1\)", (rep_report, relation_residuals, pullback_check)),
+    "label dim": ({"dim": 0}, "dim must be positive", (rep_report,)),
+}
+# a valid call of each checking function, its fields in signature order
+VALID_CALLS = {
+    rep_report: {"parity": "odd", "l": 2, "q": 0.5, "dim": 16},
+    relation_residuals: {"parity": "odd", "l": 2, "q": 0.5, "dim": 16},
+    pullback_check: {"parity": "odd", "l": 2, "q": 0.5},
+    rep_generator: {"parity": "odd", "l": 2, "r": 1, "q": 0.5, "dim": 16, "gen": "c"},
+}
+
 PATHS = {
     "positional": lambda cls, fields, bad: cls(*({**fields, **bad}[f] for f in cls._fields)),
     "keyword": lambda cls, fields, bad: cls(**{**fields, **bad}),
     "_make": lambda cls, fields, bad: cls._make({**fields, **bad}[f] for f in cls._fields),
     "_replace": lambda cls, fields, bad: cls(**fields)._replace(**bad),
 }
+# A function has no _make or _replace: there it reads its arguments from an
+# iterator, and the bad fields override a call bound to the valid ones.
+CALLS = {
+    "positional": lambda fn, fields, bad: fn(*{**fields, **bad}.values()),
+    "keyword": lambda fn, fields, bad: fn(**{**fields, **bad}),
+    "_make": lambda fn, fields, bad: fn(*iter({**fields, **bad}.values())),
+    "_replace": lambda fn, fields, bad: functools.partial(fn, **fields)(**bad),
+}
 
 
 @pytest.mark.parametrize("path", PATHS)
-@pytest.mark.parametrize("case", INVALID)
+@pytest.mark.parametrize("case", [*INVALID, *LABELS])
 def test_every_construction_path_validates(case, path):
+    if case in LABELS:
+        bad, message, functions = LABELS[case]
+        for fn in functions:
+            CALLS[path](fn, VALID_CALLS[fn], {})
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                CALLS[path](fn, VALID_CALLS[fn], bad)
+        return
     cls, fields, bad, message = INVALID[case]
     build = PATHS[path]
     good = build(cls, fields, {})
