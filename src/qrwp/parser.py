@@ -22,6 +22,8 @@ power of a named generator is looked up in a bounded cache keyed by
 An integer literal of more than MAX_DIGITS digits, leading zeros aside,
 is a ParseError at its token rather than a conversion error, and an
 exponent longer than MAX_EXPONENT is out of range without being read.
+A power of one term c q^a w whose coefficient c^e would have more than
+MAX_EXPONENT digits is a LoweringError before it is computed.
 
 Errors come in reading order: the tokenizer rejects unknown names and
 characters first, then a non-invertible base under a negative power
@@ -32,6 +34,7 @@ trailing syntax error is evaluated before that error is raised.
 
 from __future__ import annotations
 
+import math
 import re
 from functools import lru_cache
 
@@ -106,12 +109,43 @@ _GENERATORS = {
 
 def _power(base: AlgebraElement, exponent: int) -> AlgebraElement:
     if exponent >= 0:
+        if len(base) == 1:
+            # one term c q^a w: the power's coefficient is exactly c^e, so
+            # one longer than MAX_EXPONENT digits is refused before it is built
+            (_, c), *more = base.sole_term()[1].items_sorted()
+            c = abs(c)
+            if not more and exponent * math.log10(c) >= MAX_EXPONENT - 1:
+                digits = _power_digits(c, exponent)
+                if digits > MAX_EXPONENT:
+                    raise LoweringError(f"coefficient of {digits} digits exceeds the supported length of {MAX_DIGITS}")
         return base ** exponent
     try:
         inv = base.try_inverse()
     except ValueError as exc:
         raise LoweringError(f"cannot raise a non-invertible element to the power {exponent}") from exc
     return inv ** -exponent
+
+
+def _power_digits(c: int, e: int) -> int:
+    """The decimal digits of c^e, for c >= 2 and e >= 1, without
+    computing the power: 1 + floor(e log10 c).
+
+    e log10 c is read to 40 places from the top 160 bits of c (converting
+    all of a long c to decimal would take time quadratic in its length).
+    When it lies that close to an integer m, as for c = 10^j or 10^j - 1,
+    c^e >= 10^m decides exactly, compared in lowest terms.
+    """
+    from decimal import Context   # only a power of a million digits or more gets here
+
+    ctx = Context(prec=40 + len(str(e * c.bit_length())))
+    shift = max(c.bit_length() - 160, 0)
+    log = ctx.multiply(e, ctx.add(ctx.log10(c >> shift), ctx.multiply(shift, ctx.log10(2))))
+    slack = ctx.scaleb(1, -37)   # well above the rounding and truncation errors
+    m = int(ctx.add(log, slack))
+    if m == int(ctx.subtract(log, slack)):
+        return m + 1
+    g = math.gcd(e, m)
+    return m + 1 if c ** (e // g) >= 10 ** (m // g) else m
 
 
 @lru_cache(maxsize=256)

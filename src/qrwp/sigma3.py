@@ -78,18 +78,20 @@ def _word_text(word: NormalMonomial) -> str:
 
 
 @lru_cache(maxsize=None)
-def _gaussian_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """The Gaussian binomials [n k]_x, k = 0..n, each as the integer
-    coefficients of a polynomial in x, ascending.
+def _gaussian_rows(n: int) -> tuple[dict[int, int], ...]:
+    """The bodies (-1)^k [n k]_{q^2}, k = 0..n: each the dict
+    {2i: (-1)^k g_i} of the Gaussian binomial [n k]_x = sum_i g_i x^i,
+    whose coefficients are all positive, so the dict is canonical.
 
     Rows k <= n/2 follow from the previous one as
     G_k = G_{k-1} (1 - x^{n-k+1}) / (1 - x^k); the rest are mirrors,
-    [n k] = [n n-k].  The rows are cached by n alone: each is a
-    palindrome, [n k]_{x^-1} = x^{-k(n-k)} [n k]_x, so a rising and a
-    falling run of one length read the same rows.
+    [n k] = [n n-k], shared when n is even and negated when it is odd.
+    The rows are cached by n alone: each is a palindrome,
+    [n k]_{x^-1} = x^{-k(n-k)} [n k]_x, so a rising and a falling run of
+    one length share the same bodies.
     """
     gauss = [1]
-    rows = [(1,)]
+    rows = [{0: 1}]
     for k in range(1, n // 2 + 1):
         m = n - k + 1
         # times (1 - x^m), then exactly divided by (1 - x^k) as a running sum
@@ -98,8 +100,11 @@ def _gaussian_rows(n: int) -> tuple[tuple[int, ...], ...]:
         for r in range(k):
             gauss[r::k] = accumulate(gauss[r::k])
         del gauss[len(gauss) - k:]
-        rows.append(tuple(gauss))
-    return tuple(rows + [rows[n - k] for k in range(len(rows), n + 1)])
+        rows.append(dict(zip(range(0, 2 * len(gauss), 2), map(neg, gauss) if k & 1 else gauss)))
+    for k in range(len(rows), n + 1):
+        mirror = rows[n - k]
+        rows.append({e: -g for e, g in mirror.items()} if n & 1 else mirror)
+    return tuple(rows)
 
 
 def _one_minus_qa_product(exponents: Sequence[int]) -> tuple[tuple[int, LaurentPoly], ...]:
@@ -123,11 +128,14 @@ def _one_minus_qa_product(exponents: Sequence[int]) -> tuple[tuple[int, LaurentP
 
 @lru_cache(maxsize=None)
 def _run_product(e0: int, d: int, n: int) -> tuple[tuple[int, LaurentPoly], ...]:
+    """Each row body of _gaussian_rows(n), wrapped without a copy at the
+    lowest exponent of its coefficient."""
     terms = []
-    for k, row in enumerate(_gaussian_rows(n)):
-        base = 2 * k * e0 + d * k * (k - 1)
-        exponents = range(base, base + 2 * d * len(row), 2 * d)
-        terms.append((k, LaurentPoly._canonical(dict(zip(exponents, map(neg, row) if k & 1 else row)))))
+    for k, body in enumerate(_gaussian_rows(n)):
+        low = 2 * k * e0 + d * k * (k - 1)
+        if d < 0:   # the palindrome read from its far end, 2k(n-k) lower
+            low -= 2 * k * (n - k)
+        terms.append((k, LaurentPoly._canonical(body, low)))
     return tuple(terms)
 
 

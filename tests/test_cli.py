@@ -395,6 +395,28 @@ def test_coefficient_too_long_to_print_is_a_parse_error(capsys):
     assert (code, out) == (EXIT_OK, "degree: 2\ncoinvariant: no\n")
 
 
+def test_power_with_a_coefficient_too_long_is_refused_before_it_is_computed(capsys, monkeypatch):
+    # a single term c q^a w raised to e has the coefficient c^e: past a
+    # million digits the power is refused, without computing it, with its
+    # exact digit count (10^20 - 1 puts e log10 c just below an integer)
+    message = "parse error: coefficient of {} digits exceeds the supported length of 4300\n"
+
+    power = AlgebraElement.__pow__
+
+    def short_powers_only(x, n):
+        assert n <= 10, "the long power was computed"
+        return power(x, n)
+
+    monkeypatch.setattr(AlgebraElement, "__pow__", short_powers_only)
+    for expr, digits in (("(10^10)^1000000", 10 ** 7 + 1), ("z1 - (-99999999999999999999 q^2 z0)^50001", 1000020)):
+        code, out, err = run(capsys, "normalize", expr)
+        assert (code, out, err) == (EXIT_PARSE, "", message.format(digits)), expr
+    monkeypatch.undo()
+    # below a million digits the power is computed, and only printing it is refused
+    code, out, _ = run(capsys, "normalize", "2^20000 - 2^20000")
+    assert (code, out) == (EXIT_OK, "0\n")
+
+
 def test_check_failure_exit_code(capsys, monkeypatch):
     # a tolerance below rounding is no failure: the relation verdicts are exact
     argv = ("rep-check", "--parity", "odd", "--l", "2", "--N", "64")

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from qrwp import ONE, ZERO, LaurentPoly, lower_text, qpow
+from qrwp.sigma3 import NormalMonomial
 
 from helpers import count_products, make_rng, power_product_count, random_laurent, reference_text
 
@@ -53,6 +54,46 @@ def test_cancellation_stores_no_zero_coefficient():
     for x in ((1 + q) - (1 + q), (1 + q) * (1 - q) - (1 - q * q), q * 0, (1 - q) * ZERO):
         assert x._coeffs == {}
         assert x == ZERO and hash(x) == hash(ZERO)
+
+
+def test_q_shift_shares_the_body():
+    p = LaurentPoly({-3: 2, 0: -1, 5: 7})
+    for shifted in (qpow(7) * p, p * qpow(7), p * qpow(-2) * qpow(9)):
+        assert shifted == LaurentPoly({4: 2, 7: -1, 12: 7})
+        assert shifted._coeffs is p._coeffs
+    # a scale by c != 1 copies the body once
+    assert (-qpow(7) * p)._coeffs == {e: -c for e, c in p._coeffs.items()}
+
+
+def test_lowest_term_cancelling_rebases():
+    q = qpow(1)
+    x = (1 + q) - 1
+    assert (x._low, x._coeffs) == (1, {0: 1})
+    assert x == q and hash(x) == hash(q)
+    y = (qpow(-4) + 3 * q + qpow(6)) - qpow(-4) - 3 * q
+    assert (y._low, y._coeffs) == (6, {0: 1})
+    # zero sits at _low = 0
+    assert ((x - q)._low, (x - q)._coeffs) == (0, {})
+
+
+def test_equality_and_hash_follow_the_exponent_mapping():
+    rng = make_rng(7)
+    for _ in range(500):
+        p = random_laurent(rng, max_exp=20) * qpow(rng.randint(-50, 50))
+        fresh = LaurentPoly(dict(p.items_sorted()))
+        assert p == fresh and hash(p) == hash(fresh), repr(p)
+        assert (p._low, p._coeffs) == (fresh._low, fresh._coeffs)
+        assert p.is_zero() or 0 in p._coeffs
+        assert p._coeffs or p._low == 0
+
+
+def test_coefficients_spread_far_apart():
+    # a sparse body: a dense one would need 6 * 10^8 slots here
+    x = lower_text("(q^1000000 + q^-1000000)^300").sole_term()[1]
+    assert x.items_sorted() == [(10 ** 6 * (2 * k - 300), math.comb(300, k)) for k in range(301)]
+    # z1^n z0^n = q^(-n^2) z0^n z1^n
+    y = lower_text("z1^1000000 z0^1000000 + q z0^1000000 z1^1000000")
+    assert y.terms() == [(NormalMonomial(10 ** 6, 10 ** 6, 0), LaurentPoly({-10 ** 12: 1, 1: 1}))]
 
 
 def test_equality_is_mapping_equality():

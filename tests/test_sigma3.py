@@ -227,6 +227,13 @@ def test_run_product_is_one_cached_tuple():
     assert sigma3._gaussian_rows.cache_info().misses == rows.misses
 
 
+@pytest.mark.parametrize("n", (1, 2, 7, 31))
+def test_rising_and_falling_runs_share_their_bodies(n):
+    rising = sigma3._one_minus_qa_product(range(n))
+    falling = sigma3._one_minus_qa_product(range(-1, -n - 1, -1))
+    assert all(a._coeffs is b._coeffs for (_, a), (_, b) in zip(rising, falling, strict=True))
+
+
 def test_mono_product_keeps_its_cache_counters():
     # the benchmark reads the hit and miss counts of this cache
     before = sigma3._mono_product.cache_info()
