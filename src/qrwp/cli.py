@@ -150,6 +150,10 @@ def _cmd_generators(args, cfg: RunConfig) -> int:
 
 def _cmd_verify_relations(args, cfg: RunConfig) -> int:
     w = Weights.canonical(args.parity, args.l)
+    if args.k is not None:
+        w = Weights(args.k, args.l)
+        if w.parity != args.parity:
+            raise ValueError(f"k = {args.k} is {w.parity}, but the {args.parity} family needs {args.parity} k")
     report = qwrp.verify_relations(w)
     # text mode prints no normal form, so it renders none
     payload = {"schema": SCHEMA, "command": "verify-relations", **report.as_dict()} if cfg.fmt == "json" else {}
@@ -324,6 +328,11 @@ def _family(p: argparse.ArgumentParser) -> None:
     p.add_argument("--l", type=int, required=True)
 
 
+def _family_k(p: argparse.ArgumentParser) -> None:
+    _family(p)
+    p.add_argument("--k", type=int, default=None, help="of the family's parity, coprime with l (default: 2 even, 1 odd)")
+
+
 def _lmax(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lmax", type=int, default=5)
 
@@ -334,7 +343,7 @@ COMMANDS = (
     ("star", "involution of an expression", _cmd_normal_form, _expr),
     ("degree", "grading degree and coinvariance", _cmd_degree, _weights_expr),
     ("generators", "coinvariant generators for a weight pair", _cmd_generators, _weights),
-    ("verify-relations", "exact relation verification", _cmd_verify_relations, _family),
+    ("verify-relations", "exact relation verification", _cmd_verify_relations, _family_k),
     ("factorize", "factor a coinvariant basis word", _cmd_factorize, _weights_monomial),
     ("rep-check", "representation residual checks", _cmd_rep_check, _family),
     ("ktheory", "index map, K-groups, pullback checks", _cmd_ktheory, _family),

@@ -56,9 +56,6 @@ class NormalMonomial(namedtuple("NormalMonomial", "m p r")):
         # _replace builds through _make, so both keep the p >= 0 check
         return cls(*iterable)
 
-    def is_identity(self) -> bool:
-        return self == (0, 0, 0)
-
     def __str__(self) -> str:
         return _word_text(self)[1:] or "1"
 
@@ -339,9 +336,21 @@ class AlgebraElement:
         return NotImplemented
 
     def __pow__(self, n: int) -> "AlgebraElement":
+        """x ** n.  A one-word base (or zero) squares
+        (qlaurent._binary_power), since its square is one word again.  A
+        longer base is multiplied in n - 1 times: a product costs about
+        the product of the two sizes, so squaring a large power costs far
+        more than multiplying it by the small base."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("algebra elements support nonnegative integer powers only")
-        return AlgebraElement.one() if n == 0 else _binary_power(self, n)
+        if n == 0:
+            return AlgebraElement.one()
+        if len(self._terms) <= 1:
+            return _binary_power(self, n)
+        out = self
+        for _ in range(n - 1):
+            out = out * self
+        return out
 
     def star(self) -> "AlgebraElement":
         """The involution.  On a basis word:

@@ -11,8 +11,9 @@ from collections import Counter
 
 import numpy as np
 
-from qrwp import AlgebraElement, LaurentPoly, NormalMonomial, Weights, degree, generators, powers_oracle
+from qrwp import AlgebraElement, LaurentPoly, NormalMonomial, Weights, degree, generators, powers_oracle, qpow
 from qrwp import fockrep
+from qrwp.sigma3 import _one_minus_qa_product
 
 SEED = 31415926
 
@@ -141,6 +142,23 @@ def product_oracle(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
             for mono, coef in word_product_oracle(w1, w2).terms():
                 total[mono] = total.get(mono, LaurentPoly()) + _poly_product(_poly_product(c1, c2), coef)
     return AlgebraElement(total)
+
+
+# -- expanded relation sides ---------------------------------------------------
+
+
+def eval_side(side, gens) -> AlgebraElement:
+    """One relation side (a qwrp.RelationSide) as a normal form, by
+    multiplying its factors out with AlgebraElement's product: the oracle
+    for the factored route of qwrp.verify_relations."""
+    out = AlgebraElement.scalar(qpow(side.q_exponent))
+    for f in side.factors:
+        if f[0] == "gen":
+            g = gens.named(f[1])
+            out = out * (g.star() if f[2] else g)
+        else:  # prod_e (1 - q^{2e} a), with a^j = z1^{2j} xi^j
+            out = out * AlgebraElement({NormalMonomial(0, 2 * j, j): c for j, c in _one_minus_qa_product(f[1])})
+    return out
 
 
 # -- brute-force scan of the degree-zero box --------------------------------

@@ -76,6 +76,26 @@ def test_verify_relations_json(capsys):
     assert payload["relations"][0]["id"] == "odd.1"
 
 
+def test_verify_relations_k(capsys):
+    argv = ("verify-relations", "--parity", "odd", "--l", "5", "--format", "json")
+    assert run(capsys, *argv, "--k", "1") == run(capsys, *argv)
+    code, out, _ = run(capsys, "verify-relations", "--parity", "odd", "--l", "20", "--k", "9", "--format", "json")
+    payload = json.loads(out)
+    assert (code, payload["k"], payload["l"], payload["all_pass"]) == (EXIT_OK, 9, 20, True)
+    code, out, _ = run(capsys, "verify-relations", "--parity", "even", "--l", "5", "--k", "-4")
+    assert (code, out.splitlines()[-1]) == (EXIT_OK, "4/4 relations pass")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--parity", "odd", "--l", "3", "--k", "4"), "error: k = 4 is even, but the odd family needs odd k"),
+    (("--parity", "even", "--l", "3", "--k", "-1"), "error: k = -1 is odd, but the even family needs even k"),
+    (("--parity", "odd", "--l", "4", "--k", "6"), "error: weights (6, 4) are not coprime"),
+    (("--parity", "even", "--l", "4", "--k", "2"), "error: the even family requires odd l"),
+])
+def test_verify_relations_refuses_a_k_outside_the_family(capsys, argv, message):
+    assert run(capsys, "verify-relations", *argv) == (EXIT_PRECONDITION, "", message + "\n")
+
+
 @pytest.mark.parametrize("parity, l, digest", [
     ("odd", "14", "6357bea2cdc421c21e074b839db364ac65a327a31e1e85aeca70155055ebe118"),
     ("even", "25", "cf5dae0efa44e67a1db1f06a110f7125f9ee7685f9d32eda0ab29665cb3b4caf"),

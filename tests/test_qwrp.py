@@ -1,5 +1,7 @@
 """Coinvariant generators, relation verification, factorization."""
 
+from math import gcd
+
 import pytest
 
 from qrwp import (
@@ -19,9 +21,9 @@ from qrwp import (
     word_element,
 )
 from qrwp import qwrp
-from qrwp.qwrp import GeneratorSet, GeneratorWord, eval_side, word_text
+from qrwp.qwrp import GeneratorSet, GeneratorWord, word_text
 
-from helpers import degree_zero_scan
+from helpers import degree_zero_scan, eval_side, make_rng, random_monomial
 
 
 def test_generator_examples():
@@ -61,9 +63,92 @@ def test_relations_all_pass():
 
 
 def test_relations_do_not_depend_on_k():
-    # same parity, different k: the relation set still holds verbatim
-    for w in (Weights(4, 3), Weights(6, 5), Weights(3, 2), Weights(5, 4)):
-        assert verify_relations(w).all_pass
+    # same parity, different k: the relation set still holds verbatim; a
+    # negative k gives the generators xi^s with s < 0
+    for k, l in ((4, 3), (6, 5), (3, 2), (5, 4), (5, 3), (7, 2), (-3, 2), (-4, 5), (9, 20)):
+        assert verify_relations(Weights(k, l)).all_pass, (k, l)
+
+
+def _seeded_weights(rng, parity: str, l: int) -> Weights:
+    while True:
+        k = rng.randint(-40, 40)
+        if (k % 2 == 1) == (parity == "odd") and gcd(abs(k), l) == 1:
+            return Weights(k, l)
+
+
+def test_factored_sides_expand_to_the_multiplied_out_sides():
+    rng = make_rng(26)
+    families = [("odd", l) for l in range(1, 31)] + [("even", l) for l in range(1, 30, 2)]
+    for parity, l in families:
+        for w in (Weights.canonical(parity, l), _seeded_weights(rng, parity, l)):
+            gens = generators(w)
+            letters = qwrp._letter_forms(gens)
+            for rel in relations_for(parity, l):
+                forms = [qwrp._side_form(side, letters) for side in (rel.lhs, rel.rhs)]
+                assert forms[0] == forms[1], (w, rel.rid)
+                for side, form in zip((rel.lhs, rel.rhs), forms):
+                    assert qwrp._expand(form) == eval_side(side, gens), (w, rel.rid)
+
+
+def _engine_form(form) -> AlgebraElement:
+    """q^E w prod_{e in P} (1 - q^{2e} A), multiplied out factor by factor."""
+    e, word, runs = form
+    out = basis_monomial(*word) * qpow(e)
+    for f in runs:
+        out = out * (AlgebraElement.one() - basis_monomial(0, 2, 1) * qpow(2 * f))
+    return out
+
+
+def test_factored_product_matches_the_engine():
+    # words of either sign meet or not; the runs are arbitrary multisets
+    rng = make_rng(27)
+
+    def random_form():
+        runs = sorted(rng.randint(-4, 4) for _ in range(rng.randint(0, 4)))
+        return rng.randint(-3, 3), random_monomial(rng), tuple(runs)
+
+    for _ in range(300):
+        x, y = random_form(), random_form()
+        assert qwrp._expand(x) == _engine_form(x), x
+        assert qwrp._expand(qwrp._form_product(x, y)) == _engine_form(x) * _engine_form(y), (x, y)
+
+
+def _shift_rhs(delta):
+    return lambda rel, gens: (rel._replace(rhs=rel.rhs._replace(q_exponent=rel.rhs.q_exponent + delta)), gens)
+
+
+def _short_run(rel, gens):
+    factors = tuple(("prod", f[1][:-1]) if f[0] == "prod" else f for f in rel.rhs.factors)
+    return rel._replace(rhs=rel.rhs._replace(factors=factors)), gens
+
+
+def _xi_on_a(rel, gens):
+    return rel, gens._replace(a=basis_monomial(0, 2, 2))
+
+
+@pytest.mark.parametrize("mutate, failing", [
+    (_shift_rhs(1), {"even.1", "even.2", "even.3", "even.4"} | {f"odd.{i}" for i in range(1, 12)}),
+    (_shift_rhs(-1), {"even.1", "even.2", "even.3", "even.4"} | {f"odd.{i}" for i in range(1, 12)}),
+    (_short_run, {"even.3", "even.4"} | {f"odd.{i}" for i in range(6, 12)}),
+    (_xi_on_a, {"even.1", "odd.1", "odd.4", "odd.6", "odd.7"}),
+], ids=["q-exponent+1", "q-exponent-1", "run-one-short", "xi-power+1"])
+def test_mutated_relations_fail_with_the_expanded_normal_forms(monkeypatch, mutate, failing):
+    found = set()
+    for parity, l in (("even", 5), ("odd", 4)):
+        w = Weights.canonical(parity, l)
+        pairs = [mutate(rel, generators(w)) for rel in relations_for(parity, l)]
+        mutated = tuple(rel for rel, _ in pairs)
+        gens = pairs[0][1]
+        monkeypatch.setattr(qwrp, "relations_for", lambda parity, l: mutated)
+        monkeypatch.setattr(qwrp, "generators", lambda w: gens)
+        report = verify_relations(w)
+        for rel, res, entry in zip(mutated, report.results, report.as_dict()["relations"], strict=True):
+            lhs, rhs = eval_side(rel.lhs, gens), eval_side(rel.rhs, gens)
+            assert res.passed == (lhs == rhs) and (res.lhs, res.rhs) == (lhs, rhs), rel.rid
+            assert (entry["lhs_normal_form"], entry["rhs_normal_form"]) == (str(lhs), str(rhs)), rel.rid
+            if not res.passed:
+                found.add(rel.rid)
+    assert found == failing
 
 
 def test_quantum_disc_case():
@@ -137,6 +222,14 @@ def test_factorize_errors():
         factorize(w, NormalMonomial(1, 0, 0))      # not coinvariant
     with pytest.raises(ValueError):
         factorize(w, NormalMonomial(-3, 0, -1))    # conjugate family
+
+
+def test_factorize_raises_when_the_word_does_not_rebuild_the_monomial(monkeypatch):
+    w = Weights(2, 3)
+    gens = generators(w)
+    monkeypatch.setattr(qwrp, "generators", lambda w: gens._replace(a=basis_monomial(0, 2, 2)))
+    with pytest.raises(RuntimeError, match="reconstructed z1\\^2 xi\\^2"):
+        factorize(w, NormalMonomial(0, 2, 1))
 
 
 def test_factorize_box_soundness():

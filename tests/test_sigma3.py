@@ -29,6 +29,7 @@ from helpers import (
     random_basis_element,
     random_element,
     random_monomial,
+    random_nonzero_laurent,
     word_product_oracle,
 )
 
@@ -297,7 +298,6 @@ def test_a_product_without_a_meet_leaves_the_cache_alone():
 
 
 def test_identity_monomial():
-    assert NormalMonomial(0, 0, 0).is_identity()
     assert ONE_EL.sole_monomial() == NormalMonomial(0, 0, 0)
 
 
@@ -399,3 +399,20 @@ def test_power_makes_no_wasted_products(monkeypatch):
         calls.clear()
         x ** n
         assert len(calls) == power_product_count(n), n
+
+
+def test_multi_word_power_multiplies_by_the_base(monkeypatch):
+    rng = make_rng(16)
+    pairs = ((random_monomial(rng, m_max=2), random_monomial(rng, m_max=2)) for _ in range(12))
+    bases = [Z0 + Z1, Z0 + Z0S, Z0 + Z0S + Z1] + [
+        AlgebraElement({w1: random_nonzero_laurent(rng, max_terms=1), w2: random_nonzero_laurent(rng, max_terms=1)})
+        for w1, w2 in pairs if w1 != w2]
+    assert len(bases) >= 12
+    for x in bases:
+        for e in range(1, 13):
+            assert x ** e == sigma3._binary_power(x, e), (x, e)
+    calls = count_products(monkeypatch, AlgebraElement)
+    for n in range(1, 10):
+        calls.clear()
+        bases[0] ** n
+        assert len(calls) == n - 1 and all(other is bases[0] for other in calls), n
