@@ -16,8 +16,12 @@ eliminated on lowering: z1s becomes z1 xi and xis becomes xi^-1.
 lower_text parses and evaluates in one pass; no syntax tree is built.
 One regex findall splits the text into token strings, and the descent
 reads them by index; a position is worked out only for an error.  A
-power of a named generator is looked up in a bounded cache keyed by
-(name, exponent), so every "z0^2" read shares one product.
+term folds its generator powers, integer literals and q-powers, as they
+are read, into one running factored form c q^E z0^m z1^p xi^r
+prod_P (1 - q^{2e} A) with integer arithmetic (sigma3._form_product),
+and builds its element once, when it ends; only a parenthesised factor
+is multiplied as an element.  The terms of a sum are added into one
+dict in place.
 
 An integer literal of more than MAX_DIGITS digits, leading zeros aside,
 is a ParseError at its token rather than a conversion error, and an
@@ -36,10 +40,9 @@ from __future__ import annotations
 
 import math
 import re
-from functools import lru_cache
 
 from .qlaurent import qpow
-from .sigma3 import XI, XIS, Z0, Z0S, Z1, Z1S, AlgebraElement
+from .sigma3 import AlgebraElement, _add_into, _expand, _form_product
 
 NAMES = ("q", "z0", "z0s", "z1", "z1s", "xi", "xis")
 MAX_EXPONENT = 10**6
@@ -97,32 +100,42 @@ def _position(text: str, i: int) -> int:
     return starts[i] if i < len(starts) else len(text)
 
 
-_GENERATORS = {
-    "z0": Z0,
-    "z0s": Z0S,
-    "z1": Z1,
-    "z1s": Z1S,   # z1* = z1 xi
-    "xi": XI,
-    "xis": XIS,   # xi^-1
+# The word (m, p, r) = z0^m z1^p xi^r of each named generator
+_LETTERS = {
+    "z0": (1, 0, 0),
+    "z0s": (-1, 0, 0),
+    "z1": (0, 1, 0),
+    "z1s": (0, 1, 1),   # z1* = z1 xi
+    "xi": (0, 0, 1),
+    "xis": (0, 0, -1),  # xi^-1
 }
+
+
+def _non_invertible(exponent: int) -> LoweringError:
+    return LoweringError(f"cannot raise a non-invertible element to the power {exponent}")
+
+
+def _check_power_digits(c: int, exponent: int) -> None:
+    """Refuse c^exponent, for c >= 0, when it would have more than
+    MAX_EXPONENT digits, before computing it."""
+    if c > 1 and exponent * math.log10(c) >= MAX_EXPONENT - 1:
+        digits = _power_digits(c, exponent)
+        if digits > MAX_EXPONENT:
+            raise LoweringError(f"coefficient of {digits} digits exceeds the supported length of {MAX_DIGITS}")
 
 
 def _power(base: AlgebraElement, exponent: int) -> AlgebraElement:
     if exponent >= 0:
         if len(base) == 1:
-            # one term c q^a w: the power's coefficient is exactly c^e, so
-            # one longer than MAX_EXPONENT digits is refused before it is built
+            # one term c q^a w: the power's coefficient is exactly c^e
             (_, c), *more = base.sole_term()[1].items_sorted()
-            c = abs(c)
-            if not more and exponent * math.log10(c) >= MAX_EXPONENT - 1:
-                digits = _power_digits(c, exponent)
-                if digits > MAX_EXPONENT:
-                    raise LoweringError(f"coefficient of {digits} digits exceeds the supported length of {MAX_DIGITS}")
+            if not more:
+                _check_power_digits(abs(c), exponent)
         return base ** exponent
     try:
         inv = base.try_inverse()
     except ValueError as exc:
-        raise LoweringError(f"cannot raise a non-invertible element to the power {exponent}") from exc
+        raise _non_invertible(exponent) from exc
     return inv ** -exponent
 
 
@@ -148,66 +161,123 @@ def _power_digits(c: int, e: int) -> int:
     return m + 1 if c ** (e // g) >= 10 ** (m // g) else m
 
 
-@lru_cache(maxsize=256)
-def _generator_power(name: str, exponent: int) -> AlgebraElement:
-    """A named generator to a power, computed once and then looked up.
-    Elements are immutable, so every reader may share the result; a
-    LoweringError is not cached and is raised again on every read."""
-    return _power(_GENERATORS[name], exponent)
-
-
 # -- recursive descent --------------------------------------------------
 #
 # Each rule takes the text, its tokens and the index of its first token,
-# and returns the normal-form element of what it read with the index of
-# the next token.  The text is only read to place an error.
+# and returns the normal-form element of what it read (_exponent: the
+# exponent) with the index of the next token.  The text is only read to
+# place an error.
 
 
 def _expr(text: str, tokens: list[str], i: int) -> tuple[AlgebraElement, int]:
     value, i = _term(text, tokens, i)
+    if tokens[i] not in _SIGNS:
+        return value, i
+    out = dict(value._terms)   # the one copy: every later term is added in place
     while (tok := tokens[i]) in _SIGNS:
-        term, i = _term(text, tokens, i + 1)
-        value = value - term if tok == "-" else value + term
-    return value, i
+        term, i = _term(text, tokens, i + 1, tok == "-")
+        _add_into(out, term._terms)
+    return AlgebraElement._canonical(out), i
 
 
-def _term(text: str, tokens: list[str], i: int) -> tuple[AlgebraElement, int]:
-    negate = False
+def _term(text: str, tokens: list[str], i: int, negate: bool = False) -> tuple[AlgebraElement, int]:
+    """A product of factors, folded into one running factored form.
+
+    A generator power, an integer literal or a q-power is folded with
+    integers into c q^e z0^m z1^p xi^r prod_P (1 - q^{2f} A)
+    (sigma3._form_product): c and q^e are central, a word that meets no
+    z0/z0* power adds its exponents and pays q^(-p m2), and a meet adds a
+    run to P.  The form is expanded once, when the term ends.  Only a
+    parenthesised factor, or a power of one, is multiplied as an element:
+    the form read before it is expanded and multiplied in first.
+    """
     while (tok := tokens[i]) in _SIGNS:
         negate ^= tok == "-"
         i += 1
-    value, i = _primary(text, tokens, i)
-    while (tok := tokens[i]) not in _TERM_ENDS:
-        factor, i = _primary(text, tokens, i + 1 if tok == "*" else i)
-        value = value * factor
-    return (-value if negate else value), i
-
-
-def _primary(text: str, tokens: list[str], i: int) -> tuple[AlgebraElement, int]:
-    tok = tokens[i]
-    if tok in _GENERATORS:
-        base = _GENERATORS[tok]
-    elif tok == "q":
-        # q is built when read, so a replaced qpow takes effect
-        base = AlgebraElement.scalar(qpow(1))
-    elif tok.isdigit():
-        digits = tok
-        if len(digits) > MAX_DIGITS:
-            digits = digits.lstrip("0") or "0"
+    c, e = (-1 if negate else 1), 0   # the central scalar c q^e of the whole term
+    m = p = r = 0                     # the word and runs read since the last element factor
+    runs = ()
+    value = None                      # the product up to the last element factor
+    while True:
+        if tok in _LETTERS:
+            m2, p2, r2 = _LETTERS[tok]
+            i += 1
+            if tokens[i] == "^":
+                exponent, i = _exponent(text, tokens, i)
+                if exponent < 0 and (m2 or p2):
+                    raise _non_invertible(exponent)
+                m2, p2, r2 = m2 * exponent, p2 * exponent, r2 * exponent
+            if m2 and (runs or (m and (m > 0) != (m2 > 0))):
+                e, (m, p, r), runs = _form_product((e, (m, p, r), runs), (0, (m2, p2, r2), ()))
+            else:
+                e -= p * m2
+                m, p, r = m + m2, p + p2, r + r2
+        elif tok == "q":
+            # q is built when read, so a replaced qpow takes effect
+            base = qpow(1)
+            exponent, i = _exponent(text, tokens, i + 1) if tokens[i + 1] == "^" else (1, i + 1)
+            unit = base.as_unit()
+            if unit is None:
+                value, m, p, r, runs = _times_element(value, (m, p, r), runs,
+                                                      AlgebraElement.scalar(base), exponent)
+            else:
+                sign, a = unit
+                e += a * exponent
+                if sign < 0 and exponent & 1:
+                    c = -c
+        elif tok.isdigit():
+            digits = tok
             if len(digits) > MAX_DIGITS:
-                raise ParseError(f"integer literal of {len(digits)} digits exceeds the supported length "
-                                 f"of {MAX_DIGITS}", _position(text, i))
-        base = AlgebraElement.scalar(int(digits))
-    elif tok == "(":
-        base, i = _expr(text, tokens, i + 1)
-        if tokens[i] != ")":
-            raise ParseError(f"expected RPAREN, found {tokens[i]!r}", _position(text, i))
-    else:
-        raise ParseError(f"expected a value, found {tok!r}" if tok else "unexpected end of input",
-                         _position(text, i))
-    i += 1
-    if tokens[i] != "^":
-        return base, i
+                digits = digits.lstrip("0") or "0"
+                if len(digits) > MAX_DIGITS:
+                    raise ParseError(f"integer literal of {len(digits)} digits exceeds the supported length "
+                                     f"of {MAX_DIGITS}", _position(text, i))
+            n = int(digits)
+            i += 1
+            if tokens[i] == "^":
+                exponent, i = _exponent(text, tokens, i)
+                if exponent < 0:
+                    if n != 1:
+                        raise _non_invertible(exponent)
+                else:
+                    _check_power_digits(n, exponent)
+                    n **= exponent
+            c *= n
+        elif tok == "(":
+            base, i = _expr(text, tokens, i + 1)
+            if tokens[i] != ")":
+                raise ParseError(f"expected RPAREN, found {tokens[i]!r}", _position(text, i))
+            exponent, i = _exponent(text, tokens, i + 1) if tokens[i + 1] == "^" else (None, i + 1)
+            value, m, p, r, runs = _times_element(value, (m, p, r), runs, base, exponent)
+        else:
+            raise ParseError(f"expected a value, found {tok!r}" if tok else "unexpected end of input",
+                             _position(text, i))
+        tok = tokens[i]
+        if tok in _TERM_ENDS:
+            break
+        if tok == "*":
+            i += 1
+            tok = tokens[i]
+    form = _expand((e, (m, p, r), runs), c)
+    return (form if value is None else value * form), i
+
+
+def _times_element(value, word, runs, base, exponent):
+    """value, times the word and runs read since the last element factor
+    (skipped when they are the bare word 1), times base^exponent; then
+    the empty word and runs that the term goes on with.  The term's
+    scalar c q^e is applied when it ends."""
+    if runs or word != (0, 0, 0):
+        form = _expand((0, word, runs))
+        value = form if value is None else value * form
+    if exponent is not None:
+        base = _power(base, exponent)
+    return (base if value is None else value * base), 0, 0, 0, ()
+
+
+def _exponent(text: str, tokens: list[str], i: int) -> tuple[int, int]:
+    """The exponent after the "^" at token i, and the index of the next
+    token."""
     sign = tokens[i + 1]
     i += 2 if sign in _SIGNS else 1
     digits = tokens[i]
@@ -221,9 +291,7 @@ def _primary(text: str, tokens: list[str], i: int) -> tuple[AlgebraElement, int]
     exponent = -int(digits) if sign == "-" else int(digits)
     if abs(exponent) > MAX_EXPONENT:
         raise ParseError(f"exponent {exponent} exceeds the supported range", _position(text, i))
-    if tok in _GENERATORS:
-        return _generator_power(tok, exponent), i + 1
-    return _power(base, exponent), i + 1
+    return exponent, i + 1
 
 
 def lower_text(text: str) -> AlgebraElement:

@@ -185,20 +185,8 @@ class LaurentPoly:
     def signed_terms(self) -> list[str]:
         """Each term, ascending exponent, as a signed piece of a sum:
         " + 3", " - q^-2", " + 2q"; sum_text joins them."""
-        pieces = []
         low = self._low
-        for e, c in sorted(self._coeffs.items()):
-            e += low
-            sign = " + "
-            if c < 0:
-                sign, c = " - ", -c
-            if e == 0:
-                pieces.append(f"{sign}{c}")
-            elif c == 1:
-                pieces.append(f"{sign}q" if e == 1 else f"{sign}q^{e}")
-            else:
-                pieces.append(f"{sign}{c}q" if e == 1 else f"{sign}{c}q^{e}")
-        return pieces
+        return [_term_text(low + e, c) for e, c in sorted(self._coeffs.items())]
 
     def __str__(self) -> str:
         return sum_text(self.signed_terms())
@@ -266,6 +254,19 @@ def qpow(e: int) -> LaurentPoly:
 
 
 # -- rendering shared by every text form of the package ------------------
+
+
+def _term_text(e: int, c: int) -> str:
+    """The nonzero term c q^e as a signed piece of a sum: " + 3",
+    " - q^-2", " + 2q"."""
+    sign = " + "
+    if c < 0:
+        sign, c = " - ", -c
+    if e == 0:
+        return f"{sign}{c}"
+    if c == 1:
+        return f"{sign}q" if e == 1 else f"{sign}q^{e}"
+    return f"{sign}{c}q" if e == 1 else f"{sign}{c}q^{e}"
 
 
 def power_text(name: str, e: int) -> str:

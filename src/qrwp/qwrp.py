@@ -8,8 +8,9 @@ generated by
 
 This module builds those generators, verifies the defining relation set
 of each family by comparing the factored normal forms of the two sides
-(_form_product), and factorizes any degree-zero basis word through the
-generators (with the q-power scalar that the reordering produces).
+(sigma3._form_product), and factorizes any degree-zero basis word
+through the generators (with the q-power scalar that the reordering
+produces).
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import itertools
 from typing import NamedTuple
 
 from .grading import Weights, degree
-from .qlaurent import ONE, LaurentPoly, _times, power_text, qpow
-from .sigma3 import AlgebraElement, NormalMonomial, _run_product, _word
+from .qlaurent import LaurentPoly, power_text, qpow
+from .sigma3 import AlgebraElement, NormalMonomial, _expand, _form_product
 
 # Relation sides are small data: a scalar q-power and a factor list.
 # Factors:  ("gen", name, starred)  with name in {"a", "b", "c"}, or
@@ -145,51 +146,6 @@ def generators(w: Weights) -> GeneratorSet:
     return GeneratorSet(weights=w, a=a, c=c, b=b)
 
 
-# A factored form (E, (m, p, r), P) stands for
-#     q^E z0^m z1^p xi^r prod_{e in P} (1 - q^{2e} A),   A = z1^2 xi,
-# with P a sorted tuple (a multiset).  Every relation side and every
-# generator word is one; _form_product and _expand work on them.
-
-
-def _form_product(x: tuple, y: tuple) -> tuple:
-    """The factored form of x y.
-
-    The runs of x move right past y's word: A z0^m = q^{-2m} z0^m A for
-    signed m, while z1 and xi commute with A, so e -> e - m2.  The words
-    multiply with the cost q^(-p1 m2) of moving z1^p1 past z0^m2, as in
-    sigma3._term_product.  A z0/z0* meet leaves the word (m1 + m2, p, r)
-    and one more run: z0^a z0*^b gives {0..w-1} and z0*^a z0^b gives
-    {-w..-1}, w = min(a, b); when that run stands left of the leftover
-    z0^d (d = m1 + m2 of the other sign), it moves past it by -d, the
-    shift sigma3._mono_product applies to each power of A.
-
-    Equal forms are equal elements, and the converse holds, so a relation
-    holds exactly when its two sides have equal forms.  Expand a form as
-    q^E w f(A), f(A) = prod_{e in P} (1 - q^{2e} A) = sum_k c_k A^k: each
-    c_k is nonzero (at q = 1 it is (-1)^k binomial(|P|, k)) and c_0 = 1,
-    so the normal form's terms are c_k q^E (m, p + 2k, r + k), and its
-    term of least z1 power is q^E (m, p, r): the normal form determines
-    E, the word and then f.  Z[q, q^-1][A] is a unique factorization
-    domain; each 1 - q^{2e} A is primitive of degree 1, hence irreducible;
-    the units are +-q^j, and +-q^j (1 - q^{2e'} A) has constant term
-    +-q^j, so it equals 1 - q^{2e} A only when j = 0 and e = e'.  So f
-    determines the multiset P, and equal normal forms have equal
-    (E, word, sorted P).
-    """
-    e1, (m1, p1, r1), run1 = x
-    e2, (m2, p2, r2), run2 = y
-    d = m1 + m2
-    runs = [*(e - m2 for e in run1), *run2] if m2 else [*run1, *run2]
-    if m1 and m2 and (m1 > 0) != (m2 > 0):
-        w = min(abs(m1), abs(m2))
-        if m1 > 0:  # z0^a z0*^b: {0..w-1}, left of z0*^-d when d < 0
-            lo = -min(d, 0)
-        else:       # z0*^a z0^b: {-w..-1}, left of z0^d when d > 0
-            lo = -w - max(d, 0)
-        runs.extend(range(lo, lo + w))
-    return e1 + e2 - p1 * m2, (d, p1 + p2, r1 + r2), tuple(sorted(runs))
-
-
 def _letter_forms(gens: GeneratorSet) -> dict:
     """The factored form of each generator letter, keyed (name, starred):
     a generator is one word, and so is its star, q^{pm} (-m, p, p - r)
@@ -208,29 +164,6 @@ def _side_form(side: RelationSide, letters: dict) -> tuple:
     out = (side.q_exponent, (0, 0, 0), ())
     for f in side.factors:
         out = _form_product(out, letters[f[1], f[2]] if f[0] == "gen" else (0, (0, 0, 0), tuple(sorted(f[1]))))
-    return out
-
-
-def _expand(x: tuple) -> AlgebraElement:
-    """The normal form of a factored form.  The multiset P splits into
-    runs of consecutive exponents; each run is one cached q-binomial
-    expansion, so a form with one run costs one q-shift and one word per
-    power of A."""
-    e, (m, p, r), factors = x
-    runs: list[list[int]] = []   # [first, last] of each run
-    for f in factors:
-        for run in runs:
-            if run[1] == f - 1:
-                run[1] = f
-                break
-        else:
-            runs.append([f, f])
-    poly = _run_product(runs[0][0], 1, runs[0][1] - runs[0][0] + 1) if runs else ((0, ONE),)
-    out = AlgebraElement._canonical({_word(NormalMonomial, (m, p + 2 * k, r + k)): _times(c, ONE, e)
-                                     for k, c in poly})
-    for first, last in runs[1:]:
-        out = out * AlgebraElement._canonical({_word(NormalMonomial, (0, 2 * k, k)): c
-                                               for k, c in _run_product(first, 1, last - first + 1)})
     return out
 
 
@@ -275,11 +208,11 @@ class RelationReport(NamedTuple):
 
 def verify_relations(w: Weights) -> RelationReport:
     """Check every defining relation of the family: a relation holds
-    exactly when its two sides have equal factored forms (_form_product
-    says why).  A failing relation is reported, not raised.  The report
-    keeps both sides' normal forms as elements, expanded from the forms;
-    a passing relation's sides are one element, expanded once.  Only
-    RelationReport.as_dict renders them."""
+    exactly when its two sides have equal factored forms
+    (sigma3._form_product says why).  A failing relation is reported,
+    not raised.  The report keeps both sides' normal forms as elements,
+    expanded from the forms; a passing relation's sides are one element,
+    expanded once.  Only RelationReport.as_dict renders them."""
     letters = _letter_forms(generators(w))
     results = []
     for rel in relations_for(w.parity, w.l):

@@ -20,7 +20,14 @@ product is the one word (m1 + m2, p1 + p2, r1 + r2) times q^(-p1 m2),
 the cost of moving z1^p1 past z0^m2, and its coefficient is built
 inline in one pass (qlaurent._times).  Only a z0/z0* meet is expanded,
 by _mono_product, whose bounded cache therefore holds meet expansions
-alone.  A word's text is built once and then looked up (_word_text).
+alone.  A word's text is built once and then looked up (_word_text),
+and a one-term coefficient renders without a sort.
+
+A product of generator powers and q-powers never needs the engine: it
+is one factored form q^E z0^m z1^p xi^r prod_P (1 - q^{2e} A), composed
+with integers by _form_product and expanded once by _expand.  qwrp
+decides its relations by comparing such forms, and the parser folds
+each product term it reads into one.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from itertools import accumulate
 from operator import neg
 from typing import Mapping, Sequence
 
-from .qlaurent import ONE, ZERO, LaurentPoly, _binary_power, _times, power_text, qpow, sum_text
+from .qlaurent import ONE, ZERO, LaurentPoly, _binary_power, _term_text, _times, power_text, qpow, sum_text
 
 
 class NormalMonomial(namedtuple("NormalMonomial", "m p r")):
@@ -234,7 +241,7 @@ class AlgebraElement:
 
     @classmethod
     def scalar(cls, value: LaurentPoly | int) -> "AlgebraElement":
-        # the parser's path: every literal and q is a plain int or a LaurentPoly
+        # the common arguments first: a plain int (_coerce_element), then a LaurentPoly
         if type(value) is int:
             value = LaurentPoly._canonical({0: value} if value else {})
         elif not isinstance(value, LaurentPoly):
@@ -276,13 +283,7 @@ class AlgebraElement:
         if other is None:
             return NotImplemented
         out = dict(self._terms)
-        for mono, coef in other._terms.items():
-            if mono in out:
-                coef = out[mono] + coef
-                if not coef:
-                    del out[mono]
-                    continue
-            out[mono] = coef
+        _add_into(out, other._terms)
         return AlgebraElement._canonical(out)
 
     __radd__ = __add__
@@ -383,19 +384,33 @@ class AlgebraElement:
     def __str__(self) -> str:
         pieces = []
         for mono, coef in self.terms():
-            terms = coef.signed_terms()
             word = _word_text(mono)
-            if len(terms) > 1:
-                pieces.append(f" + ({sum_text(terms)}){word}")
-            elif word and terms[0] in (" + 1", " - 1"):
+            body = coef._coeffs
+            if len(body) > 1:
+                pieces.append(f" + ({coef}){word}")
+                continue
+            c, e = body[0], coef._low   # one term c q^e, read without a sort
+            if word and not e and (c == 1 or c == -1):
                 # a coefficient of 1 stays implicit before a word, not on its own
-                pieces.append(terms[0][:3] + word[1:])
+                pieces.append((" + " if c > 0 else " - ") + word[1:])
             else:
-                pieces.append(terms[0] + word)
+                pieces.append(_term_text(e, c) + word)
         return sum_text(pieces)
 
     def __repr__(self) -> str:
         return f"<AlgebraElement {self}>"
+
+
+def _add_into(out: dict, terms: Mapping[NormalMonomial, LaurentPoly]) -> None:
+    """Add terms into the word-to-coefficient dict out in place, deleting
+    each word whose coefficients cancel."""
+    for mono, coef in terms.items():
+        if mono in out:
+            coef = out[mono] + coef
+            if not coef:
+                del out[mono]
+                continue
+        out[mono] = coef
 
 
 def _coerce_element(x):
@@ -413,6 +428,87 @@ Z1 = AlgebraElement.monomial(0, 1, 0)
 Z1S = AlgebraElement.monomial(0, 1, 1)   # z1* = z1 xi
 XI = AlgebraElement.monomial(0, 0, 1)
 XIS = AlgebraElement.monomial(0, 0, -1)
+
+
+# -- factored forms -------------------------------------------------------
+#
+# A factored form (E, (m, p, r), P) stands for
+#     q^E z0^m z1^p xi^r prod_{e in P} (1 - q^{2e} A),   A = z1^2 xi,
+# with P a sorted tuple (a multiset).  Every product of generator powers
+# and q-powers is one: each relation side and generator word of qwrp, and
+# each product term the parser reads.  _form_product composes two forms
+# with integers alone, and _expand builds the normal form of one.
+
+
+def _form_product(x: tuple, y: tuple) -> tuple:
+    """The factored form of x y.
+
+    The runs of x move right past y's word: A z0^m = q^{-2m} z0^m A for
+    signed m, while z1 and xi commute with A, so e -> e - m2.  The words
+    multiply with the cost q^(-p1 m2) of moving z1^p1 past z0^m2, as in
+    _term_product.  A z0/z0* meet leaves the word (m1 + m2, p, r) and
+    one more run: z0^a z0*^b gives {0..w-1} and z0*^a z0^b gives
+    {-w..-1}, w = min(a, b); when that run stands left of the leftover
+    z0^d (d = m1 + m2 of the other sign), it moves past it by -d, the
+    shift _mono_product applies to each power of A.
+
+    Equal forms are equal elements, and the converse holds, so a relation
+    holds exactly when its two sides have equal forms.  Expand a form as
+    q^E w f(A), f(A) = prod_{e in P} (1 - q^{2e} A) = sum_k c_k A^k: each
+    c_k is nonzero (at q = 1 it is (-1)^k binomial(|P|, k)) and c_0 = 1,
+    so the normal form's terms are c_k q^E (m, p + 2k, r + k), and its
+    term of least z1 power is q^E (m, p, r): the normal form determines
+    E, the word and then f.  Z[q, q^-1][A] is a unique factorization
+    domain; each 1 - q^{2e} A is primitive of degree 1, hence irreducible;
+    the units are +-q^j, and +-q^j (1 - q^{2e'} A) has constant term
+    +-q^j, so it equals 1 - q^{2e} A only when j = 0 and e = e'.  So f
+    determines the multiset P, and equal normal forms have equal
+    (E, word, sorted P).
+    """
+    e1, (m1, p1, r1), run1 = x
+    e2, (m2, p2, r2), run2 = y
+    d = m1 + m2
+    runs = [*(e - m2 for e in run1), *run2] if m2 else [*run1, *run2]
+    if m1 and m2 and (m1 > 0) != (m2 > 0):
+        w = min(abs(m1), abs(m2))
+        if m1 > 0:  # z0^a z0*^b: {0..w-1}, left of z0*^-d when d < 0
+            lo = -min(d, 0)
+        else:       # z0*^a z0^b: {-w..-1}, left of z0^d when d > 0
+            lo = -w - max(d, 0)
+        runs.extend(range(lo, lo + w))
+    return e1 + e2 - p1 * m2, (d, p1 + p2, r1 + r2), tuple(sorted(runs))
+
+
+def _expand(x: tuple, c: int = 1) -> AlgebraElement:
+    """The normal form of c times a factored form, for an integer c.
+
+    The multiset P splits into runs of consecutive exponents; each run is
+    one cached q-binomial expansion, so a form with one run costs one
+    q-shift and one word per power of A, and a form without one builds
+    a single term.  Every coefficient shares its body with the cached
+    run when c == 1, and is one scaled copy otherwise.
+    """
+    if not c:
+        return AlgebraElement.zero()
+    e, (m, p, r), factors = x
+    scale = ONE if c == 1 else LaurentPoly._canonical({0: c})
+    if not factors:
+        return AlgebraElement._canonical({_word(NormalMonomial, (m, p, r)): _times(scale, ONE, e)})
+    runs: list[list[int]] = []   # [first, last] of each run
+    for f in factors:
+        for run in runs:
+            if run[1] == f - 1:
+                run[1] = f
+                break
+        else:
+            runs.append([f, f])
+    (first, last), *more = runs
+    out = AlgebraElement._canonical({_word(NormalMonomial, (m, p + 2 * k, r + k)): _times(coef, scale, e)
+                                     for k, coef in _run_product(first, 1, last - first + 1)})
+    for first, last in more:
+        out = out * AlgebraElement._canonical({_word(NormalMonomial, (0, 2 * k, k)): coef
+                                               for k, coef in _run_product(first, 1, last - first + 1)})
+    return out
 
 
 def basis_monomial(m: int, p: int, r: int) -> AlgebraElement:

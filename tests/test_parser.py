@@ -198,6 +198,125 @@ def test_q_is_built_when_read(monkeypatch):
     assert calls == [1, 1]
 
 
+def test_a_replaced_qpow_is_read_once_per_q_and_folded(monkeypatch):
+    calls = []
+
+    def constant_qpow(e):
+        calls.append(e)
+        return qpow(0)
+
+    monkeypatch.setattr(parser, "qpow", constant_qpow)
+    assert lower_text("q^2 z0 z1") == lower_text("z0 z1")
+    calls.clear()
+    assert lower_text("3 q z0 q^-2") == 3 * Z0
+    assert calls == [1, 1]
+
+
+def test_a_negative_unit_qpow_keeps_its_sign(monkeypatch):
+    monkeypatch.setattr(parser, "qpow", lambda e: -qpow(e))
+    minus_q = AlgebraElement.scalar(-qpow(1))
+    for text, expected in (("q^3 z0 q^2", minus_q ** 5 * Z0), ("q^-1 z1 q^0", minus_q.try_inverse() * Z1),
+                           ("q z1 q", minus_q ** 2 * Z1)):
+        assert lower_text(text) == expected, text
+
+
+def test_a_non_unit_qpow_is_multiplied_as_an_element(monkeypatch):
+    monkeypatch.setattr(parser, "qpow", lambda e: qpow(e) + 1)
+    q = AlgebraElement.scalar(qpow(1) + 1)
+    assert lower_text("2 z1 q z0 q^2 z0s") == 2 * Z1 * q * Z0 * q ** 2 * Z0S
+    with pytest.raises(LoweringError):
+        lower_text("z0 q^-1")
+
+
+Q = AlgebraElement.scalar(qpow(1))
+QI = AlgebraElement.scalar(qpow(-1))
+_ENGINE = {"z0": Z0, "z0s": Z0S, "z1": Z1, "z1s": Z1S, "xi": XI, "xis": XIS}
+
+
+def _engine_power(g: AlgebraElement, e: int) -> AlgebraElement:
+    return g ** e if e >= 0 else g.try_inverse() ** -e
+
+
+@pytest.mark.parametrize("text, expected", [
+    # one meet, in both orders, with no leftover and with a leftover of either sign
+    ("z0 z0s", Z0 * Z0S),
+    ("z0s z0", Z0S * Z0),
+    ("z0^3 z1 z0s^2", Z0 ** 3 * Z1 * Z0S ** 2),
+    ("z0^2 z0s^3 xi", Z0 ** 2 * Z0S ** 3 * XI),
+    ("z1^2 z0s^3 z0^2", Z1 ** 2 * Z0S ** 3 * Z0 ** 2),
+    ("z0s^2 z0^3 z1s", Z0S ** 2 * Z0 ** 3 * Z1S),
+    # several meets in one term, runs moving past later words
+    ("z0 z0s z0 z0s", Z0 * Z0S * Z0 * Z0S),
+    ("z0^2 z0s^3 z0^4 z0s", Z0 ** 2 * Z0S ** 3 * Z0 ** 4 * Z0S),
+    ("z0s^2 z1 z0^3 xi^-1 z0s^4 z0^2 z1s", Z0S ** 2 * Z1 * Z0 ** 3 * XIS * Z0S ** 4 * Z0 ** 2 * Z1S),
+    ("z0 z0s^2 z0^3 z0s z0s z0", Z0 * Z0S ** 2 * Z0 ** 3 * Z0S * Z0S * Z0),
+    # xi^-k, q^+-k, the literals 0 and 1, leading "- -"
+    ("xi^-2 z0 xis^3 z0s", XIS ** 2 * Z0 * XIS ** 3 * Z0S),
+    ("q^-2 z0 q^3 z0s q", QI ** 2 * Z0 * Q ** 3 * Z0S * Q),
+    ("q^+2 z0s^0 q^0 z1", Q ** 2 * Z1),
+    ("0 z0 z0s", AlgebraElement.zero()),
+    ("1 z0s z0 1^-3", Z0S * Z0),
+    ("- - 2 z0 z0s", 2 * Z0 * Z0S),
+    ("z0 - - z0s z0 + - -3 z1", Z0 + Z0S * Z0 + 3 * Z1),
+    ("-+- 2^3 q^-1 z0^2 - 5^0 z0s", 8 * QI * Z0 ** 2 - Z0S),
+    # parenthesised and powered factors between folded runs
+    ("z0^2 (z0s + z1) z0s^3 z0", Z0 ** 2 * (Z0S + Z1) * Z0S ** 3 * Z0),
+    ("2 z0 z0s (z0 + q)^2 z0s^2 z0 z1", 2 * Z0 * Z0S * (Z0 + Q) ** 2 * Z0S ** 2 * Z0 * Z1),
+    ("q (z1) z0 (xi)^-2 z0s", Q * Z1 * Z0 * XIS ** 2 * Z0S),
+    ("- (2) (q^-1) (z0s^2) (z1) (z0^3) (xi^-1)", -2 * QI * Z0S ** 2 * Z1 * Z0 ** 3 * XIS),
+    ("-(z0 z0s)^2 q^2 (1) 3", -3 * (Z0 * Z0S) ** 2 * Q ** 2),
+])
+def test_folded_terms_match_engine_products(text, expected):
+    assert lower_text(text) == expected
+
+
+def _random_factor(rng, depth: int) -> tuple[str, AlgebraElement]:
+    """The text of one factor and its element, built by engine products of
+    the generator constants, try_inverse and AlgebraElement.scalar alone."""
+    kind = rng.random()
+    if kind < 0.15:
+        e = rng.randint(-3, 3)
+        return rng.choice((f"q^{e}", f"q^{e:+d}")), _engine_power(Q, e)
+    if kind < 0.25:
+        n = rng.choice((0, 1, 1, 2, 3, 7))
+        if rng.random() < 0.5:
+            return str(n), AlgebraElement.scalar(n)
+        e = rng.randint(0, 3) if n != 1 else rng.randint(-3, 3)
+        return f"{n}^{e}", AlgebraElement.scalar(n ** max(e, 0))
+    if kind < 0.35 and depth:
+        text, value = _random_expr(rng, depth - 1)
+        e = rng.randint(0, 2)
+        return f"({text})^{e}", value ** e
+    name = rng.choice(("z0", "z0s") * 3 + tuple(_ENGINE))
+    e = rng.randint(-3, 3) if name in ("xi", "xis") else rng.randint(0, 4)
+    if e == 1 and rng.random() < 0.5:
+        return name, _ENGINE[name]
+    return f"{name}^{e}", _engine_power(_ENGINE[name], e)
+
+
+def _random_expr(rng, depth: int) -> tuple[str, AlgebraElement]:
+    pieces, total = [], AlgebraElement.zero()
+    for n in range(rng.randint(1, 3)):
+        signs = rng.choice(("", "", "-", "- -", "+", "-+-"))
+        factors = [_random_factor(rng, depth) for _ in range(rng.randint(1, 6))]
+        value = AlgebraElement.one()
+        for _, factor in factors:
+            value = value * factor
+        if signs.count("-") % 2:
+            value = -value
+        op = rng.choice((" + ", " - ")) if n else ""
+        pieces.append(op + signs + rng.choice((" ", " * ")).join(text for text, _ in factors))
+        total = total - value if op == " - " else total + value
+    return "".join(pieces), total
+
+
+def test_seeded_expressions_match_engine_products():
+    rng = make_rng(34)
+    for _ in range(400):
+        text, expected = _random_expr(rng, 1)
+        assert lower_text(text) == expected, text
+
+
 def test_literals_too_long_for_int_are_parse_errors():
     # int() refuses more than 4300 digits: such a literal is a ParseError at
     # its token, an exponent with the range message it always had

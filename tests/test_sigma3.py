@@ -213,6 +213,15 @@ def test_run_product_matches_the_linear_factors(n):
             assert all(coef for _, coef in pairs)
 
 
+def test_expand_scales_by_an_integer():
+    rng = make_rng(28)
+    for _ in range(200):
+        runs = tuple(sorted(rng.randint(-3, 3) for _ in range(rng.randint(0, 3))))
+        form = (rng.randint(-3, 3), random_monomial(rng), runs)
+        c = rng.randint(-3, 3)
+        assert sigma3._expand(form, c) == sigma3._expand(form) * c, (form, c)
+
+
 def test_run_product_is_one_cached_tuple():
     rising = sigma3._one_minus_qa_product(range(7))
     # a tuple of tuples: no caller can change the shared expansion
