@@ -35,6 +35,7 @@ from .qwrp import (
     RelationReport,
     degree_zero_monomials,
     enumerate_word_monomials,
+    factorization_sweep,
     factorize,
     factorize_with_conjugates,
     generators,
@@ -73,7 +74,7 @@ __all__ = [
     "GeneratorSet", "GeneratorWord", "RelationReport",
     "generators", "relations_for", "verify_relations",
     "factorize", "factorize_with_conjugates", "word_element",
-    "degree_zero_monomials", "enumerate_word_monomials",
+    "degree_zero_monomials", "enumerate_word_monomials", "factorization_sweep",
     "RepReport", "WeightedShift",
     "rep_generator", "intertwiner_check", "rep_report",
     "GroupDescriptor", "IndexMap", "KGroups",

@@ -220,16 +220,7 @@ def _cmd_ktheory(args, cfg: RunConfig) -> int:
 
 def _factorize_section(w: Weights) -> dict:
     """Compact factorization sweep for the assembled report."""
-    m_max, p_max, r_max = 2 * w.l, 4, 4
-    monos = qwrp.degree_zero_monomials(w, m_max, p_max, r_max)
-    gens = qwrp.generators(w)
-    sound = True
-    for mono in monos:
-        word = qwrp.factorize(w, mono)
-        if qwrp.word_element(gens, word) * word.scalar != AlgebraElement.monomial(mono.m, mono.p, mono.r):
-            sound = False
-            break
-    complete = sound and qwrp.enumerate_word_monomials(w, m_max, p_max, r_max) == set(monos)
+    monos, sound, complete = qwrp.factorization_sweep(w, 2 * w.l, 4, 4)
     return {"k": w.k, "l": w.l, "monomials": len(monos), "sound": sound,
             "complete": complete, "pass": sound and complete}
 

@@ -6,11 +6,14 @@ generated by
     even k = 2s:    a = z1^2 xi,  c+ = z0^l xi^s,
     odd  k = 2s-1:  a = z1^2 xi,  b = z0^l z1 xi^s,  c- = z0^2l xi^k.
 
-This module builds those generators, verifies the defining relation set
-of each family by comparing the factored normal forms of the two sides
-(sigma3._form_product), and factorizes any degree-zero basis word
-through the generators (with the q-power scalar that the reordering
-produces).
+This module builds those generators (once per weight pair), verifies
+the defining relation set of each family by comparing the factored
+normal forms of the two sides (sigma3._form_product), and factorizes
+any degree-zero basis word through the generators (with the q-power
+scalar that the reordering produces).  The factorization sweep over a
+box normalizes every generator word of the box once, through engine
+products (word_element), into one table; both of its verdicts, and the
+brute-force enumeration that stays the independent oracle, read it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import itertools
 from typing import NamedTuple
 
 from .grading import Weights, degree
-from .qlaurent import LaurentPoly, power_text, qpow
+from .qlaurent import ONE, LaurentPoly, power_text, qpow
 from .sigma3 import AlgebraElement, NormalMonomial, _expand, _form_product
 
 # Relation sides are small data: a scalar q-power and a factor list.
@@ -136,7 +139,14 @@ class GeneratorSet(NamedTuple):
 
 
 def generators(w: Weights) -> GeneratorSet:
-    """Generator set of the degree-zero subalgebra for the weight pair."""
+    """Generator set of the degree-zero subalgebra for the weight pair.
+    The set is immutable, so it is built once per weight pair and shared;
+    the cache is typed, so a plain tuple equal to a pair is not one."""
+    return _generators(w)
+
+
+@functools.lru_cache(maxsize=128, typed=True)
+def _generators(w: Weights) -> GeneratorSet:
     a = AlgebraElement.monomial(0, 2, 1)
     if w.parity == "even":
         c = AlgebraElement.monomial(w.l, 0, w.s)
@@ -251,14 +261,17 @@ def word_text(word: GeneratorWord, parity: str) -> str:
 
 
 def word_element(gens: GeneratorSet, word: GeneratorWord) -> AlgebraElement:
-    """Normal form of the generator word (starred letters conjugated)."""
-    out = AlgebraElement.one()
+    """Normal form of the generator word (starred letters conjugated),
+    the engine product of its nonzero powers; with none, 1."""
+    out = None
     for name, e in word.letters:
-        g = gens.named(name)
-        if word.starred:
-            g = g.star()
-        out = out * g ** e
-    return out
+        if e:
+            g = gens.named(name)
+            if word.starred:
+                g = g.star()
+            g = g ** e
+            out = g if out is None else out * g
+    return AlgebraElement.one() if out is None else out
 
 
 def factorize(w: Weights, mono: NormalMonomial) -> GeneratorWord:
@@ -333,13 +346,15 @@ def degree_zero_monomials(w: Weights, m_max: int, p_max: int, r_max: int) -> lis
     return out
 
 
-def enumerate_word_monomials(w: Weights, m_max: int, p_max: int, r_max: int) -> set[NormalMonomial]:
-    """Brute-force route: normalize every generator word of bounded
-    exponent and collect the basis words that land in the box.  Each
-    word must normalize to a single term with a pure q-power scalar."""
+def _word_table(w: Weights, m_max: int, p_max: int) -> dict:
+    """Every generator word of exponents bounded by the box, normalized
+    once through engine products (word_element), in enumeration order:
+    {letters: (word, e)} with word_element(letters) = q^e word.  e is
+    None when the one coefficient is not a q-power, and the entry is None
+    when the normal form is not one term; the readers decide what that
+    means."""
     gens = generators(w)
     l = w.l
-    found: set[NormalMonomial] = set()
     if w.parity == "even":
         ranges = itertools.product(range(m_max // l + 1), range(p_max // 2 + 1))
         words = [(("c", n), ("a", e)) for n, e in ranges]
@@ -348,11 +363,61 @@ def enumerate_word_monomials(w: Weights, m_max: int, p_max: int, r_max: int) -> 
             range(m_max // l + 1), range(p_max // 2 + 1), range(m_max // (2 * l) + 1)
         )
         words = [(("b", beta), ("a", alpha), ("c", gamma)) for beta, alpha, gamma in ranges]
+    table = {}
     for letters in words:
-        elem = word_element(gens, GeneratorWord(letters=letters, scalar=qpow(0)))
-        mono, coef = elem.sole_term()
-        if coef.as_q_power() is None:
+        elem = word_element(gens, GeneratorWord(letters=letters, scalar=ONE))
+        if len(elem) == 1:
+            mono, coef = elem.sole_term()
+            table[letters] = (mono, coef.as_q_power())
+        else:
+            table[letters] = None
+    return table
+
+
+def _box_monomials(table: dict, m_max: int, p_max: int, r_max: int) -> set[NormalMonomial]:
+    """The basis words of the box that the table's words land on.  Each
+    word must normalize to a single term with a pure q-power scalar."""
+    found: set[NormalMonomial] = set()
+    for letters, entry in table.items():
+        if entry is None:
+            raise ValueError("element is not a single term")
+        mono, e = entry
+        if e is None:
             raise RuntimeError(f"word {letters} did not normalize to a q-power multiple of a basis word")
         if 0 <= mono.m <= m_max and mono.p <= p_max and abs(mono.r) <= r_max:
             found.add(mono)
     return found
+
+
+def enumerate_word_monomials(w: Weights, m_max: int, p_max: int, r_max: int) -> set[NormalMonomial]:
+    """Brute-force route: normalize every generator word of bounded
+    exponent and collect the basis words that land in the box.  Each
+    word must normalize to a single term with a pure q-power scalar."""
+    return _box_monomials(_word_table(w, m_max, p_max), m_max, p_max, r_max)
+
+
+def factorization_sweep(w: Weights, m_max: int, p_max: int,
+                        r_max: int) -> tuple[list[NormalMonomial], bool, bool]:
+    """Factor every degree-zero basis word of the box, (monomials, sound,
+    complete).  sound: each word's factorization times its scalar
+    normalizes back to the word.  complete: sound, and the generator words
+    of the box land on exactly those words (enumerate_word_monomials).
+    One engine-normalized table of the box's generator words
+    (_word_table) serves both verdicts: every word that factorize returns
+    for a box word is one of its words, and a word that is not (or is
+    starred, or has no q-power entry) is normalized by word_element."""
+    monos = degree_zero_monomials(w, m_max, p_max, r_max)
+    gens = generators(w)
+    table = _word_table(w, m_max, p_max)
+
+    def rebuilds(mono: NormalMonomial) -> bool:
+        word = factorize(w, mono)
+        entry = None if word.starred else table.get(word.letters)
+        if entry is None or entry[1] is None:
+            return word_element(gens, word) * word.scalar == AlgebraElement.monomial(mono.m, mono.p, mono.r)
+        found, e = entry
+        return found == mono and word.scalar.as_q_power() == -e
+
+    sound = all(rebuilds(mono) for mono in monos)
+    complete = sound and _box_monomials(table, m_max, p_max, r_max) == set(monos)
+    return monos, sound, complete

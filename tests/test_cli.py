@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qrwp import Weights, basis_monomial, fockrep, qwrp
+from qrwp import Weights, basis_monomial, fockrep, qpow, qwrp
 from qrwp.cli import COMMANDS, EXIT_CHECK_FAILED, EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, build_parser, main
 from qrwp.qwrp import RelationSide
 from qrwp.sigma3 import AlgebraElement, NormalMonomial
@@ -246,6 +246,29 @@ def test_report_all_fails_a_wrong_ambient_form(capsys, monkeypatch):
     code, out, _ = run(capsys, "report-all", "--lmax", "1", "--N", "64")
     assert code == EXIT_CHECK_FAILED
     assert "FAIL ambient faithfulness probe: 12 words not independent at N=128" in out
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda word: word._replace(scalar=word.scalar * qpow(1)),
+    lambda word: word._replace(letters=word.letters[:-1] + ((word.letters[-1][0], word.letters[-1][1] + 1),)),
+], ids=["wrong-scalar", "wrong-word"])
+def test_report_all_fails_a_wrong_factorization(capsys, monkeypatch, mutate):
+    factorize = qwrp.factorize
+    monkeypatch.setattr(qwrp, "factorize", lambda w, mono: mutate(factorize(w, mono)))
+    code, out, _ = run(capsys, "report-all", "--lmax", "1", "--N", "64")
+    assert code == EXIT_CHECK_FAILED
+    assert out.startswith("FAIL even l=1: relations 4/4, ") and "\nFAIL odd l=1: relations 11/11, " in out
+    assert out.endswith("PASS ambient faithfulness probe: 12 words independent at N=128\noverall: FAIL\n")
+    code, out, _ = run(capsys, "report-all", "--lmax", "1", "--N", "64", "--format", "json")
+    assert code == EXIT_CHECK_FAILED
+    payload = json.loads(out)
+    assert payload["all_pass"] is False
+    for section in payload["sections"]:
+        assert section["factorization"]["sound"] is False
+        assert section["factorization"]["complete"] is False
+        assert section["factorization"]["pass"] is False
+        assert section["pass"] is False
+        assert section["relations"]["all_pass"] and section["representations"]["all_pass"]
 
 
 @pytest.mark.parametrize("command, tol", [("rep-check", "nan"), ("ktheory", "nan"), ("rep-check", "inf")])

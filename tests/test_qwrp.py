@@ -1,10 +1,12 @@
 """Coinvariant generators, relation verification, factorization."""
 
+import itertools
 from math import gcd
 
 import pytest
 
 from qrwp import (
+    ONE,
     AlgebraElement,
     NormalMonomial,
     Weights,
@@ -12,6 +14,7 @@ from qrwp import (
     degree,
     degree_zero_monomials,
     enumerate_word_monomials,
+    factorization_sweep,
     factorize,
     factorize_with_conjugates,
     generators,
@@ -249,6 +252,163 @@ def test_factorize_completeness_oracle():
     for k, l in ((2, 3), (1, 2)):
         w = Weights(k, l)
         assert enumerate_word_monomials(w, 3 * l, 6, 6) == set(degree_zero_monomials(w, 3 * l, 6, 6))
+
+
+def _seeded_word_element(gens, word):
+    """word_element as a product seeded with 1 that takes every power, zero ones too."""
+    out = AlgebraElement.one()
+    for name, e in word.letters:
+        g = gens.named(name)
+        out = out * (g.star() if word.starred else g) ** e
+    return out
+
+
+def _two_pass_sweep(w, m_max, p_max, r_max):
+    """The factorization sweep normalizing twice: each factorization by
+    itself, then every generator word of the box again."""
+    gens = qwrp.generators(w)
+    monos = degree_zero_monomials(w, m_max, p_max, r_max)
+    sound = all(_seeded_word_element(gens, word) * word.scalar == basis_monomial(*mono)
+                for mono, word in ((mono, qwrp.factorize(w, mono)) for mono in monos))
+    if not sound:
+        return monos, False, False
+    names = ("c", "a") if w.parity == "even" else ("b", "a", "c")
+    tops = (m_max // w.l, p_max // 2) if w.parity == "even" else (m_max // w.l, p_max // 2, m_max // (2 * w.l))
+    found = set()
+    for exps in itertools.product(*(range(top + 1) for top in tops)):
+        mono, coef = _seeded_word_element(gens, GeneratorWord(tuple(zip(names, exps)), ONE)).sole_term()
+        if coef.as_q_power() is None:
+            raise RuntimeError(f"word {exps} is off the q-powers")
+        if 0 <= mono.m <= m_max and mono.p <= p_max and abs(mono.r) <= r_max:
+            found.add(mono)
+    return monos, True, found == set(monos)
+
+
+def _random_weights(rng, count):
+    out = []
+    while len(out) < count:
+        k, l = rng.randint(-7, 7), rng.randint(1, 6)
+        if gcd(abs(k), l) == 1:
+            out.append(Weights(k, l))
+    return out
+
+
+def test_skipping_zero_powers_changes_no_word():
+    rng = make_rng(41)
+    for w in _random_weights(rng, 12):
+        gens = generators(w)
+        names = ("a", "c") if w.parity == "even" else ("a", "b", "c")
+        words = [tuple((name, 0) for name in names), ()]
+        words += [tuple((rng.choice(names), rng.choice((0, 0, 1, 2, 3))) for _ in range(rng.randint(1, 5)))
+                  for _ in range(20)]
+        for letters in words:
+            for starred in (False, True):
+                word = GeneratorWord(letters, qpow(0), starred)
+                assert word_element(gens, word) == _seeded_word_element(gens, word), (w, word)
+        assert word_element(gens, GeneratorWord(words[0], qpow(0))) == AlgebraElement.one()
+
+
+def test_the_one_table_sweep_matches_the_two_pass_route():
+    rng = make_rng(42)
+    for w in _random_weights(rng, 16):
+        l = w.l
+        for box in ((2 * l, 4, 4), (3 * l, rng.randint(0, 7), rng.randint(0, 6)), (rng.randint(0, 4 * l), 5, 2)):
+            monos, sound, complete = factorization_sweep(w, *box)
+            assert (monos, sound, complete) == _two_pass_sweep(w, *box), (w, box)
+            assert sound and complete, (w, box)
+
+
+def _reordered_factorize(w, mono):
+    """factorize with the letters reversed and the scalar that keeps the
+    word right: a word the sweep's table does not hold."""
+    word = factorize(w, mono)
+    gens = generators(w)
+    reordered = GeneratorWord(tuple(reversed(word.letters)), qpow(0))
+    shift = (word_element(gens, word).sole_term()[1].as_q_power()
+             - word_element(gens, reordered).sole_term()[1].as_q_power())
+    return reordered._replace(scalar=word.scalar * qpow(shift))
+
+
+def test_a_word_outside_the_table_is_normalized_by_the_engine(monkeypatch):
+    calls = []
+    engine = qwrp.word_element
+    monkeypatch.setattr(qwrp, "word_element", lambda gens, word: calls.append(word) or engine(gens, word))
+    for w, box in ((Weights(2, 3), (6, 4, 4)), (Weights(1, 2), (4, 4, 4)), (Weights(-3, 1), (3, 6, 5))):
+        calls.clear()
+        monos, sound, complete = factorization_sweep(w, *box)
+        table_words = len(calls)
+        assert sound and complete and len(monos) > 1, w
+        # reversed letters are out of the table (a one-letter word reads the same)
+        monkeypatch.setattr(qwrp, "factorize", _reordered_factorize)
+        calls.clear()
+        assert factorization_sweep(w, *box) == _two_pass_sweep(w, *box) == (monos, True, True)
+        assert len(calls) == table_words + len(monos)
+        # a wrong scalar on a word outside the table is still caught
+        monkeypatch.setattr(qwrp, "factorize", lambda w, mono: _reordered_factorize(w, mono)._replace(scalar=qpow(7)))
+        assert factorization_sweep(w, *box) == _two_pass_sweep(w, *box) == (monos, False, False)
+        monkeypatch.setattr(qwrp, "factorize", factorize)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda word: word._replace(scalar=word.scalar * qpow(1)),
+    lambda word: word._replace(scalar=word.scalar * 2),
+    lambda word: word._replace(letters=word.letters[:-1] + ((word.letters[-1][0], word.letters[-1][1] + 1),)),
+    lambda word: word._replace(letters=word.letters[:-1] + ((word.letters[-1][0], word.letters[-1][1] + 9),)),
+    lambda word: word._replace(starred=True),
+], ids=["scalar-q", "scalar-2", "exponent+1", "exponent+9", "starred"])
+def test_a_wrong_factorization_is_unsound(monkeypatch, mutate):
+    monkeypatch.setattr(qwrp, "factorize", lambda w, mono: mutate(factorize(w, mono)))
+    for w in (Weights(2, 3), Weights(1, 1), Weights(1, 2)):
+        assert factorization_sweep(w, 2 * w.l, 4, 4)[1:] == (False, False), w
+
+
+def test_the_factorization_of_another_word_is_unsound(monkeypatch):
+    # each box word gets the next one's factorization, scalar included: a
+    # word the table holds, with that word's own q-power
+    for w in (Weights(2, 3), Weights(1, 1), Weights(1, 2)):
+        monos = degree_zero_monomials(w, 2 * w.l, 4, 4)
+        swapped = dict(zip(monos, monos[1:] + monos[:1]))
+        monkeypatch.setattr(qwrp, "factorize", lambda w, mono: factorize(w, swapped[mono]))
+        assert factorization_sweep(w, 2 * w.l, 4, 4) == _two_pass_sweep(w, 2 * w.l, 4, 4) == (monos, False, False)
+
+
+def test_a_word_off_the_q_powers_still_raises_once_sound(monkeypatch):
+    # negating a gives odd powers of a the coefficient -q^e; factorizations
+    # that carry the matching sign stay sound, and the completeness pass
+    # then meets the words that are not q-powers
+    w = Weights(1, 2)
+    gens = generators(w)
+    flipped = gens._replace(a=-gens.a)
+    clean = {mono: factorize(w, mono) for mono in degree_zero_monomials(w, 2 * w.l, 4, 4)}
+
+    def signed_factorize(w, mono):
+        word = clean[mono]
+        return word._replace(scalar=word.scalar * (-1) ** dict(word.letters)["a"])
+
+    monkeypatch.setattr(qwrp, "factorize", signed_factorize)
+    monkeypatch.setattr(qwrp, "generators", lambda w: flipped)
+    for sweep in (factorization_sweep, _two_pass_sweep):
+        with pytest.raises(RuntimeError, match="q-power"):
+            sweep(w, 2 * w.l, 4, 4)
+    with pytest.raises(RuntimeError, match="did not normalize to a q-power multiple"):
+        enumerate_word_monomials(w, 2 * w.l, 4, 4)
+    # a word of two terms is refused as before
+    monkeypatch.setattr(qwrp, "generators", lambda w: gens._replace(a=gens.a + 1))
+    with pytest.raises(ValueError, match="not a single term"):
+        enumerate_word_monomials(w, 2 * w.l, 4, 4)
+
+
+def test_generators_are_built_once_per_weight_pair():
+    assert generators(Weights(1, 3)) is generators(Weights(1, 3))
+    assert generators(Weights(2, 5)) is generators(Weights._make((2, 5)))
+    assert generators(Weights(2, 5)) is not generators(Weights(4, 5))
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            generators(Weights(2, 4))
+        with pytest.raises(ValueError):
+            generators(Weights(3, 0))
+        with pytest.raises(AttributeError):
+            generators((1, 3))      # equal to a cached pair, but not a Weights
 
 
 def test_degree_zero_monomials_match_the_scan():
