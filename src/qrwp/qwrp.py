@@ -274,6 +274,11 @@ def word_element(gens: GeneratorSet, word: GeneratorWord) -> AlgebraElement:
     return AlgebraElement.one() if out is None else out
 
 
+def _require_coinvariant(w: Weights, mono: NormalMonomial) -> None:
+    if degree(w, mono) != 0:
+        raise ValueError(f"monomial {mono} is not coinvariant for weights ({w.k}, {w.l})")
+
+
 def factorize(w: Weights, mono: NormalMonomial) -> GeneratorWord:
     """Factor a degree-zero basis word (m >= 0 family) through the
     generators.
@@ -282,29 +287,24 @@ def factorize(w: Weights, mono: NormalMonomial) -> GeneratorWord:
     Odd family:   with n = m/l and t minimal such that r - sn + t >= 0,
     the word is b^{n-2t} a^{r-sn+t} c-^t up to a q-power, which is
     read from the word's factored form (never assumed 1).
+
+    Degree zero is the only condition: k m + (p - 2r) l = 0 with
+    gcd(k, l) = 1 forces l | m, and with n = m/l, 2r = k n + p.  In the
+    even family (k = 2s) this is p = 2(r - sn), so p is even and
+    e = r - sn = p/2 >= 0.  In the odd family (k = 2s - 1) it is
+    r - sn = (p - n)/2, so alpha = max((p - n)/2, 0) and
+    beta = n - 2t = min(n, p), both >= 0.
     """
     if mono.m < 0:
         raise ValueError("factorize handles the z0 family; use the involution for z0* words")
-    if degree(w, mono) != 0:
-        raise ValueError(f"monomial {mono} is not coinvariant for weights ({w.k}, {w.l})")
-    l, s = w.l, w.s
-    if mono.m % l != 0:
-        raise ValueError(f"monomial {mono} lies outside the coinvariant basis family")
-    n = mono.m // l
+    _require_coinvariant(w, mono)
+    s = w.s
+    n = mono.m // w.l
     if w.parity == "even":
-        if mono.p % 2 != 0:
-            raise ValueError("even-family coinvariants have even z1 exponent")
-        e = mono.p // 2
-        if mono.r != s * n + e or e < 0:
-            raise ValueError(f"monomial {mono} lies outside the coinvariant basis family")
-        letters = (("c", n), ("a", e))
+        letters = (("c", n), ("a", mono.p // 2))
     else:
         t = max(0, s * n - mono.r)
-        alpha = mono.r - s * n + t
-        beta = n - 2 * t
-        if beta < 0 or alpha < 0:
-            raise ValueError(f"monomial {mono} lies outside the coinvariant basis family")
-        letters = (("b", beta), ("a", alpha), ("c", t))
+        letters = (("b", n - 2 * t), ("a", mono.r - s * n + t), ("c", t))
     gens = generators(w)
     form = (0, (0, 0, 0), ())
     for name, e in letters:
@@ -324,6 +324,8 @@ def factorize_with_conjugates(w: Weights, mono: NormalMonomial) -> GeneratorWord
     mono = q^{pm} lam * star(word)."""
     if mono.m >= 0:
         return factorize(w, mono)
+    # the involution keeps the degree up to sign; name the word as given
+    _require_coinvariant(w, mono)
     conj = NormalMonomial(-mono.m, mono.p, mono.p - mono.r)
     base = factorize(w, conj)
     letters = tuple(reversed(base.letters))

@@ -18,10 +18,12 @@ AlgebraElement.__mul__ takes the terms pair by pair.  When the z0 parts
 of two words do not meet (either is 0, or both have one sign) their
 product is the one word (m1 + m2, p1 + p2, r1 + r2) times q^(-p1 m2),
 the cost of moving z1^p1 past z0^m2, and its coefficient is built
-inline in one pass (qlaurent._times).  Only a z0/z0* meet is expanded,
-by _mono_product, whose bounded cache therefore holds meet expansions
-alone.  A word's text is built once and then looked up (_word_text),
-and a one-term coefficient renders without a sort.
+inline in one pass (qlaurent._times).  Only a z0/z0* meet is expanded:
+_mono_product expands the two words' factored product, so a meet goes
+through the same composer (_form_product) as the relation sides, and its
+bounded cache holds meet expansions alone.  A word's text is built once
+and then looked up (_word_text), and a one-term coefficient renders
+without a sort.
 
 A product of generator powers and q-powers never needs the engine: it
 is one factored form q^E z0^m z1^p xi^r prod_P (1 - q^{2e} A), composed
@@ -36,7 +38,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
 from operator import neg
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .qlaurent import ONE, ZERO, LaurentPoly, _binary_power, _term_text, _times, power_text, qpow, sum_text
 
@@ -90,9 +92,8 @@ def _gaussian_rows(n: int) -> tuple[dict[int, int], ...]:
     Rows k <= n/2 follow from the previous one as
     G_k = G_{k-1} (1 - x^{n-k+1}) / (1 - x^k); the rest are mirrors,
     [n k] = [n n-k], shared when n is even and negated when it is odd.
-    The rows are cached by n alone: each is a palindrome,
-    [n k]_{x^-1} = x^{-k(n-k)} [n k]_x, so a rising and a falling run of
-    one length share the same bodies.
+    The rows are cached by n alone, so every run of length n shares the
+    same bodies.
     """
     gauss = [1]
     rows = [{0: 1}]
@@ -111,72 +112,27 @@ def _gaussian_rows(n: int) -> tuple[dict[int, int], ...]:
     return tuple(rows)
 
 
-def _one_minus_qa_product(exponents: Sequence[int]) -> tuple[tuple[int, LaurentPoly], ...]:
-    """Expand prod_e (1 - q^{2e} A) as (A-power, coefficient) pairs,
-    ascending in the power; every coefficient is nonzero.
-
-    The exponents must be a run e0, e0 + d, ..., e0 + (n-1) d with step
-    d = +-1.  By the q-binomial theorem the coefficient of A^k is
-
-        (-1)^k q^{2k e0 + d k(k-1)} [n k]_{q^{2d}},
-
-    with [n k] read from _gaussian_rows(n) for either sign of d.  The
-    expansion is cached by (e0, d, n), so every caller of one run shares
-    the same immutable pairs.
-    """
-    n = len(exponents)
-    e0 = exponents[0] if n else 0
-    d = exponents[1] - e0 if n > 1 else 1
-    return _run_product(e0, d, n)
-
-
 @lru_cache(maxsize=None)
-def _run_product(e0: int, d: int, n: int) -> tuple[tuple[int, LaurentPoly], ...]:
-    """Each row body of _gaussian_rows(n), wrapped without a copy at the
-    lowest exponent of its coefficient."""
-    terms = []
-    for k, body in enumerate(_gaussian_rows(n)):
-        low = 2 * k * e0 + d * k * (k - 1)
-        if d < 0:   # the palindrome read from its far end, 2k(n-k) lower
-            low -= 2 * k * (n - k)
-        terms.append((k, LaurentPoly._canonical(body, low)))
-    return tuple(terms)
+def _run_product(e0: int, n: int) -> tuple[tuple[int, LaurentPoly], ...]:
+    """Expand the run prod_{e=e0}^{e0+n-1} (1 - q^{2e} A) as (A-power,
+    coefficient) pairs, ascending in the power; every coefficient is
+    nonzero.  By the q-binomial theorem the coefficient of A^k is
+
+        (-1)^k q^{2k e0 + k(k-1)} [n k]_{q^2},
+
+    so each is a row body of _gaussian_rows(n), wrapped without a copy at
+    its lowest exponent, and every caller of one run shares the same
+    immutable pairs.
+    """
+    return tuple((k, LaurentPoly._canonical(body, 2 * k * e0 + k * (k - 1)))
+                 for k, body in enumerate(_gaussian_rows(n)))
 
 
 @lru_cache(maxsize=262144)
 def _mono_product(w1: NormalMonomial, w2: NormalMonomial):
-    """Normal form of w1 * w2 as a tuple of (monomial, nonzero coeff), for
-    words whose z0 parts meet: m1 and m2 nonzero, of opposite signs.
-    AlgebraElement.__mul__ computes every other pair inline, so the cache
-    holds meet expansions only.
-
-    Steps: move z1^p1 past the z0-part of the right word (cost q^{-p1*m2},
-    valid for both families thanks to the signed encoding), resolve the
-    adjacent z0/z0* powers by the closed forms, then move the resulting
-    A-powers into normal position.
-    """
-    m1, p1, r1 = w1
-    m2, p2, r2 = w2
-    cost = -p1 * m2
-    p = p1 + p2
-    r = r1 + r2
-    d = m1 + m2
-    terms = []
-    if m1 > 0:
-        # z0^a z0s^b -> [z0^d] prod_{j=0}^{w-1}(1 - q^{2j} A) [z0s^{-d}]
-        w = min(m1, -m2)
-        for j, coef in _one_minus_qa_product(range(w)):
-            # when d < 0 the A-polynomial sits left of z0s^{-d}: A^j z0s^k = q^{2jk} z0s^k A^j
-            shift = cost if d >= 0 else cost - 2 * j * d
-            terms.append((NormalMonomial(d, p + 2 * j, r + j), coef * qpow(shift)))
-    else:
-        # z0s^a z0^b -> [z0s^{-d}] prod_{i=1}^{w}(1 - q^{-2i} A) [z0^d]
-        w = min(-m1, m2)
-        for j, coef in _one_minus_qa_product(range(-1, -w - 1, -1)):
-            # when d > 0 the A-polynomial sits left of z0^d: A^j z0^k = q^{-2jk} z0^k A^j
-            shift = cost if d <= 0 else cost - 2 * j * d
-            terms.append((NormalMonomial(d, p + 2 * j, r + j), coef * qpow(shift)))
-    return tuple(terms)
+    """The (word, coefficient) terms of w1 w2 for words whose z0 parts meet,
+    expanded from their factored product; the only pairs cached here."""
+    return tuple(_expand(_form_product((0, w1, ()), (0, w2, ())))._terms.items())
 
 
 def _term_product(w1: NormalMonomial, c1: LaurentPoly, w2: NormalMonomial, c2: LaurentPoly):
@@ -449,8 +405,7 @@ def _form_product(x: tuple, y: tuple) -> tuple:
     _term_product.  A z0/z0* meet leaves the word (m1 + m2, p, r) and
     one more run: z0^a z0*^b gives {0..w-1} and z0*^a z0^b gives
     {-w..-1}, w = min(a, b); when that run stands left of the leftover
-    z0^d (d = m1 + m2 of the other sign), it moves past it by -d, the
-    shift _mono_product applies to each power of A.
+    z0^d (d = m1 + m2 of the other sign), it moves past it by -d.
 
     Equal forms are equal elements, and the converse holds, so a relation
     holds exactly when its two sides have equal forms.  Expand a form as
@@ -504,10 +459,10 @@ def _expand(x: tuple, c: int = 1) -> AlgebraElement:
             runs.append([f, f])
     (first, last), *more = runs
     out = AlgebraElement._canonical({_word(NormalMonomial, (m, p + 2 * k, r + k)): _times(coef, scale, e)
-                                     for k, coef in _run_product(first, 1, last - first + 1)})
+                                     for k, coef in _run_product(first, last - first + 1)})
     for first, last in more:
         out = out * AlgebraElement._canonical({_word(NormalMonomial, (0, 2 * k, k)): coef
-                                               for k, coef in _run_product(first, 1, last - first + 1)})
+                                               for k, coef in _run_product(first, last - first + 1)})
     return out
 
 

@@ -4,6 +4,7 @@ All randomized suites use SEED so failures reproduce exactly.
 """
 
 import cmath
+import functools
 import itertools
 import math
 import random
@@ -13,7 +14,6 @@ import numpy as np
 
 from qrwp import AlgebraElement, LaurentPoly, NormalMonomial, Weights, degree, generators, powers_oracle, qpow
 from qrwp import fockrep
-from qrwp.sigma3 import _one_minus_qa_product
 
 SEED = 31415926
 
@@ -150,15 +150,28 @@ def product_oracle(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 def eval_side(side, gens) -> AlgebraElement:
     """One relation side (a qwrp.RelationSide) as a normal form, by
     multiplying its factors out with AlgebraElement's product: the oracle
-    for the factored route of qwrp.verify_relations."""
+    for the factored route of qwrp.verify_relations.  A run
+    prod_e (1 - q^{2e} a), a = z1^2 xi, is multiplied in one linear
+    factor at a time, not through the engine's run expansion."""
     out = AlgebraElement.scalar(qpow(side.q_exponent))
     for f in side.factors:
         if f[0] == "gen":
             g = gens.named(f[1])
             out = out * (g.star() if f[2] else g)
-        else:  # prod_e (1 - q^{2e} a), with a^j = z1^{2j} xi^j
-            out = out * AlgebraElement({NormalMonomial(0, 2 * j, j): c for j, c in _one_minus_qa_product(f[1])})
+        else:
+            out = out * _linear_factors(f[1])
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _linear_factors(exponents: tuple[int, ...]) -> AlgebraElement:
+    """prod_e (1 - q^{2e} a), a = z1^2 xi, multiplied out one linear
+    factor at a time.  Cached by prefix, since many relation sides share
+    a run or its start."""
+    one = AlgebraElement.one()
+    if not exponents:
+        return one
+    return _linear_factors(exponents[:-1]) * (one - AlgebraElement.monomial(0, 2, 1, qpow(2 * exponents[-1])))
 
 
 # -- brute-force scan of the degree-zero box --------------------------------

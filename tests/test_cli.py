@@ -149,6 +149,14 @@ def test_factorize_rejects_non_words(capsys):
     assert "basis word" in err
 
 
+def test_factorize_names_the_starred_word_it_was_given(capsys):
+    # the involution factors z0s^2 through its conjugate z0^2; the error names the input
+    code, out, err = run(capsys, "factorize", "--k", "1", "--l", "2", "z0s^2")
+    assert code == EXIT_PRECONDITION
+    assert not out
+    assert "monomial z0s^2 is not coinvariant" in err
+
+
 def test_ktheory(capsys):
     code, out, _ = run(capsys, "ktheory", "--parity", "odd", "--l", "2", "--N", "64")
     assert code == EXIT_OK

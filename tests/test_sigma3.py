@@ -205,11 +205,12 @@ def linear_factor_product(exponents) -> list:
 @pytest.mark.parametrize("n", range(13))
 def test_run_product_matches_the_linear_factors(n):
     # n = 0 is the empty product; odd and even n put a row in the mirrored
-    # half or one row on the middle of the Gaussian binomials
+    # half or one row on the middle of the Gaussian binomials; each run
+    # starts at e0 or ends there
     for e0 in (0, -1, 3):
-        for run in (range(e0, e0 + n), range(e0, e0 - n, -1)):
-            pairs = sigma3._one_minus_qa_product(run)
-            assert list(pairs) == linear_factor_product(run), (e0, list(run))
+        for first in (e0, e0 - n + 1):
+            pairs = sigma3._run_product(first, n)
+            assert list(pairs) == linear_factor_product(range(first, first + n)), (first, n)
             assert all(coef for _, coef in pairs)
 
 
@@ -223,25 +224,29 @@ def test_expand_scales_by_an_integer():
 
 
 def test_run_product_is_one_cached_tuple():
-    rising = sigma3._one_minus_qa_product(range(7))
+    rising = sigma3._run_product(0, 7)
     # a tuple of tuples: no caller can change the shared expansion
     assert isinstance(rising, tuple) and all(isinstance(pair, tuple) for pair in rising)
-    # the same run, however it is spelled, returns the same coefficient objects
-    again = sigma3._one_minus_qa_product(tuple(range(7)))
+    # the same run returns the same coefficient objects
+    again = sigma3._run_product(0, 7)
     assert again is rising
     assert all(a is b for (_, a), (_, b) in zip(rising, again))
-    # the falling run of a length reads the rows the rising run built
-    sigma3._one_minus_qa_product(range(31))
+    # a run of one length elsewhere, such as the run {-31..-1} of a
+    # z0*^31 z0^31 meet, reads the rows the run {0..30} built
+    sigma3._run_product(0, 31)
     rows = sigma3._gaussian_rows.cache_info()
-    sigma3._one_minus_qa_product(range(-1, -32, -1))
+    sigma3._run_product(-31, 31)
     assert sigma3._gaussian_rows.cache_info().misses == rows.misses
 
 
 @pytest.mark.parametrize("n", (1, 2, 7, 31))
 def test_rising_and_falling_runs_share_their_bodies(n):
-    rising = sigma3._one_minus_qa_product(range(n))
-    falling = sigma3._one_minus_qa_product(range(-1, -n - 1, -1))
-    assert all(a._coeffs is b._coeffs for (_, a), (_, b) in zip(rising, falling, strict=True))
+    # the runs of the two meets, z0^n z0*^n ({0..n-1}) and z0*^n z0^n
+    # ({-n..-1}), and one further along wrap the same _gaussian_rows(n)
+    rising = sigma3._run_product(0, n)
+    for e0 in (-n, 5):
+        other = sigma3._run_product(e0, n)
+        assert all(a._coeffs is b._coeffs for (_, a), (_, b) in zip(rising, other, strict=True))
 
 
 def test_mono_product_keeps_its_cache_counters():
@@ -286,6 +291,18 @@ def test_products_match_the_word_oracle():
         seen["negative xi"] += any(w.r < 0 for w in (*x._terms, *y._terms))
     kinds = ("z0 z0s", "z0s z0", "z0 z0", "z0s z0s", "no z0", "one by one", "long coefficient", "negative xi")
     assert all(seen[kind] >= 10 for kind in kinds), seen
+    # every meeting word pair of a small box, in both orders, with the
+    # leftover z0 power m1 + m2 negative, zero and positive
+    signs = Counter()
+    for m1, m2 in itertools.product((*range(-4, 0), *range(1, 5)), repeat=2):
+        if (m1 > 0) == (m2 > 0):
+            continue
+        signs[(m1 > 0, (m1 + m2 > 0) - (m1 + m2 < 0))] += 1
+        for p1, p2, r1, r2 in itertools.product(range(3), range(3), (-1, 1), (-1, 1)):
+            w1, w2 = NormalMonomial(m1, p1, r1), NormalMonomial(m2, p2, r2)
+            xy = AlgebraElement.monomial(*w1) * AlgebraElement.monomial(*w2)
+            assert xy == word_product_oracle(w1, w2), (w1, w2)
+    assert len(signs) == 6, signs
 
 
 def test_products_of_elements_associate():
