@@ -4,6 +4,13 @@ Exit codes: 0 all checks pass, 2 expression parse error, 3 precondition
 violation (bad weights or parameters), 4 check failure.  Defaults
 q=0.5, N=256, tolerance=1e-10 may be overridden by the environment
 variables QRWP_Q, QRWP_N, QRWP_TOL and, with higher priority, by flags.
+
+Parsing builds one of two parsers.  When the first argument names a
+command and no -h or --help follows, main builds that command's parser
+alone, with prog "qrwp <command>" as its subparser has, and reads the
+rest of the arguments with it.  Help, no argument, an unknown command
+and leftover arguments go to the full parser of build_parser, one
+subparser per command, so its help and usage errors list every command.
 """
 
 from __future__ import annotations
@@ -342,28 +349,49 @@ COMMANDS = (
 )
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The qrwp parser.  When argv[0] names a command, only that command's
-    subparser is built; otherwise (help, no argument, an unknown command)
-    all of them are, so help and errors list every command."""
-    ap = argparse.ArgumentParser(prog="qrwp", description=__doc__)
+def _fill(p: argparse.ArgumentParser, name: str, handler, add_arguments) -> None:
+    """Give p the arguments of the command name, then the common ones."""
+    add_arguments(p)
+    _add_common(p)
+    p.set_defaults(command=name, handler=handler)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full qrwp parser: one subparser for each command.  main parses
+    with it for help, no argument, an unknown command and leftover
+    arguments, so help and usage errors list every command."""
+    # --help shows the first two paragraphs of the docstring, not the one on parsing
+    ap = argparse.ArgumentParser(prog="qrwp", description=__doc__ and "\n\n".join(__doc__.split("\n\n")[:2]))
     sub = ap.add_subparsers(dest="command", required=True)
-    chosen = [c for c in COMMANDS if argv and c[0] == argv[0]]
-    if chosen:
-        # usage lines name every command, as they do with all of them built
-        sub.metavar = "{" + ",".join(c[0] for c in COMMANDS) + "}"
-    for name, help_text, handler, add_arguments in chosen or COMMANDS:
-        p = sub.add_parser(name, help=help_text)
-        add_arguments(p)
-        _add_common(p)
-        p.set_defaults(handler=handler)
+    for name, help_text, handler, add_arguments in COMMANDS:
+        _fill(sub.add_parser(name, help=help_text), name, handler, add_arguments)
     return ap
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The parsed arguments, as build_parser().parse_args(argv) gives them.
+
+    A named command without -h or --help is read by its own parser alone,
+    built as its subparser is (prog "qrwp <name>"), so its errors are the
+    subparser's; any other argv, or leftover arguments, go to the full
+    parser.
+    """
+    if argv and "-h" not in argv and "--help" not in argv:
+        for name, _, handler, add_arguments in COMMANDS:
+            if name == argv[0]:
+                p = argparse.ArgumentParser(prog=f"qrwp {name}")
+                _fill(p, name, handler, add_arguments)
+                args, rest = p.parse_known_args(argv[1:])
+                if not rest:
+                    return args
+                break
+    return build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    args = _parse(argv)
     try:
         cfg = _config(args)
     except ValueError as exc:

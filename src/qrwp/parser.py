@@ -41,8 +41,8 @@ from __future__ import annotations
 import math
 import re
 
-from .qlaurent import qpow
-from .sigma3 import AlgebraElement, _add_into, _expand, _form_product
+from .qlaurent import LaurentPoly, qpow
+from .sigma3 import AlgebraElement, NormalMonomial, _add_into, _expand, _form_product, _word
 
 NAMES = ("q", "z0", "z0s", "z1", "z1s", "xi", "xis")
 MAX_EXPONENT = 10**6
@@ -73,6 +73,7 @@ _TOKEN = re.compile(r"[0-9]+|[A-Za-z][A-Za-z0-9_]*|[^ \t\n\r\f\v]")
 _WORDS = frozenset(NAMES + tuple("^*+-()"))   # every valid token but an integer
 _SIGNS = ("+", "-")
 _TERM_ENDS = frozenset(("+", "-", ")", "^", ""))   # tokens that cannot start a factor
+_DIGITS = {str(d): d for d in range(10)}   # the one-digit exponents, read without _exponent
 
 
 def _tokenize(text: str) -> list[str]:
@@ -170,18 +171,18 @@ def _power_digits(c: int, e: int) -> int:
 
 
 def _expr(text: str, tokens: list[str], i: int) -> tuple[AlgebraElement, int]:
-    value, i = _term(text, tokens, i)
-    if tokens[i] not in _SIGNS:
-        return value, i
-    out = dict(value._terms)   # the one copy: every later term is added in place
+    out, i = _term(text, tokens, i)
+    # _term builds a new dict for every term, one no element holds, so the
+    # later terms are added into the first one's in place, without a copy
     while (tok := tokens[i]) in _SIGNS:
-        term, i = _term(text, tokens, i + 1, tok == "-")
-        _add_into(out, term._terms)
+        terms, i = _term(text, tokens, i + 1, tok == "-")
+        _add_into(out, terms)
     return AlgebraElement._canonical(out), i
 
 
-def _term(text: str, tokens: list[str], i: int, negate: bool = False) -> tuple[AlgebraElement, int]:
-    """A product of factors, folded into one running factored form.
+def _term(text: str, tokens: list[str], i: int, negate: bool = False) -> tuple[dict, int]:
+    """A product of factors, folded into one running factored form; the
+    term's new word-to-coefficient dict.
 
     A generator power, an integer literal or a q-power is folded with
     integers into c q^e z0^m z1^p xi^r prod_P (1 - q^{2f} A)
@@ -189,7 +190,9 @@ def _term(text: str, tokens: list[str], i: int, negate: bool = False) -> tuple[A
     z0/z0* power adds its exponents and pays q^(-p m2), and a meet adds a
     run to P.  The form is expanded once, when the term ends.  Only a
     parenthesised factor, or a power of one, is multiplied as an element:
-    the form read before it is expanded and multiplied in first.
+    the form read before it is expanded and multiplied in first.  A term
+    of one word, with no run and no element factor, is its one
+    coefficient c q^e, built without _expand.
     """
     while (tok := tokens[i]) in _SIGNS:
         negate ^= tok == "-"
@@ -203,7 +206,11 @@ def _term(text: str, tokens: list[str], i: int, negate: bool = False) -> tuple[A
             m2, p2, r2 = _LETTERS[tok]
             i += 1
             if tokens[i] == "^":
-                exponent, i = _exponent(text, tokens, i)
+                exponent = _DIGITS.get(tokens[i + 1])
+                if exponent is None:
+                    exponent, i = _exponent(text, tokens, i)
+                else:
+                    i += 2
                 if exponent < 0 and (m2 or p2):
                     raise _non_invertible(exponent)
                 m2, p2, r2 = m2 * exponent, p2 * exponent, r2 * exponent
@@ -258,8 +265,10 @@ def _term(text: str, tokens: list[str], i: int, negate: bool = False) -> tuple[A
         if tok == "*":
             i += 1
             tok = tokens[i]
+    if value is None and not runs:
+        return ({_word(NormalMonomial, (m, p, r)): LaurentPoly._canonical({0: c}, e)} if c else {}), i
     form = _expand((e, (m, p, r), runs), c)
-    return (form if value is None else value * form), i
+    return (form if value is None else value * form)._terms, i
 
 
 def _times_element(value, word, runs, base, exponent):

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from qrwp import Weights, basis_monomial, fockrep, qpow, qwrp
-from qrwp.cli import COMMANDS, EXIT_CHECK_FAILED, EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, build_parser, main
+from qrwp.cli import COMMANDS, EXIT_CHECK_FAILED, EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, _parse, build_parser, main
 from qrwp.qwrp import RelationSide
 from qrwp.sigma3 import AlgebraElement, NormalMonomial
 
@@ -368,14 +369,50 @@ def test_readme_library_quick_start(capsys):
 NAMES = [name for name, *_ in COMMANDS]
 
 
-def test_parser_builds_only_the_named_command():
-    def built(argv):
-        (sub,) = [action for action in build_parser(argv)._actions if action.dest == "command"]
-        return list(sub.choices)
+VALID_ARGVS = [
+    ["normalize", "z0 z0s"],
+    ["normalize", "--", "-z0"],
+    ["star", "z0", "--format", "json"],
+    ["degree", "--k", "-3", "--l", "2", "z0^3 xi"],
+    ["generators", "--l", "1", "--k", "1", "--format=text"],
+    ["verify-relations", "--parity", "odd", "--l", "5", "--k", "2"],
+    ["factorize", "--k", "1", "--l", "1", "z0^2 xi"],
+    ["rep-check", "--parity", "even", "--l", "3", "--q=0.5", "--N", "32"],
+    ["ktheory", "--parity", "odd", "--l", "1", "--tol", "1e-9"],
+    ["report-all"],
+    ["report-all", "--lm", "1", "--fo", "json"],
+    ["report-all", "--lmax", "1", "--lmax", "2", "--q", "0.3", "--q", "0.4"],
+]
 
-    assert built(None) == built([]) == built(["bogus"]) == built(["-h", "report-all"]) == NAMES
-    for name in NAMES:
-        assert built([name, "--help"]) == [name]
+
+@pytest.mark.parametrize("argv", VALID_ARGVS, ids=" ".join)
+def test_named_command_parses_as_the_full_parser(argv):
+    assert _parse(list(argv)) == build_parser().parse_args(argv)
+
+
+def test_a_named_command_builds_one_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert {argv[0] for argv in VALID_ARGVS} == set(NAMES)
+    for argv in VALID_ARGVS:
+        built.clear()
+        _parse(list(argv))
+        assert built == [f"qrwp {argv[0]}"], argv
+    full = ["qrwp", *(f"qrwp {name}" for name in NAMES)]
+    for argv, first in (([], []), (["-h"], []), (["report-all", "-h"], []), (["bogus"], []),
+                        (["report-all", "--lmax", "1", "extra"], ["qrwp report-all"])):
+        built.clear()
+        with pytest.raises(SystemExit):
+            _parse(list(argv))
+        # leftover arguments are read again by the full parser, for its error
+        assert built == first + full, argv
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv", [
@@ -386,12 +423,16 @@ def test_parser_builds_only_the_named_command():
     ["--foo", "report-all"],
     ["report-all", "--foo"],
     ["report-all", "--lmax", "1", "extra"],
+    ["report-all", "--lmax"],
+    ["report-all", "--lm"],
+    ["normalize"],
+    ["star", "z0", "extra"],
     ["verify-relations", "--l", "5"],
     ["degree", "--k", "1", "--l", "2", "z0", "--format", "xml"],
 ], ids=lambda argv: " ".join(argv) or "no argument")
 def test_help_and_usage_errors_match_the_full_parser(capsys, monkeypatch, argv):
-    # main builds one subparser when argv names a command; its help and
-    # errors must read as they do from the parser with every command built
+    # main builds only the named command's parser when argv names one; its
+    # help and errors must read as they do from the parser with every command built
     monkeypatch.setenv("COLUMNS", "80")
     outcomes = []
     for call in (lambda: main(list(argv)), lambda: build_parser().parse_args(argv)):
@@ -400,6 +441,8 @@ def test_help_and_usage_errors_match_the_full_parser(capsys, monkeypatch, argv):
         outcomes.append((exited.value.code, *capsys.readouterr()))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == (0 if "-h" in argv else 2)
+    if argv == ["-h"]:   # the description is the docstring without its paragraph on parsing
+        assert "Exit codes: 0" in outcomes[0][1] and "Parsing" not in outcomes[0][1]
 
 
 def test_parse_error_exit_code(capsys):
