@@ -18,7 +18,6 @@ from .sigma3 import (
     Z1S,
     AlgebraElement,
     NormalMonomial,
-    basis_monomial,
     powers_oracle,
     star,
 )
@@ -68,7 +67,7 @@ __all__ = [
     "LaurentPoly", "qpow", "ZERO", "ONE",
     "NormalMonomial", "AlgebraElement", "IDENTITY_MONOMIAL",
     "Z0", "Z0S", "Z1", "Z1S", "XI", "XIS",
-    "basis_monomial", "star", "powers_oracle",
+    "star", "powers_oracle",
     "Weights", "degree", "element_degrees",
     "coinvariant_part", "is_coinvariant",
     "GeneratorSet", "GeneratorWord", "RelationReport",

@@ -162,7 +162,7 @@ def _cmd_verify_relations(args, cfg: RunConfig) -> int:
         if w.parity != args.parity:
             raise ValueError(f"k = {args.k} is {w.parity}, but the {args.parity} family needs {args.parity} k")
     report = qwrp.verify_relations(w)
-    # text mode prints no normal form, so it renders none
+    # text mode prints no normal form, so it expands none
     payload = {"schema": SCHEMA, "command": "verify-relations", **report.as_dict()} if cfg.fmt == "json" else {}
     lines = []
     for res in report.results:
@@ -256,7 +256,7 @@ def _cmd_report_all(args, cfg: RunConfig) -> int:
         fact = _factorize_section(w)
         section_ok = relations.all_pass and reps.all_pass and kth.all_pass and fact["pass"]
         ok = ok and section_ok
-        if cfg.fmt == "json":  # text mode prints no section, so it renders no normal form
+        if cfg.fmt == "json":  # text mode prints no section, so it expands no normal form
             sections.append(
                 {
                     "parity": parity,

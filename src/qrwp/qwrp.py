@@ -8,7 +8,7 @@ generated by
 
 This module builds those generators (once per weight pair), verifies
 the defining relation set of each family by comparing the factored
-normal forms of the two sides (sigma3._form_product), and factorizes
+forms of the two sides (sigma3._form_product), and factorizes
 any degree-zero basis word through the generators (with the q-power
 scalar that the reordering produces).  The factorization sweep over a
 box normalizes every generator word of the box once, through engine
@@ -178,11 +178,22 @@ def _side_form(side: RelationSide, letters: dict) -> tuple:
 
 
 class RelationResult(NamedTuple):
+    """A verdict and the two factored forms it compared; lhs and rhs
+    expand a side's normal form on each read."""
+
     rid: str
     statement: str
     passed: bool
-    lhs: AlgebraElement
-    rhs: AlgebraElement
+    lhs_form: tuple
+    rhs_form: tuple
+
+    @property
+    def lhs(self) -> AlgebraElement:
+        return _expand(self.lhs_form)
+
+    @property
+    def rhs(self) -> AlgebraElement:
+        return _expand(self.rhs_form)
 
 
 class RelationReport(NamedTuple):
@@ -196,8 +207,8 @@ class RelationReport(NamedTuple):
         return all(res.passed for res in self.results)
 
     def as_dict(self) -> dict:
-        """The report with both sides' normal forms rendered.  Equal elements
-        have the same canonical text, so a passing relation renders once."""
+        """The report with both sides' normal forms expanded and rendered.
+        Equal forms have one canonical text, so a passing relation expands once."""
         return {
             "parity": self.parity,
             "l": self.l,
@@ -220,18 +231,14 @@ def verify_relations(w: Weights) -> RelationReport:
     """Check every defining relation of the family: a relation holds
     exactly when its two sides have equal factored forms
     (sigma3._form_product says why).  A failing relation is reported,
-    not raised.  The report keeps both sides' normal forms as elements,
-    expanded from the forms; a passing relation's sides are one element,
-    expanded once.  Only RelationReport.as_dict renders them."""
+    not raised.  The report keeps both sides' factored forms and expands
+    no normal form; RelationResult.lhs/rhs and as_dict expand on reading."""
     letters = _letter_forms(generators(w))
     results = []
     for rel in relations_for(w.parity, w.l):
         lhs = _side_form(rel.lhs, letters)
         rhs = _side_form(rel.rhs, letters)
-        passed = lhs == rhs
-        lhs_nf = _expand(lhs)
-        results.append(RelationResult(rel.rid, rel.statement(w.parity), passed,
-                                      lhs_nf, lhs_nf if passed else _expand(rhs)))
+        results.append(RelationResult(rel.rid, rel.statement(w.parity), lhs == rhs, lhs, rhs))
     return RelationReport(parity=w.parity, l=w.l, k=w.k, results=tuple(results))
 
 

@@ -27,9 +27,11 @@ without a sort.
 
 A product of generator powers and q-powers never needs the engine: it
 is one factored form q^E z0^m z1^p xi^r prod_P (1 - q^{2e} A), composed
-with integers by _form_product and expanded once by _expand.  qwrp
-decides its relations by comparing such forms, and the parser folds
-each product term it reads into one.
+with integers by _form_product and expanded by _expand, which wraps the
+q-binomial rows of each run (_gaussian_rows, a few lengths cached).  qwrp
+decides its relations by comparing such forms and expands one only where
+a normal form is read; the parser folds each product term it reads into
+one and expands it once.
 """
 
 from __future__ import annotations
@@ -83,7 +85,12 @@ def _word_text(word: NormalMonomial) -> str:
     return "".join(" " + part for part in parts if part)
 
 
-@lru_cache(maxsize=None)
+# The rows of a length n hold about n^3/6 terms, and a relation set reads
+# two or three lengths, so a few rows are kept, not every length ever read.
+_ROWS_CACHED = 16
+
+
+@lru_cache(maxsize=_ROWS_CACHED)
 def _gaussian_rows(n: int) -> tuple[dict[int, int], ...]:
     """The bodies (-1)^k [n k]_{q^2}, k = 0..n: each the dict
     {2i: (-1)^k g_i} of the Gaussian binomial [n k]_x = sum_i g_i x^i,
@@ -92,8 +99,9 @@ def _gaussian_rows(n: int) -> tuple[dict[int, int], ...]:
     Rows k <= n/2 follow from the previous one as
     G_k = G_{k-1} (1 - x^{n-k+1}) / (1 - x^k); the rest are mirrors,
     [n k] = [n n-k], shared when n is even and negated when it is odd.
-    The rows are cached by n alone, so every run of length n shares the
-    same bodies.
+    By the q-binomial theorem the run prod_{e=e0}^{e0+n-1} (1 - q^{2e} A)
+    is sum_k (-1)^k q^{2k e0 + k(k-1)} [n k]_{q^2} A^k, so every run of
+    length n wraps the same bodies, each at its own lowest exponent.
     """
     gauss = [1]
     rows = [{0: 1}]
@@ -110,22 +118,6 @@ def _gaussian_rows(n: int) -> tuple[dict[int, int], ...]:
         mirror = rows[n - k]
         rows.append({e: -g for e, g in mirror.items()} if n & 1 else mirror)
     return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _run_product(e0: int, n: int) -> tuple[tuple[int, LaurentPoly], ...]:
-    """Expand the run prod_{e=e0}^{e0+n-1} (1 - q^{2e} A) as (A-power,
-    coefficient) pairs, ascending in the power; every coefficient is
-    nonzero.  By the q-binomial theorem the coefficient of A^k is
-
-        (-1)^k q^{2k e0 + k(k-1)} [n k]_{q^2},
-
-    so each is a row body of _gaussian_rows(n), wrapped without a copy at
-    its lowest exponent, and every caller of one run shares the same
-    immutable pairs.
-    """
-    return tuple((k, LaurentPoly._canonical(body, 2 * k * e0 + k * (k - 1)))
-                 for k, body in enumerate(_gaussian_rows(n)))
 
 
 @lru_cache(maxsize=262144)
@@ -437,18 +429,17 @@ def _form_product(x: tuple, y: tuple) -> tuple:
 def _expand(x: tuple, c: int = 1) -> AlgebraElement:
     """The normal form of c times a factored form, for an integer c.
 
-    The multiset P splits into runs of consecutive exponents; each run is
-    one cached q-binomial expansion, so a form with one run costs one
-    q-shift and one word per power of A, and a form without one builds
-    a single term.  Every coefficient shares its body with the cached
-    run when c == 1, and is one scaled copy otherwise.
+    The multiset P splits into runs of consecutive exponents.  The
+    coefficient of A^k in a run is its row body from _gaussian_rows at
+    q^{2k first + k(k-1)}, so a form with one run costs one word and one
+    wrapped body per power of A, shared with the cached row when c == 1
+    and scaled once otherwise, and a form without one builds one term.
     """
     if not c:
         return AlgebraElement.zero()
     e, (m, p, r), factors = x
-    scale = ONE if c == 1 else LaurentPoly._canonical({0: c})
     if not factors:
-        return AlgebraElement._canonical({_word(NormalMonomial, (m, p, r)): _times(scale, ONE, e)})
+        return AlgebraElement._canonical({_word(NormalMonomial, (m, p, r)): LaurentPoly._canonical({0: c}, e)})
     runs: list[list[int]] = []   # [first, last] of each run
     for f in factors:
         for run in runs:
@@ -457,17 +448,15 @@ def _expand(x: tuple, c: int = 1) -> AlgebraElement:
                 break
         else:
             runs.append([f, f])
-    (first, last), *more = runs
-    out = AlgebraElement._canonical({_word(NormalMonomial, (m, p + 2 * k, r + k)): _times(coef, scale, e)
-                                     for k, coef in _run_product(first, last - first + 1)})
-    for first, last in more:
-        out = out * AlgebraElement._canonical({_word(NormalMonomial, (0, 2 * k, k)): coef
-                                               for k, coef in _run_product(first, last - first + 1)})
+    out = None
+    for first, last in runs:
+        part = AlgebraElement._canonical({
+            _word(NormalMonomial, (m, p + 2 * k, r + k)): LaurentPoly._canonical(
+                body if c == 1 else {i: c * g for i, g in body.items()}, e + k * (2 * first + k - 1))
+            for k, body in enumerate(_gaussian_rows(last - first + 1))})
+        out = part if out is None else out * part
+        e, m, p, r, c = 0, 0, 0, 0, 1   # the first run carries the word and the scalar
     return out
-
-
-def basis_monomial(m: int, p: int, r: int) -> AlgebraElement:
-    return AlgebraElement.monomial(m, p, r)
 
 
 def star(x: AlgebraElement) -> AlgebraElement:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qrwp import Weights, basis_monomial, fockrep, qpow, qwrp
+from qrwp import Weights, fockrep, qpow, qwrp, sigma3
 from qrwp.cli import COMMANDS, EXIT_CHECK_FAILED, EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, _parse, build_parser, main
 from qrwp.qwrp import RelationSide
 from qrwp.sigma3 import AlgebraElement, NormalMonomial
@@ -121,6 +121,21 @@ def test_text_mode_renders_no_normal_form(capsys, monkeypatch):
     assert [run(capsys, *argv) for argv in argvs] == expected
 
 
+def test_text_mode_builds_no_gaussian_row(capsys, monkeypatch):
+    # a verdict compares factored forms and only JSON expands a normal form,
+    # so text mode builds no row, also where the expansion would not fit
+    calls = []
+    rows = sigma3._gaussian_rows
+    monkeypatch.setattr(sigma3, "_gaussian_rows", lambda n: calls.append(n) or rows(n))
+    for argv in (("verify-relations", "--parity", "odd", "--l", "1000"), ("report-all", "--lmax", "40")):
+        assert run(capsys, *argv)[0] == EXIT_OK
+        assert calls == [], argv
+    for argv in (("verify-relations", "--parity", "odd", "--l", "5"), ("report-all", "--lmax", "3")):
+        assert run(capsys, *argv, "--format", "json")[0] == EXIT_OK
+        assert calls, argv
+        calls.clear()
+
+
 def test_json_renders_a_passing_relation_once(capsys, monkeypatch):
     # one rendering per passing relation, two per failing one
     rendered = []
@@ -129,7 +144,8 @@ def test_json_renders_a_passing_relation_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "verify-relations", "--parity", "odd", "--l", "5", "--format", "json")
     assert (code, len(rendered)) == (EXIT_OK, 11)
     # c = z1 gives c c* = a, not 1 - a
-    broken = qwrp.GeneratorSet(weights=Weights(2, 1), a=basis_monomial(0, 2, 1), c=basis_monomial(0, 1, 0))
+    broken = qwrp.GeneratorSet(weights=Weights(2, 1), a=AlgebraElement.monomial(0, 2, 1),
+                               c=AlgebraElement.monomial(0, 1, 0))
     monkeypatch.setattr(qwrp, "generators", lambda w: broken)
     rendered.clear()
     code, out, _ = run(capsys, "verify-relations", "--parity", "even", "--l", "1", "--format", "json")

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from qrwp import (
+    AlgebraElement,
     NormalMonomial,
     WeightedShift,
     ktheory_report,
     relations_for,
-    basis_monomial,
     intertwiner_check,
     rep_generator,
     rep_report,
@@ -188,8 +188,8 @@ def test_ambient_rep_is_multiplicative_on_interior():
     rng = make_rng(30)
     dim = 48
     for _ in range(25):
-        x = basis_monomial(rng.randint(0, 3), rng.randint(0, 3), rng.randint(-2, 2))
-        y = basis_monomial(rng.randint(0, 3), rng.randint(0, 3), rng.randint(-2, 2))
+        x = AlgebraElement.monomial(rng.randint(0, 3), rng.randint(0, 3), rng.randint(-2, 2))
+        y = AlgebraElement.monomial(rng.randint(0, 3), rng.randint(0, 3), rng.randint(-2, 2))
         # z0-family words multiply to one word times a q-power
         mono, coef = (x * y).sole_term()
         lhs = coef.evaluate(Q) * dense(rep_sigma(mono, Q, dim))

@@ -10,7 +10,6 @@ from qrwp import (
     AlgebraElement,
     NormalMonomial,
     Weights,
-    basis_monomial,
     degree,
     degree_zero_monomials,
     enumerate_word_monomials,
@@ -31,14 +30,14 @@ from helpers import degree_zero_scan, eval_side, make_rng, product_oracle, rando
 
 def test_generator_examples():
     gens = generators(Weights(2, 3))
-    assert gens.a == basis_monomial(0, 2, 1)
-    assert gens.c == basis_monomial(3, 0, 1)
+    assert gens.a == AlgebraElement.monomial(0, 2, 1)
+    assert gens.c == AlgebraElement.monomial(3, 0, 1)
     assert gens.b is None
 
     gens = generators(Weights(1, 1))
-    assert gens.a == basis_monomial(0, 2, 1)
-    assert gens.b == basis_monomial(1, 1, 1)
-    assert gens.c == basis_monomial(2, 0, 1)
+    assert gens.a == AlgebraElement.monomial(0, 2, 1)
+    assert gens.b == AlgebraElement.monomial(1, 1, 1)
+    assert gens.c == AlgebraElement.monomial(2, 0, 1)
 
     with pytest.raises(ValueError):
         generators(Weights(2, 4))
@@ -96,9 +95,9 @@ def test_factored_sides_expand_to_the_multiplied_out_sides():
 def _engine_form(form) -> AlgebraElement:
     """q^E w prod_{e in P} (1 - q^{2e} A), multiplied out factor by factor."""
     e, word, runs = form
-    out = basis_monomial(*word) * qpow(e)
+    out = AlgebraElement.monomial(*word) * qpow(e)
     for f in runs:
-        out = out * (AlgebraElement.one() - basis_monomial(0, 2, 1) * qpow(2 * f))
+        out = out * (AlgebraElement.one() - AlgebraElement.monomial(0, 2, 1) * qpow(2 * f))
     return out
 
 
@@ -128,7 +127,7 @@ def _short_run(rel, gens):
 
 
 def _xi_on_a(rel, gens):
-    return rel, gens._replace(a=basis_monomial(0, 2, 2))
+    return rel, gens._replace(a=AlgebraElement.monomial(0, 2, 2))
 
 
 @pytest.mark.parametrize("mutate, failing", [
@@ -175,7 +174,7 @@ def test_odd_small_cases():
 
 def test_failed_relation_is_reported_not_raised(monkeypatch):
     # a deliberately wrong generator set: c = z1 gives c c* = a, not 1 - a
-    broken = GeneratorSet(weights=Weights(2, 1), a=basis_monomial(0, 2, 1), c=basis_monomial(0, 1, 0))
+    broken = GeneratorSet(weights=Weights(2, 1), a=AlgebraElement.monomial(0, 2, 1), c=AlgebraElement.monomial(0, 1, 0))
     monkeypatch.setattr(qwrp, "generators", lambda w: broken)
     report = verify_relations(Weights(2, 1))
     rel = relations_for("even", 1)[2]   # c c* = 1 - a
@@ -232,7 +231,7 @@ def test_factorize_errors():
 def test_factorize_raises_when_the_word_does_not_rebuild_the_monomial(monkeypatch):
     w = Weights(2, 3)
     gens = generators(w)
-    monkeypatch.setattr(qwrp, "generators", lambda w: gens._replace(a=basis_monomial(0, 2, 2)))
+    monkeypatch.setattr(qwrp, "generators", lambda w: gens._replace(a=AlgebraElement.monomial(0, 2, 2)))
     with pytest.raises(RuntimeError, match="reconstructed z1\\^2 xi\\^2"):
         factorize(w, NormalMonomial(0, 2, 1))
 
@@ -247,7 +246,7 @@ def test_factorize_box_soundness():
             word = factorize(w, mono)
             assert word.scalar.as_q_power() is not None
             rebuilt = word_element(gens, word) * word.scalar
-            assert rebuilt == basis_monomial(mono.m, mono.p, mono.r), (k, l, mono)
+            assert rebuilt == AlgebraElement.monomial(mono.m, mono.p, mono.r), (k, l, mono)
 
 
 def test_factorize_completeness_oracle():
@@ -270,7 +269,7 @@ def _two_pass_sweep(w, m_max, p_max, r_max):
     itself, then every generator word of the box again."""
     gens = qwrp.generators(w)
     monos = degree_zero_monomials(w, m_max, p_max, r_max)
-    sound = all(_seeded_word_element(gens, word) * word.scalar == basis_monomial(*mono)
+    sound = all(_seeded_word_element(gens, word) * word.scalar == AlgebraElement.monomial(*mono)
                 for mono, word in ((mono, qwrp.factorize(w, mono)) for mono in monos))
     if not sound:
         return monos, False, False
@@ -430,7 +429,7 @@ def test_conjugate_family_via_involution():
             word = factorize_with_conjugates(w, conj)
             assert word.starred or conj.m >= 0
             rebuilt = word_element(gens, word) * word.scalar
-            assert rebuilt == basis_monomial(conj.m, conj.p, conj.r), (k, l, conj)
+            assert rebuilt == AlgebraElement.monomial(conj.m, conj.p, conj.r), (k, l, conj)
 
 
 def test_odd_scalar_is_tracked_not_assumed():

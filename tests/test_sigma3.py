@@ -15,7 +15,6 @@ from qrwp import (
     AlgebraElement,
     LaurentPoly,
     NormalMonomial,
-    basis_monomial,
     powers_oracle,
     qpow,
 )
@@ -33,7 +32,7 @@ from helpers import (
     word_product_oracle,
 )
 
-A = basis_monomial(0, 2, 1)  # the self-adjoint quasi-central element z1^2 xi
+A = AlgebraElement.monomial(0, 2, 1)  # the self-adjoint quasi-central element z1^2 xi
 ONE_EL = AlgebraElement.one()
 
 
@@ -172,7 +171,7 @@ def test_monomial_validation():
         lambda: NormalMonomial._make((0, -1, 0)),
         lambda: word._replace(p=-1),
         lambda: AlgebraElement.monomial(0, -1, 0),
-        lambda: basis_monomial(2, -3, 1),
+        lambda: AlgebraElement.monomial(2, -3, 1),
     )
     for build in builds:
         with pytest.raises(ValueError):
@@ -202,6 +201,11 @@ def linear_factor_product(exponents) -> list:
     return list(enumerate(coeffs))
 
 
+def run_form(first: int, n: int) -> tuple:
+    """The factored form of the run prod_{e=first}^{first+n-1} (1 - q^{2e} A)."""
+    return 0, (0, 0, 0), tuple(range(first, first + n))
+
+
 @pytest.mark.parametrize("n", range(13))
 def test_run_product_matches_the_linear_factors(n):
     # n = 0 is the empty product; odd and even n put a row in the mirrored
@@ -209,9 +213,11 @@ def test_run_product_matches_the_linear_factors(n):
     # starts at e0 or ends there
     for e0 in (0, -1, 3):
         for first in (e0, e0 - n + 1):
-            pairs = sigma3._run_product(first, n)
-            assert list(pairs) == linear_factor_product(range(first, first + n)), (first, n)
-            assert all(coef for _, coef in pairs)
+            terms = sigma3._expand(run_form(first, n)).terms()
+            factors = linear_factor_product(range(first, first + n))
+            expected = [(NormalMonomial(0, 2 * k, k), coef) for k, coef in factors]
+            assert terms == expected, (first, n)
+            assert all(coef for _, coef in terms)
 
 
 def test_expand_scales_by_an_integer():
@@ -223,19 +229,12 @@ def test_expand_scales_by_an_integer():
         assert sigma3._expand(form, c) == sigma3._expand(form) * c, (form, c)
 
 
-def test_run_product_is_one_cached_tuple():
-    rising = sigma3._run_product(0, 7)
-    # a tuple of tuples: no caller can change the shared expansion
-    assert isinstance(rising, tuple) and all(isinstance(pair, tuple) for pair in rising)
-    # the same run returns the same coefficient objects
-    again = sigma3._run_product(0, 7)
-    assert again is rising
-    assert all(a is b for (_, a), (_, b) in zip(rising, again))
+def test_a_run_reads_the_rows_of_its_length():
     # a run of one length elsewhere, such as the run {-31..-1} of a
     # z0*^31 z0^31 meet, reads the rows the run {0..30} built
-    sigma3._run_product(0, 31)
+    sigma3._expand(run_form(0, 31))
     rows = sigma3._gaussian_rows.cache_info()
-    sigma3._run_product(-31, 31)
+    sigma3._expand(run_form(-31, 31))
     assert sigma3._gaussian_rows.cache_info().misses == rows.misses
 
 
@@ -243,9 +242,9 @@ def test_run_product_is_one_cached_tuple():
 def test_rising_and_falling_runs_share_their_bodies(n):
     # the runs of the two meets, z0^n z0*^n ({0..n-1}) and z0*^n z0^n
     # ({-n..-1}), and one further along wrap the same _gaussian_rows(n)
-    rising = sigma3._run_product(0, n)
+    rising = sigma3._expand(run_form(0, n)).terms()
     for e0 in (-n, 5):
-        other = sigma3._run_product(e0, n)
+        other = sigma3._expand(run_form(e0, n)).terms()
         assert all(a._coeffs is b._coeffs for (_, a), (_, b) in zip(rising, other, strict=True))
 
 
@@ -262,7 +261,7 @@ def test_word_oracle_on_the_defining_relations():
     assert word_product_oracle((0, 1, 0), (1, 0, 0)) == AlgebraElement.monomial(1, 1, 0, q ** -1)
     assert word_product_oracle((1, 0, 0), (-1, 0, 0)) == ONE_EL - A
     assert word_product_oracle((-1, 0, 0), (1, 0, 0)) == ONE_EL - A * q ** -2
-    assert word_product_oracle((0, 0, 2), (0, 1, -3)) == basis_monomial(0, 1, -1)
+    assert word_product_oracle((0, 0, 2), (0, 1, -3)) == AlgebraElement.monomial(0, 1, -1)
 
 
 def _pair_kind(w1, w2) -> str:
@@ -377,7 +376,7 @@ def test_cancellation_stores_no_zero_coefficient():
 
 
 def test_rendering_is_ordered():
-    x = basis_monomial(1, 1, 0) + basis_monomial(-1, 0, 2) + basis_monomial(0, 2, 1)
+    x = AlgebraElement.monomial(1, 1, 0) + AlgebraElement.monomial(-1, 0, 2) + AlgebraElement.monomial(0, 2, 1)
     assert str(x) == "z0s xi^2 + z1^2 xi + z0 z1"
 
 
