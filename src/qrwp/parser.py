@@ -16,6 +16,10 @@ eliminated on lowering: z1s becomes z1 xi and xis becomes xi^-1.
 lower_text parses and evaluates in one pass; no syntax tree is built.
 One regex findall splits the text into token strings, and the descent
 reads them by index; a position is worked out only for an error.  A
+one-digit power without spaces (z1^2, xi^-1, q^-3; not z0^-1) is one
+token, read with one table lookup.  No error moves: such a token always
+parses, it is not formed when a "^" follows, and an exponent error
+quotes its name.  A
 term folds its generator powers, integer literals and q-powers, as they
 are read, into one running factored form c q^E z0^m z1^p xi^r
 prod_P (1 - q^{2e} A) with integer arithmetic (sigma3._form_product),
@@ -68,40 +72,16 @@ class LoweringError(ExpressionError):
 
 # ASCII classes only: str.isdigit/isalpha would admit "٣" or "²".  Every
 # character but ASCII whitespace belongs to a token, so one the grammar
-# does not know is a one-character token of its own.
-_TOKEN = re.compile(r"[0-9]+|[A-Za-z][A-Za-z0-9_]*|[^ \t\n\r\f\v]")
-_WORDS = frozenset(NAMES + tuple("^*+-()"))   # every valid token but an integer
+# does not know is a one-character token of its own.  A one-digit power
+# that always parses is one token when no digit and no "^" follows it.
+_TOKEN = re.compile(r"(?:z[01]s?\^|(?:xis?|q)\^-?)[0-9](?![0-9]|[ \t\n\r\f\v]*\^)"
+                    r"|[0-9]+|[A-Za-z][A-Za-z0-9_]*|[^ \t\n\r\f\v]")
 _SIGNS = ("+", "-")
 _TERM_ENDS = frozenset(("+", "-", ")", "^", ""))   # tokens that cannot start a factor
-_DIGITS = {str(d): d for d in range(10)}   # the one-digit exponents, read without _exponent
 
 
-def _tokenize(text: str) -> list[str]:
-    """The token texts of text in one findall, then "" for the end.
-
-    A token's kind is read off its text: once the tokens are checked,
-    one that str.isdigit accepts is an integer and any other is a name
-    or a punctuation character.  Positions are not kept; _position
-    finds one again when an error needs it.
-    """
-    tokens = _TOKEN.findall(text)
-    unknown = [tok for tok in set(tokens).difference(_WORDS) if not "0" <= tok[0] <= "9"]
-    if unknown:
-        i = min(map(tokens.index, unknown))
-        tok = tokens[i]
-        what = "unknown name" if tok.isascii() and tok[0].isalpha() else "unexpected character"
-        raise ParseError(f"{what} {tok!r}", _position(text, i))
-    tokens.append("")
-    return tokens
-
-
-def _position(text: str, i: int) -> int:
-    """Where token i of text starts; the end token sits at len(text)."""
-    starts = [match.start() for match in _TOKEN.finditer(text)]
-    return starts[i] if i < len(starts) else len(text)
-
-
-# The word (m, p, r) = z0^m z1^p xi^r of each named generator
+# The word (m, p, r) = z0^m z1^p xi^r of each named generator, and of
+# each one-token power of one: a negative one only of xi or xis
 _LETTERS = {
     "z0": (1, 0, 0),
     "z0s": (-1, 0, 0),
@@ -110,6 +90,39 @@ _LETTERS = {
     "xi": (0, 0, 1),
     "xis": (0, 0, -1),  # xi^-1
 }
+_POWERS = [f"{sign}{d}" for sign in ("", "-") for d in range(10)]   # "-0" too
+_LETTERS.update({f"{name}^{e}": tuple(int(e) * n for n in word) for name, word in list(_LETTERS.items())
+                 for e in (_POWERS if name.startswith("x") else _POWERS[:10])})
+_QPOWERS = {"q": 1, **{f"q^{e}": int(e) for e in _POWERS}}   # the exponent of each q token
+_WORDS = frozenset(NAMES + tuple("^*+-()")).union(_LETTERS, _QPOWERS)   # every valid token but an integer
+_KNOWN = _WORDS.union("0123456789")   # the tokens of a text that needs no search for an unknown one
+
+
+def _tokenize(text: str) -> list[str]:
+    """The token texts of text in one findall, then "" for the end.
+
+    A token's kind is read off its text: once the tokens are checked,
+    one that str.isdigit accepts is an integer and any other is a name,
+    a one-token power or a punctuation character.  Only a text with a
+    token outside _KNOWN is searched for an unknown one.  Positions are
+    not kept; _position finds one again when an error needs it.
+    """
+    tokens = _TOKEN.findall(text)
+    if not _KNOWN.issuperset(tokens):
+        unknown = [tok for tok in set(tokens).difference(_WORDS) if not "0" <= tok[0] <= "9"]
+        if unknown:
+            i = min(map(tokens.index, unknown))
+            tok = tokens[i]
+            what = "unknown name" if tok.isascii() and tok[0].isalpha() else "unexpected character"
+            raise ParseError(f"{what} {tok!r}", _position(text, i))
+    tokens.append("")
+    return tokens
+
+
+def _position(text: str, i: int) -> int:
+    """Where token i of text starts; the end token sits at len(text)."""
+    starts = [match.start() for match in _TOKEN.finditer(text)]
+    return starts[i] if i < len(starts) else len(text)
 
 
 def _non_invertible(exponent: int) -> LoweringError:
@@ -202,15 +215,11 @@ def _term(text: str, tokens: list[str], i: int, negate: bool = False) -> tuple[d
     runs = ()
     value = None                      # the product up to the last element factor
     while True:
-        if tok in _LETTERS:
-            m2, p2, r2 = _LETTERS[tok]
+        if word := _LETTERS.get(tok):
+            m2, p2, r2 = word
             i += 1
-            if tokens[i] == "^":
-                exponent = _DIGITS.get(tokens[i + 1])
-                if exponent is None:
-                    exponent, i = _exponent(text, tokens, i)
-                else:
-                    i += 2
+            if tokens[i] == "^":   # only after a bare name
+                exponent, i = _exponent(text, tokens, i)
                 if exponent < 0 and (m2 or p2):
                     raise _non_invertible(exponent)
                 m2, p2, r2 = m2 * exponent, p2 * exponent, r2 * exponent
@@ -219,10 +228,12 @@ def _term(text: str, tokens: list[str], i: int, negate: bool = False) -> tuple[d
             else:
                 e -= p * m2
                 m, p, r = m + m2, p + p2, r + r2
-        elif tok == "q":
+        elif (exponent := _QPOWERS.get(tok)) is not None:
             # q is built when read, so a replaced qpow takes effect
             base = qpow(1)
-            exponent, i = _exponent(text, tokens, i + 1) if tokens[i + 1] == "^" else (1, i + 1)
+            i += 1
+            if tokens[i] == "^":   # only after a bare q
+                exponent, i = _exponent(text, tokens, i)
             unit = base.as_unit()
             if unit is None:
                 value, m, p, r, runs = _times_element(value, (m, p, r), runs,
@@ -291,7 +302,7 @@ def _exponent(text: str, tokens: list[str], i: int) -> tuple[int, int]:
     i += 2 if sign in _SIGNS else 1
     digits = tokens[i]
     if not digits.isdigit():
-        raise ParseError(f"expected INT, found {digits!r}", _position(text, i))
+        raise ParseError(f"expected INT, found {digits.partition('^')[0] or digits!r}", _position(text, i))
     if len(digits) > _EXPONENT_DIGITS:
         digits = digits.lstrip("0") or "0"
         if len(digits) > _EXPONENT_DIGITS:  # out of range, and maybe too long for int()

@@ -308,7 +308,8 @@ class AlgebraElement:
         # distinct words have distinct images, so no two terms meet; p is
         # unchanged, so an image word needs no p >= 0 check
         return AlgebraElement._canonical({
-            _word(NormalMonomial, (-m, p, p - r)): _times(coef, ONE, p * m) if p and m else coef
+            _word(NormalMonomial, (-m, p, p - r)):
+                LaurentPoly._canonical(coef._coeffs, coef._low + p * m) if p and m else coef
             for (m, p, r), coef in self._terms.items()})
 
     def try_inverse(self) -> "AlgebraElement":
@@ -331,7 +332,8 @@ class AlgebraElement:
 
     def __str__(self) -> str:
         pieces = []
-        for mono, coef in self.terms():
+        for mono in sorted(self._terms):
+            coef = self._terms[mono]
             word = _word_text(mono)
             body = coef._coeffs
             if len(body) > 1:

@@ -31,6 +31,16 @@ def test_normalize(capsys):
     assert out.strip() == "1 - z1^2 xi"
 
 
+def test_an_expression_starting_with_minus_goes_after_double_dash(capsys):
+    for expr in ("-z0 + 2", "-z0+2"):
+        assert run(capsys, "normalize", "--", expr) == (EXIT_OK, "2 - z0\n", "")
+    # without "--", argparse reads "-z0+2" as an option
+    with pytest.raises(SystemExit) as exited:
+        main(["normalize", "-z0+2"])
+    assert exited.value.code == EXIT_PARSE
+    assert "the following arguments are required: expr" in capsys.readouterr().err
+
+
 def test_star(capsys):
     code, out, _ = run(capsys, "star", "z1")
     assert code == EXIT_OK

@@ -159,6 +159,20 @@ def test_errors_reported_in_reading_order():
     ("z1^-1 @", ParseError, "unexpected character '@' (at position 6)", 6),
     (") z1^-1", ParseError, "expected a value, found ')' (at position 0)", 0),
     ("2^-1", LoweringError, "cannot raise a non-invertible element to the power -1", None),
+    # the same around one-digit powers, which are one token when written without spaces
+    ("z0^2^3", ParseError, "unexpected trailing input '^' (at position 4)", 4),
+    ("z0^2 ^3", ParseError, "unexpected trailing input '^' (at position 5)", 5),
+    ("xi^-1^2", ParseError, "unexpected trailing input '^' (at position 5)", 5),
+    ("2 ^ z1^2", ParseError, "expected INT, found 'z1' (at position 4)", 4),
+    ("z0^z1^2", ParseError, "expected INT, found 'z1' (at position 3)", 3),
+    ("(z0)^xi^-1", ParseError, "expected INT, found 'xi' (at position 5)", 5),
+    ("q^q^2", ParseError, "expected INT, found 'q' (at position 2)", 2),
+    ("3^q^2", ParseError, "expected INT, found 'q' (at position 2)", 2),
+    ("z0^^2", ParseError, "expected INT, found '^' (at position 3)", 3),
+    ("z0^-1", LoweringError, "cannot raise a non-invertible element to the power -1", None),
+    ("z0^2x", ParseError, "unknown name 'x' (at position 4)", 4),
+    ("z0^2_", ParseError, "unexpected character '_' (at position 4)", 4),
+    ("12 z9", ParseError, "unknown name 'z9' (at position 3)", 3),   # a multi-digit integer: the slow check
 ])
 def test_error_table(text, cls, message, position):
     with pytest.raises(ExpressionError) as err:
@@ -264,6 +278,8 @@ def _engine_power(g: AlgebraElement, e: int) -> AlgebraElement:
     ("q (z1) z0 (xi)^-2 z0s", Q * Z1 * Z0 * XIS ** 2 * Z0S),
     ("- (2) (q^-1) (z0s^2) (z1) (z0^3) (xi^-1)", -2 * QI * Z0S ** 2 * Z1 * Z0 ** 3 * XIS),
     ("-(z0 z0s)^2 q^2 (1) 3", -3 * (Z0 * Z0S) ** 2 * Q ** 2),
+    # one-digit powers as one token, or not: -0, a second digit, a name right after
+    ("q^-0 xi^-0 z0^23 z1^2z0s", Z0 ** 23 * Z1 ** 2 * Z0S),
 ])
 def test_folded_terms_match_engine_products(text, expected):
     assert lower_text(text) == expected
@@ -331,3 +347,45 @@ def test_literals_too_long_for_int_are_parse_errors():
     zeros = "0" * 5000
     assert lower_text(f"{zeros}7 z0^{zeros}2") == lower_text("7 z0^2")
     assert lower_text("9" * 4300) == AlgebraElement.scalar(10 ** 4300 - 1)
+
+
+# -- one-token powers: the spaced spelling is the oracle ------------------
+
+_ONE_TOKEN_POWERS = [tok for tok in (*parser._LETTERS, *parser._QPOWERS) if "^" in tok]
+
+
+def test_one_token_powers_cover_every_name_and_digit():
+    # z0, z0s, z1 and z1s with d = 0..9; xi, xis and q with d = -9..9 and -0
+    assert len(_ONE_TOKEN_POWERS) == 4 * 10 + 3 * 20
+    for tok in _ONE_TOKEN_POWERS:
+        assert parser._TOKEN.findall(tok) == [tok]
+
+
+@pytest.mark.parametrize("tok", _ONE_TOKEN_POWERS)
+def test_one_token_power_matches_its_spaced_spelling(tok):
+    spaced = tok.replace("^", " ^ ")
+    assert lower_text(tok) == lower_text(spaced), tok
+    assert lower_text(f"2 z0 {tok} z0s") == lower_text(f"2 z0 {spaced} z0s"), tok
+
+
+_PIECES = ("z0", "z0s", "z1", "z1s", "xi", "xis", "q", "z9", "x", "^", "^", "-", "+", "*", "(", ")",
+           " ", "  ", "0", "1", "2", "9", "12", "_", "@", "²")
+
+
+def _random_power(rng) -> str:
+    base = rng.choice(("z0", "z0s", "z1", "z1s", "xi", "xis", "q", "2", "(z1)"))
+    return f"{base}^{rng.choice(('', '-', '+'))}{rng.choice((0, 1, 2, 3, 9, 10, 23))}"
+
+
+def test_seeded_compact_and_spaced_powers_agree():
+    rng = make_rng(32)
+    for _ in range(2000):
+        text = "".join(_random_power(rng) if rng.random() < 0.4 else rng.choice(_PIECES)
+                       for _ in range(rng.randint(1, 8)))
+        outcomes = []
+        for spelling in (text, text.replace("^", " ^ ")):
+            try:
+                outcomes.append(lower_text(spelling))
+            except ExpressionError as exc:
+                outcomes.append(type(exc))
+        assert outcomes[0] == outcomes[1], text
