@@ -5,26 +5,28 @@ violation (bad weights or parameters), 4 check failure.  Defaults
 q=0.5, N=256, tolerance=1e-10 may be overridden by the environment
 variables QRWP_Q, QRWP_N, QRWP_TOL and, with higher priority, by flags.
 
-Parsing builds one of two parsers.  When the first argument names a
-command and no -h or --help follows, main builds that command's parser
-alone, with prog "qrwp <command>" as its subparser has, and reads the
-rest of the arguments with it.  Help, no argument, an unknown command
-and leftover arguments go to the full parser of build_parser, one
-subparser per command, so its help and usage errors list every command.
+Parsing reads a well-formed command line from the table COMMANDS,
+with no parser: the command, then its positional and its exact option
+strings, each followed by a value that does not start with "-" and that
+converts as argparse converts it.  Every other argv (help, no argument,
+an unknown command, an abbreviation, --opt=value, a value such as -3,
+"--", leftover arguments) goes to the full argparse parser of
+build_parser, which gives the same namespace or prints its help or
+usage error.  Only then is argparse imported.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import sys
 from collections import namedtuple
+from types import SimpleNamespace
 
 from . import fockrep, ktheory, qwrp
 from .grading import Weights, coinvariant_part, element_degrees, is_coinvariant
-from .parser import MAX_DIGITS, ExpressionError, LoweringError, lower_text, render
+from .parser import ExpressionError, _too_long, lower_text, render
 from .sigma3 import AlgebraElement, NormalMonomial
 
 SCHEMA = "qrwp-report/1"
@@ -63,9 +65,9 @@ def _env_default(name: str, cast, fallback):
         raise ValueError(f"environment variable {name} has invalid value {raw!r}") from exc
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
+def _config(args) -> RunConfig:
     q = args.q if args.q is not None else _env_default("QRWP_Q", float, 0.5)
-    dim = args.N if getattr(args, "N", None) is not None else _env_default("QRWP_N", int, 256)
+    dim = args.N if args.N is not None else _env_default("QRWP_N", int, 256)
     tol = args.tol if args.tol is not None else _env_default("QRWP_TOL", float, 1e-10)
     return RunConfig(q=q, dim=dim, tolerance=tol, fmt=args.format)
 
@@ -79,17 +81,11 @@ def _emit(payload: dict, fmt: str, text_lines: list[str]) -> None:
 
 
 def _render(element: AlgebraElement) -> str:
-    """render(element), or a LoweringError (exit 2) that names the digit
-    count when a coefficient has more than MAX_DIGITS digits, which
-    int-to-text conversion refuses."""
-    bound = 10 ** MAX_DIGITS
-    for _, coef in element.terms():
-        for _, c in coef.items_sorted():
-            c = abs(c)
-            if c >= bound:
-                digits = int(c.bit_length() * math.log10(2)) + 1  # the digit count or one more
-                digits -= c < 10 ** (digits - 1)
-                raise LoweringError(f"coefficient of {digits} digits exceeds the supported length of {MAX_DIGITS}")
+    """render(element); a coefficient of more than MAX_DIGITS digits, which
+    lower_text would not read back, is refused (exit 2) at any int limit."""
+    error = _too_long(element)
+    if error is not None:
+        raise error
     return render(element)
 
 
@@ -294,98 +290,105 @@ def _cmd_report_all(args, cfg: RunConfig) -> int:
 
 # -- argument wiring --------------------------------------------------------
 
+# An argument: its option string, or the name of the command's one
+# positional; int, float, str or a tuple of choices; its default, or
+# _REQUIRED; its help.  Its dest is the name without dashes, as in argparse.
+_REQUIRED = object()
+_K = ("--k", int, _REQUIRED, None)
+_L = ("--l", int, _REQUIRED, None)
+_PARITY = ("--parity", ("even", "odd"), _REQUIRED, None)
+_EXPR = ("expr", str, _REQUIRED, None)
+_COMMON = (
+    ("--q", float, None, "deformation parameter in (0,1)"),
+    ("--N", int, None, "truncation size"),
+    ("--tol", float, None, "numerical tolerance"),
+    ("--format", ("text", "json"), "text", None),
+)
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--q", type=float, default=None, help="deformation parameter in (0,1)")
-    p.add_argument("--N", type=int, default=None, help="truncation size")
-    p.add_argument("--tol", type=float, default=None, help="numerical tolerance")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-
-
-def _expr(p: argparse.ArgumentParser) -> None:
-    p.add_argument("expr")
-
-
-def _weights(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-
-
-def _weights_expr(p: argparse.ArgumentParser) -> None:
-    _weights(p)
-    p.add_argument("expr")
-
-
-def _weights_monomial(p: argparse.ArgumentParser) -> None:
-    _weights(p)
-    p.add_argument("monomial")
-
-
-def _family(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--parity", choices=("even", "odd"), required=True)
-    p.add_argument("--l", type=int, required=True)
-
-
-def _family_k(p: argparse.ArgumentParser) -> None:
-    _family(p)
-    p.add_argument("--k", type=int, default=None, help="of the family's parity, coprime with l (default: 2 even, 1 odd)")
-
-
-def _lmax(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lmax", type=int, default=5)
-
-
-# (name, help, handler, adds the command's own arguments), in help order
+# (name, help, handler, arguments before the common ones), in help order
 COMMANDS = (
-    ("normalize", "normal form of an expression", _cmd_normal_form, _expr),
-    ("star", "involution of an expression", _cmd_normal_form, _expr),
-    ("degree", "grading degree and coinvariance", _cmd_degree, _weights_expr),
-    ("generators", "coinvariant generators for a weight pair", _cmd_generators, _weights),
-    ("verify-relations", "exact relation verification", _cmd_verify_relations, _family_k),
-    ("factorize", "factor a coinvariant basis word", _cmd_factorize, _weights_monomial),
-    ("rep-check", "representation residual checks", _cmd_rep_check, _family),
-    ("ktheory", "index map, K-groups, pullback checks", _cmd_ktheory, _family),
-    ("report-all", "assembled report over all families", _cmd_report_all, _lmax),
+    ("normalize", "normal form of an expression", _cmd_normal_form, (_EXPR,)),
+    ("star", "involution of an expression", _cmd_normal_form, (_EXPR,)),
+    ("degree", "grading degree and coinvariance", _cmd_degree, (_K, _L, _EXPR)),
+    ("generators", "coinvariant generators for a weight pair", _cmd_generators, (_K, _L)),
+    ("verify-relations", "exact relation verification", _cmd_verify_relations,
+     (_PARITY, _L, ("--k", int, None, "of the family's parity, coprime with l (default: 2 even, 1 odd)"))),
+    ("factorize", "factor a coinvariant basis word", _cmd_factorize, (_K, _L, ("monomial", str, _REQUIRED, None))),
+    ("rep-check", "representation residual checks", _cmd_rep_check, (_PARITY, _L)),
+    ("ktheory", "index map, K-groups, pullback checks", _cmd_ktheory, (_PARITY, _L)),
+    ("report-all", "assembled report over all families", _cmd_report_all, (("--lmax", int, 5, None),)),
 )
 
 
-def _fill(p: argparse.ArgumentParser, name: str, handler, add_arguments) -> None:
-    """Give p the arguments of the command name, then the common ones."""
-    add_arguments(p)
-    _add_common(p)
+def _fill(p, name: str, handler, arguments: tuple) -> None:
+    """Give the argparse parser p the arguments of the command name, then the common ones."""
+    for flag, kind, default, help_text in arguments + _COMMON:
+        if flag[0] != "-":
+            p.add_argument(flag)
+            continue
+        choices = kind if isinstance(kind, tuple) else None
+        required = default is _REQUIRED
+        p.add_argument(flag, type=None if choices else kind, choices=choices, required=required,
+                       default=None if required else default, help=help_text)
     p.set_defaults(command=name, handler=handler)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The full qrwp parser: one subparser for each command.  main parses
-    with it for help, no argument, an unknown command and leftover
-    arguments, so help and usage errors list every command."""
+def build_parser():
+    """The full qrwp argparse parser: one subparser for each command.  It
+    reads every argv that _read declines, so help and usage errors list
+    every command."""
+    import argparse  # only help, errors and uncommon spellings need it
+
     # --help shows the first two paragraphs of the docstring, not the one on parsing
     ap = argparse.ArgumentParser(prog="qrwp", description=__doc__ and "\n\n".join(__doc__.split("\n\n")[:2]))
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, help_text, handler, add_arguments in COMMANDS:
-        _fill(sub.add_parser(name, help=help_text), name, handler, add_arguments)
+    for name, help_text, handler, arguments in COMMANDS:
+        _fill(sub.add_parser(name, help=help_text), name, handler, arguments)
     return ap
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """The parsed arguments, as build_parser().parse_args(argv) gives them.
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes build_parser().parse_args(argv) sets, read from the
+    table, or None when argv is not in the one form read here: a command
+    name, then its positional and its exact option strings, each option
+    followed by a value that does not start with "-" and that converts
+    with the option's type or lies in its choices, every required one
+    present.  A repeated option keeps its last value.  Never prints."""
+    for name, _, handler, arguments in COMMANDS:
+        if argv and argv[0] == name:
+            break
+    else:
+        return None
+    kinds, values = {}, {"command": name, "handler": handler}
+    for flag, kind, default, _ in arguments + _COMMON:
+        kinds[flag] = kind
+        values[flag.lstrip("-")] = default
+    positional = arguments[-1][0]  # a command's positional comes last, if it has one
+    rest = iter(argv[1:])
+    for token in rest:
+        if token[:1] == "-":
+            flag, value = token, next(rest, "-")
+        elif positional[0] != "-" and values[positional] is _REQUIRED:  # the positional, once
+            flag, value = positional, token
+        else:
+            return None
+        kind = kinds.get(flag)
+        if kind is None or value[:1] == "-":
+            return None
+        try:  # tuple.index raises ValueError for a value not among the choices
+            values[flag.lstrip("-")] = kind(value) if callable(kind) else kind[kind.index(value)]
+        except ValueError:
+            return None
+    if _REQUIRED in values.values():
+        return None
+    return SimpleNamespace(**values)
 
-    A named command without -h or --help is read by its own parser alone,
-    built as its subparser is (prog "qrwp <name>"), so its errors are the
-    subparser's; any other argv, or leftover arguments, go to the full
-    parser.
-    """
-    if argv and "-h" not in argv and "--help" not in argv:
-        for name, _, handler, add_arguments in COMMANDS:
-            if name == argv[0]:
-                p = argparse.ArgumentParser(prog=f"qrwp {name}")
-                _fill(p, name, handler, add_arguments)
-                args, rest = p.parse_known_args(argv[1:])
-                if not rest:
-                    return args
-                break
-    return build_parser().parse_args(argv)
+
+def _parse(argv: list[str]):
+    """The parsed arguments, as build_parser().parse_args(argv) gives them:
+    read from the table when _read takes argv, else by the full parser,
+    which prints help and usage errors and exits."""
+    return _read(argv) or build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -52,6 +52,7 @@ NAMES = ("q", "z0", "z0s", "z1", "z1s", "xi", "xis")
 MAX_EXPONENT = 10**6
 _EXPONENT_DIGITS = len(str(MAX_EXPONENT))
 MAX_DIGITS = 4300   # the longest integer literal read, leading zeros aside: int() refuses more by default
+_TOO_LONG = 10**MAX_DIGITS   # the least integer of more than MAX_DIGITS digits
 
 
 class ExpressionError(ValueError):
@@ -135,7 +136,23 @@ def _check_power_digits(c: int, exponent: int) -> None:
     if c > 1 and exponent * math.log10(c) >= MAX_EXPONENT - 1:
         digits = _power_digits(c, exponent)
         if digits > MAX_EXPONENT:
-            raise LoweringError(f"coefficient of {digits} digits exceeds the supported length of {MAX_DIGITS}")
+            raise _length_error(digits)
+
+
+def _length_error(digits: int) -> LoweringError:
+    return LoweringError(f"coefficient of {digits} digits exceeds the supported length of {MAX_DIGITS}")
+
+
+def _too_long(element: AlgebraElement) -> LoweringError | None:
+    """The error for the first coefficient of element, in term order, of
+    more than MAX_DIGITS digits, or None if it has none."""
+    for _, coef in element.terms():
+        for _, c in coef.items_sorted():
+            c = abs(c)
+            if c >= _TOO_LONG:
+                digits = int(c.bit_length() * math.log10(2)) + 1  # the digit count or one more
+                return _length_error(digits - (c < 10 ** (digits - 1)))
+    return None
 
 
 def _power(base: AlgebraElement, exponent: int) -> AlgebraElement:
@@ -325,6 +342,14 @@ def lower_text(text: str) -> AlgebraElement:
 
 def render(element: AlgebraElement) -> str:
     """Canonical text form: terms in (m, p, r) order, coefficients in
-    ascending q-exponent order.  lower_text(render(x)) == x."""
-    return str(element)
+    ascending q-exponent order.  lower_text(render(x)) == x.  A coefficient
+    that int-to-text conversion refuses, by default one of more than
+    MAX_DIGITS digits, is a LoweringError that gives its digit count."""
+    try:
+        return str(element)
+    except ValueError:
+        error = _too_long(element)  # only a failure pays for the scan
+        if error is None:
+            raise
+        raise error from None
 

@@ -11,12 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from qrwp import Weights, fockrep, qpow, qwrp, sigma3
-from qrwp.cli import COMMANDS, EXIT_CHECK_FAILED, EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, _parse, build_parser, main
+from qrwp import Weights, cli, fockrep, qpow, qwrp, sigma3
+from qrwp.cli import (
+    _COMMON, _REQUIRED, COMMANDS, EXIT_CHECK_FAILED, EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, _parse, _read, build_parser, main,
+)
 from qrwp.qwrp import RelationSide
 from qrwp.sigma3 import AlgebraElement, NormalMonomial
 
-from helpers import faithfulness_probe
+from helpers import faithfulness_probe, make_rng
 
 
 def run(capsys, *argv):
@@ -413,10 +415,34 @@ VALID_ARGVS = [
 
 @pytest.mark.parametrize("argv", VALID_ARGVS, ids=" ".join)
 def test_named_command_parses_as_the_full_parser(argv):
-    assert _parse(list(argv)) == build_parser().parse_args(argv)
+    assert vars(_parse(list(argv))) == vars(build_parser().parse_args(argv))
 
 
-def test_a_named_command_builds_one_parser(capsys, monkeypatch):
+# the one form the table reader takes: each option spelled out, its value apart
+CANONICAL_ARGVS = [
+    ["normalize", "z0 z0s"],
+    ["star", "z0", "--format", "json"],
+    ["degree", "--k", "2", "--l", "3", "z0^3 xi", "--q", "0.5", "--N", "64", "--tol", "1e-9"],
+    ["generators", "--l", "1", "--k", "1", "--format", "text"],
+    ["verify-relations", "--parity", "odd", "--l", "5", "--k", "2"],
+    ["factorize", "z0^2 xi", "--k", "1", "--l", "1"],
+    ["rep-check", "--parity", "even", "--l", "3", "--q", "0.5", "--N", "32"],
+    ["ktheory", "--parity", "odd", "--l", "1", "--tol", "1e-9"],
+    ["report-all"],
+    ["report-all", "--lmax", "1", "--lmax", "2", "--q", "0.3", "--q", "0.4"],
+]
+
+# valid spellings that only argparse reads
+OTHER_SPELLINGS = [
+    ["normalize", "--", "-z0"],
+    ["degree", "--k", "-3", "--l", "2", "z0^3 xi"],
+    ["generators", "--l", "1", "--k", "1", "--format=text"],
+    ["rep-check", "--parity", "even", "--l", "3", "--q=0.5", "--N", "32"],
+    ["report-all", "--lm", "1", "--fo", "json"],
+]
+
+
+def test_a_canonical_command_line_builds_no_parser(capsys, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -425,20 +451,82 @@ def test_a_named_command_builds_one_parser(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    assert {argv[0] for argv in VALID_ARGVS} == set(NAMES)
-    for argv in VALID_ARGVS:
+    assert {argv[0] for argv in CANONICAL_ARGVS} == set(NAMES)
+    for argv in CANONICAL_ARGVS:
+        built.clear()
+        args = _parse(list(argv))
+        assert built == [], argv
+        assert vars(args) == vars(build_parser().parse_args(argv)), argv
+    # any other argv is read by the full parser alone
+    full = ["qrwp", *(f"qrwp {name}" for name in NAMES)]
+    for argv in OTHER_SPELLINGS:
         built.clear()
         _parse(list(argv))
-        assert built == [f"qrwp {argv[0]}"], argv
-    full = ["qrwp", *(f"qrwp {name}" for name in NAMES)]
-    for argv, first in (([], []), (["-h"], []), (["report-all", "-h"], []), (["bogus"], []),
-                        (["report-all", "--lmax", "1", "extra"], ["qrwp report-all"])):
+        assert built == full, argv
+    for argv in ([], ["-h"], ["report-all", "-h"], ["bogus"], ["report-all", "--lmax", "1", "extra"]):
         built.clear()
         with pytest.raises(SystemExit):
             _parse(list(argv))
-        # leftover arguments are read again by the full parser, for its error
-        assert built == first + full, argv
+        assert built == full, argv
     capsys.readouterr()
+
+
+def _random_argv(rng) -> list[str]:
+    """A command line built from the command table: valid values and
+    spellings, mixed with each one that only argparse reads or rejects."""
+    if rng.random() < 0.03:
+        return rng.choice([[], ["bogus"], ["-h"], ["--lmax", "1"]])
+    name, _, _, arguments = rng.choice(COMMANDS)
+    pieces = []
+    for flag, kind, default, _ in arguments + _COMMON:
+        if rng.random() < (0.04 if default is _REQUIRED else 0.6):
+            continue   # a missing required argument, or an absent option
+        for _ in range(2 if rng.random() < 0.1 else 1):   # a duplicate
+            if isinstance(kind, tuple):
+                value = rng.choice([*kind, "xml"])
+            else:
+                value = rng.choice({int: ["1", "2", "3", "7", "12"], float: ["0.5", "0.02", "1e-9", "64"],
+                                    str: ["z0 z0s", "z0^2 xi", "z0^3 xi", "z1"]}[kind])
+            if rng.random() < 0.1:
+                value = rng.choice(["-3", "1e-10", "nan", "1_0", "\u0663", "", "--", "-h", "2.5", "-z0"])
+            if flag[0] != "-":
+                pieces.append([value])
+                continue
+            spelling = rng.random()
+            if spelling < 0.05:
+                pieces.append([f"{flag}={value}"])
+            elif spelling < 0.1:
+                pieces.append([flag[:rng.randrange(3, len(flag) + 1)], value])   # an abbreviation, or exact
+            else:
+                pieces.append([flag, value])
+    for extra, chance in (("extra", 0.05), ("-h", 0.03), ("--", 0.03), ("--help", 0.01)):
+        if rng.random() < chance:
+            pieces.append([extra])
+    rng.shuffle(pieces)
+    return [name, *(token for piece in pieces for token in piece)]
+
+
+def _outcome(capsys, parse, argv):
+    try:
+        args = parse(list(argv))
+    except SystemExit as exited:
+        return ("exit", exited.code, *capsys.readouterr())
+    # repr: a nan value must compare equal to itself
+    return ("args", repr(sorted(vars(args).items())), *capsys.readouterr())
+
+
+def test_seeded_command_lines_parse_as_the_full_parser(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    rng = make_rng(33)
+    full = build_parser()
+    # _parse falls back to build_parser().parse_args; one parser built up front reads the same
+    monkeypatch.setattr(cli, "build_parser", lambda: full)
+    read = 0
+    for _ in range(3000):
+        argv = _random_argv(rng)
+        read += _read(list(argv)) is not None
+        assert _outcome(capsys, _parse, argv) == _outcome(capsys, full.parse_args, argv), argv
+    assert 600 < read < 2400, read   # both ways are exercised
 
 
 @pytest.mark.parametrize("argv", [

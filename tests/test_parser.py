@@ -1,5 +1,7 @@
 """Expression language: grammar, lowering, round trips."""
 
+import sys
+
 import pytest
 
 from qrwp import (
@@ -123,6 +125,25 @@ def test_round_trip_corner_cases():
         assert render(x) == reference_text(x), repr(x)
         assert lower_text(render(x)) == x, render(x)
 
+
+def test_render_refuses_a_coefficient_too_long_to_print():
+    # int-to-text conversion refuses more than 4300 digits by default: render
+    # raises a LoweringError with the digit count of the first such
+    # coefficient, words in (m, p, r) order and q-powers ascending
+    message = "coefficient of {} digits exceeds the supported length of 4300"
+    for text, digits in (("2^23007", 6926), ("z0 + 2^23007 z1 - 10^4300 z0s", 4301),
+                         ("2^23007 q z0 + 10^4300 q^-1 z0", 4301), ("-(10^4300) xi", 4301)):
+        with pytest.raises(LoweringError) as raised:
+            render(lower_text(text))
+        assert str(raised.value) == message.format(digits), text
+    assert render(lower_text("10^4300 - 1")) == "9" * 4300
+    if hasattr(sys, "set_int_max_str_digits"):   # a raised limit prints it
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert render(lower_text("-(10^4300) xi")) == f"-{10 ** 4300} xi"
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_errors_reported_in_reading_order():

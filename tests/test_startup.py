@@ -4,7 +4,8 @@ Every weight is evaluated on Python floats, and a WeightedShift holds a
 tuple of them, so `import qrwp`, `import qrwp.cli` and every command work
 in an interpreter where any numpy import raises, with the same output.
 Only the tests' dense oracles use numpy.  The package's records are named
-tuples, so `import qrwp.cli` loads no dataclasses either.
+tuples, so `import qrwp.cli` loads no dataclasses either, and a
+well-formed command line is read without argparse.
 """
 
 import ast
@@ -29,7 +30,8 @@ COMMANDS = [
 ]
 
 # Runs each argv of the JSON list argv[2] through cli.main and prints one
-# JSON object: [exit code, stdout] per argv, and whether numpy was loaded.
+# JSON object: [exit code, stdout] per argv, and whether numpy and argparse
+# were loaded.
 # argv[1] == "block" makes any numpy import raise; argv[3] == "a h=0"
 # first drops the q-power of a's weight form, so that relations fail.
 RUNNER = """
@@ -49,7 +51,8 @@ for argv in json.loads(sys.argv[2]):
     with contextlib.redirect_stdout(out):
         code = qrwp.cli.main(argv)
     results.append([code, out.getvalue()])
-print(json.dumps({"results": results, "numpy": sys.modules.get("numpy") is not None}))
+print(json.dumps({"results": results, "numpy": sys.modules.get("numpy") is not None,
+                  "argparse": "argparse" in sys.modules}))
 """
 
 
@@ -85,7 +88,7 @@ def test_no_module_imports_numpy():
 
 def test_import_loads_no_numpy():
     # importing dataclasses would also pull in inspect, ast, dis and tokenize
-    loaded = _python("-c", "import sys, qrwp.cli; print([m for m in ('numpy', 'dataclasses', 'inspect') "
+    loaded = _python("-c", "import sys, qrwp.cli; print([m for m in ('numpy', 'dataclasses', 'inspect', 'argparse') "
                            "if m in sys.modules])")
     assert loaded == "[]\n"
 
@@ -96,6 +99,8 @@ def test_exact_commands_run_with_numpy_blocked():
     assert blocked["results"] == plain["results"]
     assert all(code == 0 and out for code, out in plain["results"]), plain
     assert not plain["numpy"]
+    # every argv is spelled as the command table reads it, so no argparse parser is built
+    assert not plain["argparse"] and not blocked["argparse"]
 
 
 def test_report_all_loads_no_numpy():
