@@ -37,10 +37,9 @@ relation_residuals, kernel_conditions_exact, modulus_kernels,
 scalar_relations_exact, intertwiner_check and ktheory's index map and
 lift read it, so only a failing relation's residual and
 ktheory.pullback_check evaluate weights at q.  The table is memoised in
-a bounded lru_cache keyed by what it is read from: the values
-relations_for(parity, l) and the generator forms, and the functions
-generators and ambient_form, all looked up through this module's names
-on every call; nothing memoised reads q, N or a tolerance.
+a bounded lru_cache keyed by (parity, l) alone, since nothing in it
+reads q, N or a tolerance.  A negative modulus factor raises from the
+build, which is then not cached, so every read of that family raises.
 
 The relabeling Phi_r e_n = e_{ln+r-1} intertwines pi_r(g) with the
 ambient pi(j(g)) exactly when the ambient form of j(g) is (lk, h, S) for
@@ -236,12 +235,9 @@ class FamilyTable(NamedTuple):
 
     sides: tuple[tuple[str, SideForm, SideForm], ...]  # (rid, lhs, rhs) in relations_for order
     same: tuple[tuple[bool, ...], ...]  # same[r - 1][i]: relation i is one operator for label r
-    # (g, modulus_kernels) for each g with a modulus relation, in
-    # _MODULUS_RELATION order; the kernels are the message of the
-    # ArithmeticError that reading them raises when a factor is negative
-    kernels: tuple[tuple[str, tuple[tuple[int, ...], ...] | str], ...]
+    kernels: dict[str, tuple[tuple[int, ...], ...]]  # modulus_kernels per generator with a modulus relation
     circle: bool  # scalar_relations_exact
-    intertwines: tuple[tuple[str, bool], ...]  # (g, Phi_r pi_r(g) = pi(j(g)) Phi_r) per generator
+    intertwines: dict[str, bool]  # Phi_r pi_r(g) = pi(j(g)) Phi_r per generator
 
     def holds(self, rid: str) -> bool:
         """Whether relation rid's two sides are one operator for every label."""
@@ -253,42 +249,29 @@ def _generator_names(parity: str) -> tuple[str, ...]:
     return ("a", "c") if parity == "even" else ("a", "b", "c")
 
 
-def family_table(parity: str, l: int) -> FamilyTable:
-    """The family's table, composed once for each value of what it is
-    read from: relations_for(parity, l), the generator forms, and the
-    generators and ambient_form that the intertwiner verdict reads, all
-    looked up through this module's names on every call, so a replaced
-    function gets a table of its own.  Nothing in it reads q, N or a
-    tolerance."""
-    Weights.canonical(parity, l)
-    forms = tuple(generator_form(parity, l, g) for g in _generator_names(parity))
-    return _family_table(parity, l, relations_for(parity, l), forms, generators, ambient_form)
-
-
 @functools.lru_cache(maxsize=64)
-def _family_table(parity: str, l: int, relations: tuple[Relation, ...], forms: tuple[WeightForm, ...],
-                  generators, ambient_form) -> FamilyTable:
-    # compose_side reads generator_form itself, so forms is only read by the
-    # intertwiner verdict; generators and ambient_form are this module's,
-    # passed in so that a replaced one keys a table of its own
+def family_table(parity: str, l: int) -> FamilyTable:
+    """The family's table, built once per (parity, l) from
+    relations_for, generator_form, generators and ambient_form, each
+    looked up through this module's names.  Nothing in it reads q, N or
+    a tolerance.  A negative modulus factor raises here, and a build
+    that raises is not cached, so every read raises again."""
+    w = Weights.canonical(parity, l)
+    relations = relations_for(parity, l)
     sides = tuple((rel.rid, compose_side(rel.lhs, parity, l), compose_side(rel.rhs, parity, l))
                   for rel in relations)
     same = tuple(tuple(same_operator(lhs, rhs, l, r) for _, lhs, rhs in sides) for r in range(1, l + 1))
-    kernels = []
-    for (family, gen), rid in _MODULUS_RELATION.items():
-        if family == parity:
-            rel = next(rel for rel in relations if rel.rid == rid)
-            try:
-                kernels.append((gen, _modulus_kernels(rel, l)))
-            except ArithmeticError as exc:
-                kernels.append((gen, str(exc)))
+    rels = {rel.rid: rel for rel in relations}
+    kernels = {gen: _modulus_kernels(rels[rid], l)
+               for (family, gen), rid in _MODULUS_RELATION.items() if family == parity}
     circle = all(_circle_value(rel.lhs) == _circle_value(rel.rhs) for rel in relations)
-    gens = generators(Weights.canonical(parity, l))
-    intertwines = []
-    for name, (k, h, factors) in zip(_generator_names(parity), forms):
+    gens = generators(w)
+    intertwines = {}
+    for name in _generator_names(parity):
+        k, h, factors = generator_form(parity, l, name)
         big = ambient_form(gens.named(name).sole_monomial())
-        intertwines.append((name, (big.offset, big.h, sorted(big.factors)) == (l * k, h, sorted(factors))))
-    return FamilyTable(sides, same, tuple(kernels), circle, tuple(intertwines))
+        intertwines[name] = (big.offset, big.h, sorted(big.factors)) == (l * k, h, sorted(factors))
+    return FamilyTable(sides, same, kernels, circle, intertwines)
 
 
 def relation_residuals(parity: str, l: int, q: float = 0.5, dim: int = 256) -> list[ResidualEntry]:
@@ -325,13 +308,6 @@ def _modulus_rid(parity: str, gen: str) -> str:
     return rid
 
 
-def modulus_relation(parity: str, l: int, gen: str) -> Relation:
-    """The relation g* g = (a product in a): even.4 for c+, odd.7 for b,
-    odd.11 for c-."""
-    rid = _modulus_rid(parity, gen)
-    return next(rel for rel in relations_for(parity, l) if rel.rid == rid)
-
-
 def _modulus_kernels(rel: Relation, l: int) -> tuple[tuple[int, ...], ...]:
     exps = [e for f in rel.rhs.factors if f[0] == "prod" for e in f[1]]
     kernels = []
@@ -348,23 +324,18 @@ def _modulus_kernels(rel: Relation, l: int) -> tuple[tuple[int, ...], ...]:
     return tuple(kernels)
 
 
-def _kernel_columns(kernels: tuple[tuple[int, ...], ...] | str) -> tuple[tuple[int, ...], ...]:
-    if isinstance(kernels, str):
-        raise ArithmeticError(kernels)
-    return kernels
-
-
 def modulus_kernels(parity: str, l: int, gen: str) -> tuple[tuple[int, ...], ...]:
     """For each label r = 1..l, the columns n >= 0 on which g* g
-    vanishes, read off integers: a factor (1 - q^{2e} a) of
-    modulus_relation is zero on e_n exactly where e + ln + r = 0, whatever
-    q is.  A factor is negative where e + ln + r < 0, which g* g >= 0
+    vanishes, read off integers: a factor (1 - q^{2e} a) of the relation
+    g* g = (a product in a), even.4 for c+, odd.7 for b and odd.11 for
+    c-, is zero on e_n exactly where e + ln + r = 0, whatever q is.  A
+    factor is negative where e + ln + r < 0, which g* g >= 0
     allows only on a kernel column; anywhere else it is a hard error.
     Past column (-min e - r) / l every factor is positive, so only the
     columns below it are read.  They are read once per family_table."""
     Weights.canonical(parity, l)
     _modulus_rid(parity, gen)
-    return _kernel_columns(dict(family_table(parity, l).kernels)[gen])
+    return family_table(parity, l).kernels[gen]
 
 
 def kernel_conditions_exact(parity: str, l: int) -> bool:
@@ -372,7 +343,7 @@ def kernel_conditions_exact(parity: str, l: int) -> bool:
     for every label, the columns on which the relations make g* g vanish
     must be exactly the columns that g's shift lowers out of the space."""
     return all(kernel == tuple(range(generator_form(parity, l, gen).offset))
-               for gen, kernels in family_table(parity, l).kernels for kernel in _kernel_columns(kernels))
+               for gen, kernels in family_table(parity, l).kernels.items() for kernel in kernels)
 
 
 def _circle_value(side: RelationSide) -> tuple[int, int] | None:

@@ -25,7 +25,7 @@ import math
 from typing import NamedTuple
 
 from . import fockrep
-from .fockrep import _check_family, a_exponents, family_table, form_weights, modulus_kernels, modulus_relation
+from .fockrep import _MODULUS_RELATION, _check_family, a_exponents, form_weights, modulus_kernels
 # not called here; perfbench/tests/test_perfbench.py checks that tracing patches this name too
 from .fockrep import rep_generator
 from .qlaurent import power_text
@@ -79,7 +79,7 @@ def _lift_exact(parity: str, l: int) -> bool:
     column and at every q: exactly when c* c and the modulus side (even.4,
     odd.11) compose to one operator for every label (fockrep.family_table),
     so that the quotient is 1 on every column."""
-    return family_table(parity, l).holds(modulus_relation(parity, l, "c").rid)
+    return fockrep.family_table(parity, l).holds(_MODULUS_RELATION[(parity, "c")])
 
 
 # -- K-group assembly ----------------------------------------------------

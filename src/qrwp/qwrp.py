@@ -58,6 +58,7 @@ def _side(q_exponent: int, *factors: Factor) -> RelationSide:
     return RelationSide(q_exponent, factors)
 
 
+@functools.lru_cache(maxsize=128)
 def relations_for(parity: str, l: int) -> tuple[Relation, ...]:
     """The defining relation list of the parity-l family.
 
@@ -65,11 +66,6 @@ def relations_for(parity: str, l: int) -> tuple[Relation, ...]:
     prod_{m=0}^{L-1}(1 - q^{2m} a) or prod_{m=1}^{L}(1 - q^{-2m} a).
     The list is immutable, so it is built once per (parity, l) and shared.
     """
-    return _relations(parity, l)
-
-
-@functools.lru_cache(maxsize=128)
-def _relations(parity: str, l: int) -> tuple[Relation, ...]:
     if parity == "even":
         return (
             Relation("even.1", _side(0, _gen("a", True)), _side(0, _gen("a"))),
@@ -138,15 +134,11 @@ class GeneratorSet(NamedTuple):
         raise KeyError(name)
 
 
+@functools.lru_cache(maxsize=128, typed=True)
 def generators(w: Weights) -> GeneratorSet:
     """Generator set of the degree-zero subalgebra for the weight pair.
     The set is immutable, so it is built once per weight pair and shared;
     the cache is typed, so a plain tuple equal to a pair is not one."""
-    return _generators(w)
-
-
-@functools.lru_cache(maxsize=128, typed=True)
-def _generators(w: Weights) -> GeneratorSet:
     a = AlgebraElement.monomial(0, 2, 1)
     if w.parity == "even":
         c = AlgebraElement.monomial(w.l, 0, w.s)

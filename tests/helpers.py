@@ -353,7 +353,8 @@ def kernel_columns(parity: str, l: int, r: int, q: float, dim: int, gen: str) ->
     At tiny q a kernel column's factor overflows to -inf, and the column's
     exact zero factor wins over it.  The factor a underflows to 0.0 deep in
     the tail, so later zeros do not count."""
-    side = fockrep.modulus_relation(parity, l, gen).rhs
+    rid = fockrep._modulus_rid(parity, gen)
+    side = next(rel for rel in fockrep.relations_for(parity, l) if rel.rid == rid).rhs
     x = fockrep.a_exponents(l, r, np.arange(dim))
     diag = np.full(dim, q ** side.q_exponent)
     for f in side.factors:

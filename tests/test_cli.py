@@ -219,6 +219,7 @@ def test_rep_check_accepts_every_truncation(capsys, monkeypatch):
         return form._replace(h=form.h + 1) if gen == "b" else form
 
     monkeypatch.setattr(fockrep, "generator_form", mutated)
+    fockrep.family_table.cache_clear()  # the odd l=5 table was built unpatched above
     code, out, _ = run(capsys, "rep-check", "--parity", "odd", "--l", "5", "--N", "4")
     assert code == EXIT_CHECK_FAILED
     assert "all pass: NO" in out
@@ -640,6 +641,7 @@ def test_check_failure_exit_code(capsys, monkeypatch):
         return form._replace(h=form.h + 1) if gen == "b" else form
 
     monkeypatch.setattr(fockrep, "generator_form", mutated)
+    fockrep.family_table.cache_clear()  # the odd l=2 table was built unpatched above
     code, out, _ = run(capsys, *argv)
     assert code == EXIT_CHECK_FAILED
     assert "all pass: NO" in out
@@ -699,6 +701,25 @@ def test_lift_verdict_reads_no_tolerance(capsys, monkeypatch):
     code, out, _ = run(capsys, "ktheory", "--parity", "odd", "--l", "2", "--tol", "2")
     assert code == EXIT_CHECK_FAILED
     assert "coisometry max interior deviation: 1.000e+00" in out and "all pass: NO" in out
+
+
+def test_a_negative_modulus_factor_is_a_precondition_error(capsys, monkeypatch):
+    # c-* c- with an extra factor (1 - q^{-2(2l+2)} a), negative on e_2 of
+    # label 1, which c* c >= 0 forbids: every command that reads the odd
+    # l=2 family stops with that error and prints no report
+    relations_for = fockrep.relations_for
+
+    def mutated(parity, l):
+        longer = RelationSide(0, (("prod", tuple(range(-1, -2 * l - 1, -1)) + (-2 * l - 2,)),))
+        return tuple(rel._replace(rhs=longer) if rel.rid == "odd.11" else rel for rel in relations_for(parity, l))
+
+    monkeypatch.setattr(fockrep, "relations_for", mutated)
+    error = "error: negative modulus factor 1 - q^-2 at non-kernel column 2 (label r=1)\n"
+    for argv in (("rep-check", "--parity", "odd", "--l", "2"),
+                 ("rep-check", "--parity", "odd", "--l", "2", "--format", "json"),
+                 ("ktheory", "--parity", "odd", "--l", "2"),
+                 ("report-all", "--lmax", "2")):
+        assert run(capsys, *argv) == (EXIT_PRECONDITION, "", error), argv
 
 
 def test_env_overrides(capsys, monkeypatch):

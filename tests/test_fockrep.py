@@ -523,7 +523,7 @@ def test_large_truncations_stay_banded():
 def test_a_q_sweep_composes_each_relation_side_once(monkeypatch):
     # the sides are q-independent, so a sweep over q composes them once,
     # whichever report reads them first
-    fockrep._family_table.cache_clear()
+    fockrep.family_table.cache_clear()
     composed = []
     original = fockrep.compose_side
 
@@ -559,13 +559,15 @@ def test_the_intertwiner_verdict_is_read_off_the_table(monkeypatch):
 
 
 def test_a_replaced_ambient_form_gets_its_own_intertwiner_verdict(monkeypatch):
-    # no cache is cleared: a table built under the replaced ambient_form
-    # is not read once it is put back
+    # the table is keyed by (parity, l) alone, so the cache is cleared on
+    # each patch and undo: the verdict follows ambient_form both ways
     assert all(intertwiner_check("even", 3).values())
     monkeypatch.setattr(fockrep, "ambient_form", lambda mono: fockrep.WeightForm(mono.m, 0, ()))
+    fockrep.family_table.cache_clear()
     assert intertwiner_check("even", 5) == {"a": False, "c": False}
     assert intertwiner_check("even", 3) == {"a": False, "c": False}
     monkeypatch.undo()
+    fockrep.family_table.cache_clear()
     for l in (3, 5):
         assert all(intertwiner_check("even", l).values())
 
@@ -587,17 +589,20 @@ def _odd11_shift():
     (_odd11_shift(), ({"odd.11"}, False), ([2, 1], 1.0, False)),
 ])
 def test_a_replaced_function_gets_its_own_table(monkeypatch, patch, rep_verdicts, k_verdicts):
-    # no cache is cleared: the table is keyed by the values it reads
+    # the table is keyed by (parity, l) alone, so the cache is cleared on
+    # each patch and undo: the verdicts follow the patched function both ways
     clean_rep, clean_k = rep_report("odd", 2, Q, 64).as_dict(), ktheory_report("odd", 2, Q, 64).as_dict()
     assert clean_rep["all_pass"] and clean_k["all_pass"]
     monkeypatch.setattr(fockrep, *patch)
+    fockrep.family_table.cache_clear()
     rep, kth = rep_report("odd", 2, Q, 64).as_dict(), ktheory_report("odd", 2, Q, 64).as_dict()
     failed = {e["id"] for e in rep["relation_residuals"] if not e["pass"]}
     assert (failed, rep["kernel_conditions_exact"]) == rep_verdicts
     assert (kth["index_map"], kth["coisometry_max_deviation"], kth["all_pass"]) == k_verdicts
     assert not rep["all_pass"]
-    # and the clean table is still there once the patch is gone
+    # and the clean verdicts come back once the patch is gone
     monkeypatch.undo()
+    fockrep.family_table.cache_clear()
     assert rep_report("odd", 2, Q, 64).as_dict() == clean_rep
     assert ktheory_report("odd", 2, Q, 64).as_dict() == clean_k
 
@@ -613,7 +618,7 @@ def test_cached_reports_match_uncached(monkeypatch):
                 for parity, l in families for q in qs]
 
     cached = reports()
-    monkeypatch.setattr(fockrep, "_family_table", fockrep._family_table.__wrapped__)
+    monkeypatch.setattr(fockrep, "family_table", fockrep.family_table.__wrapped__)
     assert reports() == cached
 
 
@@ -627,10 +632,10 @@ def test_q_is_checked_on_every_call():
                 report("odd", 2, q, 160)
 
 
-def test_a_negative_modulus_factor_raises_only_where_kernels_are_read(monkeypatch):
+def test_a_negative_modulus_factor_raises_on_every_read(monkeypatch):
     # c-* c- with an extra factor (1 - q^{-2(2l+2)} a), negative on e_2 of
-    # label 1: the table still holds every other verdict, and each read of
-    # c-'s kernels raises again
+    # label 1: the family's table raises while it is built, and a build
+    # that raises is not memoised, so every read of the family raises again
     original = fockrep.relations_for
 
     def mutated(parity, l):
@@ -638,10 +643,14 @@ def test_a_negative_modulus_factor_raises_only_where_kernels_are_read(monkeypatc
         return tuple(rel._replace(rhs=longer) if rel.rid == "odd.11" else rel for rel in original(parity, l))
 
     monkeypatch.setattr(fockrep, "relations_for", mutated)
-    assert {e.rid for e in relation_residuals("odd", 2, Q, 64) if not e.passed} == {"odd.11"}
-    assert scalar_relations_exact("odd", 2)
-    assert modulus_kernels("odd", 2, "b") == ((0,), (0,))
-    for read in (lambda: modulus_kernels("odd", 2, "c"), lambda: kernel_conditions_exact("odd", 2),
-                 lambda: rep_report("odd", 2, Q, 64), lambda: ktheory_report("odd", 2, Q, 64)):
-        with pytest.raises(ArithmeticError, match="non-kernel column 2"):
+    reads = (lambda: relation_residuals("odd", 2, Q, 64), lambda: scalar_relations_exact("odd", 2),
+             lambda: modulus_kernels("odd", 2, "b"), lambda: modulus_kernels("odd", 2, "c"),
+             lambda: kernel_conditions_exact("odd", 2), lambda: intertwiner_check("odd", 2),
+             lambda: rep_report("odd", 2, Q, 64), lambda: ktheory_report("odd", 2, Q, 64))
+    for read in reads * 2:
+        with pytest.raises(ArithmeticError) as raised:
             read()
+        assert str(raised.value) == "negative modulus factor 1 - q^-2 at non-kernel column 2 (label r=1)"
+    assert fockrep.family_table.cache_info().currsize == 0
+    # a family the mutation does not reach still builds
+    assert modulus_kernels("even", 3, "c") == ((0,),) * 3

@@ -103,6 +103,7 @@ def test_kernel_checks_follow_the_modulus_relation(monkeypatch):
 
     assert index_map("odd", 2).entries == (2, 2)
     monkeypatch.setattr(fockrep, "relations_for", mutated)
+    fockrep.family_table.cache_clear()  # the odd l=2 table was built unpatched above
     assert not kernel_conditions_exact("odd", 2)
     assert index_map("odd", 2).entries == (2, 1)
     report = ktheory_report("odd", 2, Q, 64)
